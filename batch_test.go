@@ -89,16 +89,16 @@ func TestVPatchBatchInstrumentedPath(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	want := eng.FindAllBatch(bufs) // fused path (nil counters)
+	want := eng.FindAllBatch(bufs) // fused path
 
-	var c Counters
+	c := Counters{LaneExact: true} // the lane-per-packet engine
 	s := eng.NewSession()
 	out := make([][]Match, len(bufs))
 	s.ScanBatch(bufs, &c, func(b int, m Match) { out[b] = append(out[b], m) })
 	for i := range bufs {
 		patterns.SortMatches(out[i])
 		if !patterns.EqualMatches(out[i], want[i]) {
-			t.Fatalf("instrumented batch diverged from fused on buffer %d", i)
+			t.Fatalf("lane-exact batch diverged from fused on buffer %d", i)
 		}
 	}
 
@@ -117,7 +117,7 @@ func TestVPatchBatchInstrumentedPath(t *testing.T) {
 	// 1.0 — the serial design would waste most lanes on inputs this
 	// small.
 	small := traffic.FixedPackets(traffic.ISCXDay2, 64, 256, 9, set)
-	var cs metrics.Counters
+	cs := metrics.Counters{LaneExact: true}
 	eng.NewSession().ScanBatch(small, &cs, nil)
 	if frac := cs.BatchLaneFrac(8); frac < 0.95 {
 		t.Fatalf("lane occupancy %.3f on uniform 64 B packets, want >= 0.95", frac)

@@ -366,8 +366,8 @@ func (d *Dispatcher) Arena() *arena.Arena { return d.arena }
 // shard and returns them, index-aligned with the shards. It must be
 // called before the first Handle (the first segment's channel send
 // publishes the counters to its worker); read or merge the counters
-// only after Close. Instrumented scans cost a few percent of
-// throughput.
+// only after Close. Counters do not change the scan path (see
+// Shard.SetCounters).
 func (d *Dispatcher) InstrumentCounters() []*vpatch.Counters {
 	cs := make([]*vpatch.Counters, len(d.shards))
 	for i, sh := range d.shards {

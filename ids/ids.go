@@ -352,10 +352,10 @@ func (s *Shard) SetVerifierBudget(b resil.VerifierBudget) { s.vbudget = b }
 func (e *Engine) SetVerifierBudget(b resil.VerifierBudget) { e.def.SetVerifierBudget(b) }
 
 // SetCounters attaches scan instrumentation to the shard: every batch
-// scan accumulates into c (bytes scanned, filter probes, matches, lane
-// occupancy, ...). Instrumented scans cost a few percent of
-// throughput; pass nil to detach. The counters follow the shard's
-// single-goroutine rule.
+// scan accumulates into c (bytes scanned, candidates, verification
+// work, matches, skip tallies, per-round time). Counters never change
+// which kernels run; they cost a few clock reads per batch flush. Pass
+// nil to detach. The counters follow the shard's single-goroutine rule.
 func (s *Shard) SetCounters(c *vpatch.Counters) { s.counters = c }
 
 // SetObserver attaches race-safe publication sinks to the shard, the
@@ -730,7 +730,17 @@ func (s *Shard) flushGroup(g *group, pb *groupBatch) {
 	}
 	s.session(g).ScanBatch(pb.bufs, c, pb.onMatch)
 	if s.ev != nil {
+		// Rule evaluation is the shard's third round after the matcher's
+		// filtering and verification: timed into OtherNs, so the three
+		// clocks account for the flush's scan time.
+		var sw metrics.Stopwatch
+		if c != nil {
+			sw = metrics.Start()
+		}
 		s.evalRuleHits(pb, c)
+		if c != nil {
+			c.OtherNs += sw.Stop()
+		}
 	}
 	pb.free = append(pb.free, pb.bufs...)
 	pb.bufs = pb.bufs[:0]

@@ -11,6 +11,7 @@ import (
 
 	"vpatch"
 	"vpatch/internal/netsim"
+	"vpatch/internal/traffic"
 )
 
 func TestScanBufferRoutesAndMapsIDs(t *testing.T) {
@@ -191,4 +192,91 @@ func TestDispatcherFlushAll(t *testing.T) {
 		t.Fatalf("Close duplicated alerts: %d", alerts.Load())
 	}
 	d.FlushAll() // no-op after Close, must not hang or panic
+}
+
+// TestObserverDoesNotChangeScans: a dispatcher with Observe() attached
+// — the way every vpatch-serve tenant runs — must produce the same
+// alerts as one without, and publish the same BytesScanned, Matches and
+// RuleAlerts an InstrumentCounters-only dispatcher tallies, on the
+// adversarial corpus's attack shapes under evasive delivery. Attaching
+// the observer used to reroute every scan through the lane emulation.
+func TestObserverDoesNotChangeScans(t *testing.T) {
+	rset := parseRules(t, 0,
+		`alert tcp any any -> any 80 (msg:"probe"; content:"GET /"; depth:16; content:"admin"; nocase; distance:0; within:64; sid:1;)`,
+		`alert tcp any any -> any 80 (msg:"tok"; content:"token="; pcre:"/[0-9a-f]{8}/"; sid:2;)`)
+	payloads := [][]byte{
+		[]byte("GET /admin HTTP/1.1 token=deadbeef trailer"),
+		traffic.FloodAnchors([]byte("token="), []byte("zzzzzzzz"), 12, 3),
+		traffic.FloodAnchors([]byte("token="), []byte("deadbeef"), 8, 5),
+		traffic.NearMisses(rset.Lits, 40, 7),
+		traffic.Random(2048, 9),
+	}
+	var segs []netsim.Segment
+	for i, p := range payloads {
+		for seed := int64(1); seed <= 3; seed++ {
+			k := key(i*10+int(seed), 80)
+			for _, c := range traffic.Evasive(p, seed) {
+				seg := netsim.Segment{Flow: k, Seq: uint32(c.Off), Payload: c.Data, TsMicros: 1}
+				if c.Fin {
+					seg.Flags = netsim.FlagFIN
+				}
+				segs = append(segs, seg)
+			}
+		}
+	}
+
+	e, err := NewRuleEngine(rset, vpatch.Options{}, func(Alert) {})
+	if err != nil {
+		t.Fatal(err)
+	}
+	run := func(attach func(d *Dispatcher) func() vpatch.Counters) ([]Alert, vpatch.Counters) {
+		var mu sync.Mutex
+		var alerts []Alert
+		d := e.NewDispatcher(2, netsim.Limits{}, func(a Alert) {
+			mu.Lock()
+			alerts = append(alerts, a)
+			mu.Unlock()
+		})
+		counters := attach(d)
+		d.HandleBatch(segs)
+		d.Close()
+		sortAlerts(alerts)
+		return alerts, counters()
+	}
+	bare, _ := run(func(*Dispatcher) func() vpatch.Counters {
+		return func() vpatch.Counters { return vpatch.Counters{} }
+	})
+	observed, oc := run(func(d *Dispatcher) func() vpatch.Counters { return d.Observe().Counters })
+	_, ic := run(func(d *Dispatcher) func() vpatch.Counters {
+		per := d.InstrumentCounters()
+		return func() (sum vpatch.Counters) {
+			for _, c := range per {
+				sum.Add(c)
+			}
+			return sum
+		}
+	})
+
+	if len(bare) == 0 {
+		t.Fatal("test needs alerts")
+	}
+	if fmt.Sprint(bare) != fmt.Sprint(observed) {
+		t.Fatalf("observer changed the alerts:\n bare     %v\n observed %v", bare, observed)
+	}
+	if oc.BytesScanned == 0 || oc.Matches == 0 || oc.RuleAlerts != uint64(len(bare)) {
+		t.Fatalf("observer counters not filled: bytes %d, matches %d, rule alerts %d (alerts %d)",
+			oc.BytesScanned, oc.Matches, oc.RuleAlerts, len(bare))
+	}
+	if oc.BytesScanned != ic.BytesScanned || oc.Matches != ic.Matches || oc.RuleAlerts != ic.RuleAlerts {
+		t.Fatalf("observer and plain counters disagree: bytes %d/%d, matches %d/%d, rule alerts %d/%d",
+			oc.BytesScanned, ic.BytesScanned, oc.Matches, ic.Matches, oc.RuleAlerts, ic.RuleAlerts)
+	}
+	// The production path: no emulation-only counter moves, and the three
+	// round clocks all run (OtherNs is the rule evaluation's).
+	if oc.BatchIters != 0 || oc.Gathers != 0 || oc.Filter1Probes != 0 {
+		t.Fatalf("observed scans ran the lane emulation: %+v", oc)
+	}
+	if oc.FilteringNs <= 0 || oc.VerifyNs <= 0 || oc.OtherNs <= 0 {
+		t.Fatalf("round clocks: filter %d, verify %d, other %d", oc.FilteringNs, oc.VerifyNs, oc.OtherNs)
+	}
 }

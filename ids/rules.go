@@ -14,8 +14,9 @@ package ids
 // VerifierRuns counter makes that observable).
 
 import (
+	"cmp"
 	"fmt"
-	"sort"
+	"slices"
 
 	"vpatch"
 	"vpatch/internal/rules"
@@ -89,11 +90,18 @@ func (s *Shard) ruleEmitter(fs *flowState) rules.EmitFunc {
 // at an earlier batch boundary.
 func (s *Shard) evalRuleHits(pb *groupBatch, c *vpatch.Counters) {
 	hits := s.ruleHits
-	sort.Slice(hits, func(i, j int) bool {
-		if hits[i].buf != hits[j].buf {
-			return hits[i].buf < hits[j].buf
+	// A total order (ties broken by start and literal), so the replay
+	// does not depend on the order the matcher reported the hits in.
+	slices.SortFunc(hits, func(a, b ruleHit) int {
+		switch {
+		case a.buf != b.buf:
+			return cmp.Compare(a.buf, b.buf)
+		case a.end != b.end:
+			return cmp.Compare(a.end, b.end)
+		case a.pos != b.pos:
+			return cmp.Compare(a.pos, b.pos)
 		}
-		return hits[i].end < hits[j].end
+		return cmp.Compare(a.lit, b.lit)
 	})
 	// Budget pricing reads verifier-counter deltas around the evaluator
 	// calls, so an uninstrumented shard still needs a counter target

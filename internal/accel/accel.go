@@ -22,7 +22,8 @@
 //     density), and the span constants of the runtime governor that
 //     turns it off mid-scan when the traffic itself is dense.
 //
-// Tables are cheap to build (one pass over the 2^16 window indexes) and
+// Tables are cheap to build (one pass over the 1024 words of the window
+// bitmap) and
 // are *derived* state: compiled-database loads rebuild them from the
 // decoded filters instead of serializing them, so acceleration needs no
 // database format bump.
@@ -36,6 +37,7 @@ package accel
 import (
 	"bytes"
 	"encoding/binary"
+	"math/bits"
 
 	"vpatch/internal/vec"
 )
@@ -149,16 +151,33 @@ type Table struct {
 // predicate: viable(idx) reports whether 2-byte window idx (little
 // endian: first byte low) may start a candidate. The predicate is the
 // union of whatever filters the caller's probe chain consults first.
+// Callers that already hold the union as a bitmap use BuildUnion.
 func Build(viable func(idx uint32) bool) *Table {
-	t := &Table{}
-	set := 0
+	var union [1 << 10]uint64
 	for idx := uint32(0); idx < 1<<16; idx++ {
 		if viable(idx) {
-			set++
-			t.Union[(idx>>6)&1023] |= 1 << (idx & 63)
-			t.StartBytes[(idx&0xff)>>6] |= 1 << (idx & 0x3f)
-			t.SecondBytes[(idx>>8)>>6] |= 1 << ((idx >> 8) & 0x3f)
+			union[(idx>>6)&1023] |= 1 << (idx & 63)
 		}
+	}
+	return BuildUnion(&union)
+}
+
+// BuildUnion derives the acceleration table from the window viability
+// bitmap itself (bit idx set when 2-byte window idx may start a
+// candidate), word by word: window idx = first | second<<8 sits in word
+// idx>>6, so a word's 64 bits are 64 consecutive first-byte values
+// (quarter k&3 of the start-byte bitmap) of the single second byte k>>2.
+func BuildUnion(union *[1 << 10]uint64) *Table {
+	t := &Table{Union: *union}
+	set := 0
+	for k, w := range union {
+		if w == 0 {
+			continue
+		}
+		set += bits.OnesCount64(w)
+		t.StartBytes[k&3] |= w
+		second := k >> 2
+		t.SecondBytes[second>>6] |= 1 << (second & 63)
 	}
 	nBytes, nSecond := 0, 0
 	for b := 0; b < 256; b++ {

@@ -161,10 +161,10 @@ func TestAccelSPatchMatchesPlain(t *testing.T) {
 	}
 }
 
-// TestAccelInstrumentedIdentical: the instrumented paths (counters
-// attached — engine drive loop for V-PATCH, scalar loop with Next
-// skipping for S-PATCH) must emit the same matches as their fused
-// timing paths, and the skip accounting must cover every window.
+// TestAccelInstrumentedIdentical: the lane-exact paths (Counters.LaneExact
+// — engine drive loop for V-PATCH, scalar loop with Next skipping for
+// S-PATCH) must emit the same matches as the fused production paths,
+// and the skip accounting must cover every window.
 func TestAccelInstrumentedIdentical(t *testing.T) {
 	rng := rand.New(rand.NewSource(13))
 	for name, set := range accelCases() {
@@ -173,14 +173,14 @@ func TestAccelInstrumentedIdentical(t *testing.T) {
 		for ii, input := range accelInputs(set, rng) {
 			var timed, counted []patterns.Match
 			vp.Scan(input, nil, func(m patterns.Match) { timed = append(timed, m) })
-			var vc metrics.Counters
+			vc := metrics.Counters{LaneExact: true}
 			vp.Scan(input, &vc, func(m patterns.Match) { counted = append(counted, m) })
 			if !patterns.EqualMatches(timed, counted) {
 				t.Fatalf("%s input %d: V-PATCH instrumented diverges", name, ii)
 			}
 			timed, counted = nil, nil
 			sp.Scan(input, nil, func(m patterns.Match) { timed = append(timed, m) })
-			var sc metrics.Counters
+			sc := metrics.Counters{LaneExact: true}
 			sp.Scan(input, &sc, func(m patterns.Match) { counted = append(counted, m) })
 			if !patterns.EqualMatches(timed, counted) {
 				t.Fatalf("%s input %d: S-PATCH instrumented diverges", name, ii)

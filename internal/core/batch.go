@@ -24,13 +24,16 @@ import (
 //   - candidate stores carry (buffer, position) pairs, flushed through
 //     the shared verification round at a cache-sized watermark.
 //
-// Like the serial scan, instrumented runs execute the explicit vector
-// engine (per-op emulated registers, exact gather/lane statistics);
-// timing runs (nil counters, paper configuration) use a fused rendition
-// of the same computation whose per-buffer match output is identical
-// (tested), keeping the structural wins that survive without SIMD
-// hardware: one call for the whole batch, half the filter lookups
-// (merging), and verification flushes amortized across buffers.
+// That lane-per-packet round exists on the explicit vector engine
+// (per-op emulated registers, exact gather/lane statistics) and runs
+// when lane-exact accounting is asked for (Counters.LaneExact,
+// ForceEngine): it is what the Fig. 5b batch reproduction and
+// BatchLaneFrac measure. Production batch scans, with or without
+// counters, use a fused rendition whose per-buffer match output is
+// identical (tested), keeping the structural wins that survive without
+// SIMD hardware: one call for the whole batch, half the filter lookups
+// (merging), and filtering and verification rounds amortized across
+// buffers.
 
 var _ engine.BatchEngine = (*VPatch)(nil)
 
@@ -49,18 +52,16 @@ func (m *VPatch) ScanBatch(inputs [][]byte, c *metrics.Counters, emit engine.Bat
 }
 
 func (m *VPatch) scanBatch(scr *Scratch, inputs [][]byte, c *metrics.Counters, emit engine.BatchEmitFunc) {
-	scr.bShort = scr.bShort[:0]
-	scr.bLong = scr.bLong[:0]
 	if c != nil {
 		for _, in := range inputs {
 			c.BytesScanned += uint64(len(in))
 		}
 	}
-	if c == nil && !m.opt.ForceEngine && !m.opt.NoFilterMerge && !m.opt.BranchyFilter3 {
-		m.fusedScanBatch(scr, inputs, emit)
+	if m.laneExact(c) {
+		m.laneScanBatch(scr, inputs, c, emit)
 		return
 	}
-	m.laneScanBatch(scr, inputs, c, emit)
+	m.fusedScanBatch(scr, inputs, c, emit)
 }
 
 // laneScanBatch is the explicit lane-per-packet filtering round on the
@@ -68,6 +69,8 @@ func (m *VPatch) scanBatch(scr *Scratch, inputs [][]byte, c *metrics.Counters, e
 // lane (no full 4-byte window exists); they run entirely through the
 // scalar chain at refill time, exactly like the serial scalar tail.
 func (m *VPatch) laneScanBatch(scr *Scratch, inputs [][]byte, c *metrics.Counters, emit engine.BatchEmitFunc) {
+	scr.bShort = scr.bShort[:0]
+	scr.bLong = scr.bLong[:0]
 	eng := m.eng
 	w := eng.Width()
 	var cur vec.Cursors
@@ -221,34 +224,87 @@ func (m *VPatch) batchFilterStep(scr *Scratch, inputs [][]byte, cur *vec.Cursors
 	}
 }
 
-// fusedScanBatch is the timing-run rendition of the batch scan: the
-// fused production kernel (fused.go — skip-loop acceleration plus the
-// SWAR probe chain, exactly the serial timing path) run buffer by
-// buffer with one emit adapter for the whole batch, so per-buffer match
-// output is identical to the lane path (tested) and the batch call is
-// serial-scan work minus the per-packet call and setup overhead that
-// dominates small-packet scanning. Candidates stay in the serial int32
-// arrays and verify per chunk, exactly like a serial scan.
-func (m *VPatch) fusedScanBatch(scr *Scratch, inputs [][]byte, emit engine.BatchEmitFunc) {
+// fusedScanBatch is the production rendition of the batch scan: the
+// fused kernel (fused.go — skip-loop acceleration plus the SWAR probe
+// chain, exactly the serial production path) run buffer by buffer with
+// one emit adapter for the whole batch, so per-buffer match output is
+// identical to the lane path (tested) and the batch call is serial-scan
+// work minus the per-packet call and setup overhead that dominates
+// small-packet scanning.
+//
+// The two-round structure spans buffers: a filtering round runs the
+// kernel over consecutive units (a buffer, or one chunk of a buffer
+// larger than a chunk) until a chunk's worth of input has been filtered,
+// appending every unit's candidates to the serial int32 arrays and
+// noting where each unit's candidates end; the verification round then
+// replays them unit by unit. A batch of small packets is therefore one
+// round, and an instrumented batch reads the clock once per round
+// boundary — never per buffer — to split FilteringNs from VerifyNs.
+func (m *VPatch) fusedScanBatch(scr *Scratch, inputs [][]byte, c *metrics.Counters, emit engine.BatchEmitFunc) {
 	buf := 0
 	var wrap patterns.EmitFunc
 	if emit != nil {
 		wrap = func(mm patterns.Match) { emit(buf, mm) }
 	}
+	var sw metrics.Stopwatch
+	if c != nil {
+		sw = metrics.Start()
+	}
+	scr.aShort = scr.aShort[:0]
+	scr.aLong = scr.aLong[:0]
+	scr.units = scr.units[:0]
+	filtered := 0
 	for b, input := range inputs {
-		buf = b
 		n := len(input)
-		// Buffers larger than one chunk keep the serial two-round chunk
-		// granularity; a small packet is one chunk.
 		for start := 0; start < n; start += m.chunk {
 			end := start + m.chunk
 			if end > n {
 				end = n
 			}
-			scr.aShort = scr.aShort[:0]
-			scr.aLong = scr.aLong[:0]
-			m.fusedRangeMerged(scr, input, start, end, true)
-			m.verifyCandidates(scr, input, nil, wrap)
+			m.fusedRangeMerged(scr, input, start, end, c, true)
+			scr.units = append(scr.units, batchUnit{
+				buf: int32(b), endShort: int32(len(scr.aShort)), endLong: int32(len(scr.aLong)),
+			})
+			if filtered += end - start; filtered >= m.chunk {
+				filtered = 0
+				m.verifyUnits(scr, inputs, c, &sw, &buf, wrap)
+			}
 		}
+	}
+	m.verifyUnits(scr, inputs, c, &sw, &buf, wrap)
+}
+
+// verifyUnits is the verification round of fusedScanBatch: it replays
+// the candidates of every filtered unit against the compact hash tables
+// in unit order (short then long within a unit, as the serial scan
+// does), pointing *buf at the unit's buffer for the emit adapter, then
+// resets the round. With counters it closes the filtering lap on sw and
+// times itself.
+func (m *common) verifyUnits(scr *Scratch, inputs [][]byte, c *metrics.Counters, sw *metrics.Stopwatch, buf *int, emit patterns.EmitFunc) {
+	if len(scr.units) == 0 {
+		return
+	}
+	if c != nil {
+		c.FilteringNs += sw.Lap()
+		c.ShortCandidates += uint64(len(scr.aShort))
+		c.LongCandidates += uint64(len(scr.aLong))
+	}
+	s0, l0 := 0, 0
+	for _, u := range scr.units {
+		*buf = int(u.buf)
+		input := inputs[u.buf]
+		for _, pos := range scr.aShort[s0:u.endShort] {
+			m.verifier.VerifyShortAt(input, int(pos), c, emit)
+		}
+		for _, pos := range scr.aLong[l0:u.endLong] {
+			m.verifier.VerifyLongAt(input, int(pos), c, emit)
+		}
+		s0, l0 = int(u.endShort), int(u.endLong)
+	}
+	scr.aShort = scr.aShort[:0]
+	scr.aLong = scr.aLong[:0]
+	scr.units = scr.units[:0]
+	if c != nil {
+		c.VerifyNs += sw.Lap()
 	}
 }

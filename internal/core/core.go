@@ -51,13 +51,18 @@ type Scratch struct {
 	aShort []int32
 	aLong  []int32
 
-	// bShort/bLong are the batch-mode candidate arrays: packed
+	// bShort/bLong are the lane-exact batch scan's candidate arrays: packed
 	// (buffer, position) pairs (vec.PackCursor), since a batched
 	// filtering round interleaves candidates from many buffers and the
 	// verification round must resolve each one to its buffer. Flushed at
 	// a watermark so both arrays stay cache-resident like aShort/aLong.
 	bShort []int64
 	bLong  []int64
+
+	// units records, for the fused batch scan, which buffer each
+	// filtered unit of the current round belongs to and where its
+	// candidates end in aShort/aLong (batch.go fusedScanBatch).
+	units []batchUnit
 
 	// sink absorbs filter masks in no-store mode (Fig. 6's
 	// "V-PATCH-filtering" variant) so the work is not dead-code.
@@ -69,6 +74,12 @@ type Scratch struct {
 	// the watermark. Scratch-resident so the hot path never pays the
 	// stack-array zeroing a local would cost on every call.
 	aq [accel.QueueLen]int32
+}
+
+// batchUnit is one filtered unit of a fused batch round: a whole
+// buffer, or one chunk of a buffer larger than a chunk.
+type batchUnit struct {
+	buf, endShort, endLong int32
 }
 
 // NewScratch allocates scan working memory sized for typical candidate

@@ -188,7 +188,7 @@ func TestFilterOnlyNoStoresCountsOnly(t *testing.T) {
 	set := patterns.GenerateS1(5).Subset(200, 3)
 	input := traffic.Synthesize(traffic.ISCXDay2, 16<<10, 2, set)
 	m := NewVPatch(set, VOptions{})
-	var cStores, cNoStores metrics.Counters
+	cStores, cNoStores := metrics.Counters{LaneExact: true}, metrics.Counters{LaneExact: true}
 	short, long := m.FilterOnly(input, &cStores, true)
 	s2, l2 := m.FilterOnly(input, &cNoStores, false)
 	if s2 != nil || l2 != nil {
@@ -240,7 +240,7 @@ func TestAgainstNaiveWithInjectedMatches(t *testing.T) {
 func TestSPatchCounters(t *testing.T) {
 	set := patterns.FromStrings("GET", "longpattern")
 	m := NewSPatch(set, Options{})
-	var c metrics.Counters
+	c := metrics.Counters{LaneExact: true} // probe counts are emulation-only
 	input := []byte("GET /longpattern GET")
 	m.Scan(input, &c, nil)
 	if c.BytesScanned != uint64(len(input)) {
@@ -263,7 +263,7 @@ func TestSPatchCounters(t *testing.T) {
 func TestVPatchStructuralCounters(t *testing.T) {
 	set := patterns.FromStrings("GET", "longpattern")
 	m := NewVPatch(set, VOptions{Width: 8, NoUnroll: true})
-	var c metrics.Counters
+	c := metrics.Counters{LaneExact: true}
 	input := make([]byte, 8192)
 	m.Scan(input, &c, nil)
 	// One merged gather per vector iteration; W positions per iteration.
@@ -284,7 +284,8 @@ func extraScalarProbes(c *metrics.Counters) uint64 { return c.Filter1Probes - c.
 func TestVPatchNoFilterMergeDoublesGathers(t *testing.T) {
 	set := patterns.FromStrings("xyzw")
 	input := traffic.Synthesize(traffic.ISCXDay2, 16<<10, 1, nil)
-	var merged, unmerged metrics.Counters
+	merged := metrics.Counters{LaneExact: true}
+	var unmerged metrics.Counters // the ablation itself selects the engine
 	NewVPatch(set, VOptions{}).FilterOnly(input, &merged, true)
 	NewVPatch(set, VOptions{NoFilterMerge: true}).FilterOnly(input, &unmerged, true)
 	// Without merging, the filter-1/2 stage needs 2 gathers per block
@@ -301,7 +302,7 @@ func TestVPatchNoFilterMergeDoublesGathers(t *testing.T) {
 func TestUsefulLaneFractionTracked(t *testing.T) {
 	set := patterns.GenerateS1(11).WebSubset()
 	input := traffic.Synthesize(traffic.ISCXDay2, 64<<10, 3, set)
-	var c metrics.Counters
+	c := metrics.Counters{LaneExact: true}
 	NewVPatch(set, VOptions{}).FilterOnly(input, &c, true)
 	if c.Filter3Blocks == 0 {
 		t.Fatal("filter-3 never executed on realistic traffic")

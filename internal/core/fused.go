@@ -5,14 +5,21 @@ import (
 
 	"vpatch/internal/accel"
 	"vpatch/internal/bitarr"
+	"vpatch/internal/metrics"
 	"vpatch/internal/vec"
 )
 
 // The fused production kernels of the filtering round, shared by the
-// serial scan, FilterOnly and the batch scan. Timing runs (nil
-// counters, paper configuration) execute these instead of the per-op
-// emulated vector engine; candidate output is bit-identical either way
+// serial scan, FilterOnly and the batch scan. Every scan in the paper
+// configuration executes these, with or without counters attached; the
+// per-op emulated vector engine runs only on request (Counters.LaneExact,
+// ForceEngine). Candidate output is bit-identical either way
 // (property-tested against ForceEngine).
+//
+// Counters cost nothing here: the kernels take c only to add the
+// governor's per-span skip tallies once per range (skipTally.addTo) —
+// no loop below increments a counter per position, per pack or per
+// queue entry.
 //
 // Two layers compose here:
 //
@@ -61,11 +68,14 @@ func filterBytes(b []byte) *[8192]byte { return (*[8192]byte)(b) }
 // state. Called at compile time and again after database decode (the
 // table is derived state and is not serialized — no format bump).
 func (m *common) buildAccel() {
-	mf := m.fs.Merged
-	m.accel = accel.Build(func(idx uint32) bool {
-		f1, f2 := mf.Test(idx)
-		return f1 || f2
-	})
+	// A merged word holds filter 1's bits for 8 consecutive windows in
+	// its low byte and filter 2's in its high byte; their OR is one byte
+	// of the union bitmap.
+	var union [1 << 10]uint64
+	for j, w := range m.mergedWords() {
+		union[j>>3] |= uint64(uint8(w|w>>8)) << (8 * (j & 7))
+	}
+	m.accel = accel.BuildUnion(&union)
 }
 
 // setKernel resolves the extract-loop kernel once, at compile or
@@ -104,6 +114,32 @@ func (m *common) AccelInfo() accel.Info {
 // accelOn reports whether the fused kernels should use the skip loop.
 func (m *common) accelOn() bool {
 	return m.accel != nil && !m.noAccel && m.accel.Enabled()
+}
+
+// skipTally is what one accelerated range tells the counters: positions
+// cleared without probing, governor spans scanned, and spans whose
+// viable fraction kept the skip loop engaged. The range functions keep
+// it in locals, updated at span boundaries only.
+type skipTally struct {
+	skipped, spans, kept int
+}
+
+// span records one governor span of n accelerated bytes, viable of which
+// reached the probe chain.
+func (t *skipTally) span(viable, n int, keep bool) {
+	t.skipped += n - viable
+	t.spans++
+	if keep {
+		t.kept++
+	}
+}
+
+func (t *skipTally) addTo(c *metrics.Counters) {
+	if c != nil {
+		c.SkippedBytes += uint64(t.skipped)
+		c.AccelChances += uint64(t.spans)
+		c.AccelRuns += uint64(t.kept)
+	}
 }
 
 // probeMerged runs the V-PATCH probe chain for one position with a full
@@ -165,7 +201,7 @@ func (m *common) probeSplit(scr *Scratch, input []byte, p int) {
 // [start, end): skip loop (when profitable), SWAR probe chain, scalar
 // tail for the final sub-window positions. Reads may extend up to 3
 // bytes past end (within input), exactly like the scalar algorithm.
-func (m *common) fusedRangeMerged(scr *Scratch, input []byte, start, end int, stores bool) {
+func (m *common) fusedRangeMerged(scr *Scratch, input []byte, start, end int, c *metrics.Counters, stores bool) {
 	n := len(input)
 	mainEnd := end
 	if n-3 < mainEnd {
@@ -177,9 +213,9 @@ func (m *common) fusedRangeMerged(scr *Scratch, input []byte, start, end int, st
 	i := start
 	if m.accelOn() {
 		if m.accel.Mode() == accel.ModeIndexByte {
-			m.accelIndexRangeMerged(scr, input, i, mainEnd, stores)
+			m.accelIndexRangeMerged(scr, input, i, mainEnd, c, stores)
 		} else {
-			m.accelWindowRangeMerged(scr, input, i, mainEnd, stores)
+			m.accelWindowRangeMerged(scr, input, i, mainEnd, c, stores)
 		}
 	} else {
 		m.plainRangeMerged(scr, input, i, mainEnd, stores)
@@ -324,7 +360,7 @@ func (m *common) plainRangeMerged(scr *Scratch, input []byte, i, end int, stores
 // remainder with SWAR geometry over the same queue and governor state,
 // so short buffers and range tails cost exactly what they did before
 // the native kernels existed. mainEnd <= len(input)-3.
-func (m *common) accelWindowRangeMerged(scr *Scratch, input []byte, start, mainEnd int, stores bool) {
+func (m *common) accelWindowRangeMerged(scr *Scratch, input []byte, start, mainEnd int, c *metrics.Counters, stores bool) {
 	t := m.accel
 	q := &scr.aq
 	w := 0
@@ -332,6 +368,8 @@ func (m *common) accelWindowRangeMerged(scr *Scratch, input []byte, start, mainE
 	checkAt := i + accel.SpanBytes
 	spanStart := i
 	drained := 0 // viable positions drained since spanStart
+	carry := 0   // queue entries a span inherited (the tally's correction)
+	var tally skipTally
 	kern, blk, look := m.kern, m.kblock, m.klook
 	for {
 		packEnd := mainEnd - blk
@@ -368,7 +406,9 @@ func (m *common) accelWindowRangeMerged(scr *Scratch, input []byte, start, mainE
 				// Governor checkpoint: the queue content counts toward
 				// the span's viable positions without being drained (it
 				// carries across accelerated spans).
-				if !accel.KeepAccel(drained+w, i-spanStart) {
+				keep := accel.KeepAccel(drained+w, i-spanStart)
+				tally.span(drained+w-carry, i-spanStart, keep)
+				if !keep {
 					drained += w
 					m.drainMerged(scr, input, q[:w], stores)
 					w = 0
@@ -381,6 +421,7 @@ func (m *common) accelWindowRangeMerged(scr *Scratch, input []byte, start, mainE
 				}
 				spanStart = i
 				drained = 0
+				carry = w
 				checkAt = i + accel.SpanBytes
 			}
 		}
@@ -389,6 +430,11 @@ func (m *common) accelWindowRangeMerged(scr *Scratch, input []byte, start, mainE
 		}
 		kern, blk, look = vec.KernelSWAR, 5, 8 // SWAR finish pass
 	}
+	if i > spanStart {
+		// The range's last, partial span.
+		tally.span(drained+w-carry, i-spanStart, accel.KeepAccel(drained+w, i-spanStart))
+	}
+	tally.addTo(c)
 	m.drainMerged(scr, input, q[:w], stores)
 	// Remainder: fewer than 8 loadable bytes left; probe per position.
 	for ; i < mainEnd; i++ {
@@ -401,10 +447,11 @@ func (m *common) accelWindowRangeMerged(scr *Scratch, input []byte, start, mainE
 // funnel through the queue and the table-hoisted drain (position order
 // preserved) instead of paying per-position table setup.
 // mainEnd <= len(input)-3.
-func (m *common) accelIndexRangeMerged(scr *Scratch, input []byte, start, mainEnd int, stores bool) {
+func (m *common) accelIndexRangeMerged(scr *Scratch, input []byte, start, mainEnd int, c *metrics.Counters, stores bool) {
 	t := m.accel
 	q := &scr.aq
 	i := start
+	var tally skipTally
 	for i < mainEnd {
 		spanEnd := i + accel.SpanBytes
 		if spanEnd > mainEnd {
@@ -429,7 +476,9 @@ func (m *common) accelIndexRangeMerged(scr *Scratch, input []byte, start, mainEn
 			i++
 		}
 		m.drainMerged(scr, input, q[:w], stores)
-		if !accel.KeepAccelIndex(viable, spanLen) {
+		keep := accel.KeepAccelIndex(viable, spanLen)
+		tally.span(viable, spanLen, keep)
+		if !keep {
 			plainEnd := i + accel.PlainBytes
 			if plainEnd > mainEnd {
 				plainEnd = mainEnd
@@ -438,6 +487,7 @@ func (m *common) accelIndexRangeMerged(scr *Scratch, input []byte, start, mainEn
 			i = plainEnd
 		}
 	}
+	tally.addTo(c)
 }
 
 // drainMerged replays queued viable positions through the V-PATCH probe
@@ -481,7 +531,7 @@ func (m *common) drainMerged(scr *Scratch, input []byte, q []int32, stores bool)
 // end): the same skip/SWAR/tail structure as fusedRangeMerged with the
 // scalar algorithm's two separate filter probes. S-PATCH has no
 // no-store measurement mode, so candidates always store.
-func (m *common) fusedRangeSplit(scr *Scratch, input []byte, start, end int) {
+func (m *common) fusedRangeSplit(scr *Scratch, input []byte, start, end int, c *metrics.Counters) {
 	n := len(input)
 	mainEnd := end
 	if n-3 < mainEnd {
@@ -493,9 +543,9 @@ func (m *common) fusedRangeSplit(scr *Scratch, input []byte, start, end int) {
 	i := start
 	if m.accelOn() {
 		if m.accel.Mode() == accel.ModeIndexByte {
-			m.accelIndexRangeSplit(scr, input, i, mainEnd)
+			m.accelIndexRangeSplit(scr, input, i, mainEnd, c)
 		} else {
-			m.accelWindowRangeSplit(scr, input, i, mainEnd)
+			m.accelWindowRangeSplit(scr, input, i, mainEnd, c)
 		}
 	} else {
 		m.plainRangeSplit(scr, input, i, mainEnd)
@@ -542,7 +592,7 @@ func (m *common) plainRangeSplit(scr *Scratch, input []byte, i, end int) {
 
 // accelWindowRangeSplit mirrors accelWindowRangeMerged for S-PATCH,
 // including the kernel dispatch and the SWAR finish pass.
-func (m *common) accelWindowRangeSplit(scr *Scratch, input []byte, start, mainEnd int) {
+func (m *common) accelWindowRangeSplit(scr *Scratch, input []byte, start, mainEnd int, c *metrics.Counters) {
 	t := m.accel
 	q := &scr.aq
 	w := 0
@@ -550,6 +600,8 @@ func (m *common) accelWindowRangeSplit(scr *Scratch, input []byte, start, mainEn
 	checkAt := i + accel.SpanBytes
 	spanStart := i
 	drained := 0
+	carry := 0
+	var tally skipTally
 	kern, blk, look := m.kern, m.kblock, m.klook
 	for {
 		packEnd := mainEnd - blk
@@ -578,7 +630,9 @@ func (m *common) accelWindowRangeSplit(scr *Scratch, input []byte, start, mainEn
 				w = 0
 			}
 			if i >= checkAt {
-				if !accel.KeepAccel(drained+w, i-spanStart) {
+				keep := accel.KeepAccel(drained+w, i-spanStart)
+				tally.span(drained+w-carry, i-spanStart, keep)
+				if !keep {
 					drained += w
 					m.drainSplit(scr, input, q[:w])
 					w = 0
@@ -591,6 +645,7 @@ func (m *common) accelWindowRangeSplit(scr *Scratch, input []byte, start, mainEn
 				}
 				spanStart = i
 				drained = 0
+				carry = w
 				checkAt = i + accel.SpanBytes
 			}
 		}
@@ -599,6 +654,10 @@ func (m *common) accelWindowRangeSplit(scr *Scratch, input []byte, start, mainEn
 		}
 		kern, blk, look = vec.KernelSWAR, 5, 8
 	}
+	if i > spanStart {
+		tally.span(drained+w-carry, i-spanStart, accel.KeepAccel(drained+w, i-spanStart))
+	}
+	tally.addTo(c)
 	m.drainSplit(scr, input, q[:w])
 	for ; i < mainEnd; i++ {
 		m.probeSplit(scr, input, i)
@@ -606,10 +665,11 @@ func (m *common) accelWindowRangeSplit(scr *Scratch, input []byte, start, mainEn
 }
 
 // accelIndexRangeSplit mirrors accelIndexRangeMerged for S-PATCH.
-func (m *common) accelIndexRangeSplit(scr *Scratch, input []byte, start, mainEnd int) {
+func (m *common) accelIndexRangeSplit(scr *Scratch, input []byte, start, mainEnd int, c *metrics.Counters) {
 	t := m.accel
 	q := &scr.aq
 	i := start
+	var tally skipTally
 	for i < mainEnd {
 		spanEnd := i + accel.SpanBytes
 		if spanEnd > mainEnd {
@@ -634,7 +694,9 @@ func (m *common) accelIndexRangeSplit(scr *Scratch, input []byte, start, mainEnd
 			i++
 		}
 		m.drainSplit(scr, input, q[:w])
-		if !accel.KeepAccelIndex(viable, spanLen) {
+		keep := accel.KeepAccelIndex(viable, spanLen)
+		tally.span(viable, spanLen, keep)
+		if !keep {
 			plainEnd := i + accel.PlainBytes
 			if plainEnd > mainEnd {
 				plainEnd = mainEnd
@@ -643,6 +705,7 @@ func (m *common) accelIndexRangeSplit(scr *Scratch, input []byte, start, mainEnd
 			i = plainEnd
 		}
 	}
+	tally.addTo(c)
 }
 
 // drainSplit replays queued viable positions through the S-PATCH probe

@@ -74,8 +74,10 @@ func (m *SPatch) Scan(input []byte, c *metrics.Counters, emit patterns.EmitFunc)
 }
 
 func (m *SPatch) scan(scr *Scratch, input []byte, c *metrics.Counters, emit patterns.EmitFunc) {
+	var sw metrics.Stopwatch
 	if c != nil {
 		c.BytesScanned += uint64(len(input))
+		sw = metrics.Start()
 	}
 	n := len(input)
 	for start := 0; start < n; start += m.chunk {
@@ -83,33 +85,30 @@ func (m *SPatch) scan(scr *Scratch, input []byte, c *metrics.Counters, emit patt
 		if end > n {
 			end = n
 		}
-		var sw metrics.Stopwatch
-		if c != nil {
-			sw = metrics.Start()
-		}
 		m.filterChunk(scr, input, start, end, c)
 		if c != nil {
-			c.FilteringNs += sw.Stop()
-			sw = metrics.Start()
+			c.FilteringNs += sw.Lap()
 		}
 		m.verifyCandidates(scr, input, c, emit)
 		if c != nil {
-			c.VerifyNs += sw.Stop()
+			c.VerifyNs += sw.Lap()
 		}
 	}
 }
 
 // filterChunk runs the filtering round over positions [start, end),
-// filling the candidate arrays. Timing runs (nil counters) take the
-// fused production kernel (fused.go) — skip loop plus SWAR probe chain
-// with S-PATCH's split filter-1/filter-2 probes; instrumented runs keep
-// the per-position scalar chain, skipping ahead of provably-impossible
-// positions with the acceleration table and counting the skips.
+// filling the candidate arrays. Production scans, with or without
+// counters, take the fused kernel (fused.go) — skip loop plus SWAR probe
+// chain with S-PATCH's split filter-1/filter-2 probes; runs that ask for
+// exact probe accounting (Counters.LaneExact) keep the per-position
+// scalar chain, skipping ahead of provably-impossible positions with the
+// acceleration table and counting every probe and skip.
 func (m *SPatch) filterChunk(scr *Scratch, input []byte, start, end int, c *metrics.Counters) {
 	scr.aShort = scr.aShort[:0]
 	scr.aLong = scr.aLong[:0]
-	if c == nil {
-		m.fusedRangeSplit(scr, input, start, end)
+	if c == nil || !c.LaneExact {
+		m.fusedRangeSplit(scr, input, start, end, c)
+		m.recordCandidates(scr, c)
 		return
 	}
 	n := len(input)

@@ -64,15 +64,17 @@ type VOptions struct {
 	// evaluation with a per-active-lane scalar loop (the alternative the
 	// paper rejected).
 	BranchyFilter3 bool
-	// ForceEngine routes even un-instrumented scans through the explicit
-	// vector engine. By default, timing runs (nil counters, paper
-	// configuration) use a fused rendition of the same computation —
-	// merged filter word fetch + speculative filter 3, lane at a time —
-	// because Go cannot express the register ops natively and the
-	// per-op emulation overhead would otherwise swamp the measurement.
-	// Candidate output is bit-identical either way (tested). ForceEngine
-	// also disables the acceleration layer, making it the reference
-	// rendition the accelerated paths are property-tested against.
+	// ForceEngine routes every scan through the explicit vector engine.
+	// By default, scans (paper configuration, with or without counters)
+	// use a fused rendition of the same computation — merged filter word
+	// fetch + speculative filter 3, lane at a time — because Go cannot
+	// express the register ops natively and the per-op emulation
+	// overhead would otherwise swamp the measurement; callers that need
+	// the engine's lane-exact event counts ask per scan with
+	// Counters.LaneExact. Candidate output is bit-identical either way
+	// (tested). ForceEngine also disables the acceleration layer, making
+	// it the reference rendition the accelerated paths are
+	// property-tested against.
 	ForceEngine bool
 	// NoAccel disables the skip-loop acceleration layer (fused.go),
 	// forcing the plain probe kernels. Ablation/benchmark switch; not
@@ -128,9 +130,20 @@ func (m *VPatch) Scan(input []byte, c *metrics.Counters, emit patterns.EmitFunc)
 	m.scan(m.builtinScratch(), input, c, emit)
 }
 
+// laneExact reports whether a scan must run the explicit vector engine:
+// the caller asked for lane-exact accounting (Counters.LaneExact), or
+// the matcher was built as the reference rendition or with an ablation
+// the fused kernels do not express. Attaching plain counters never
+// selects it.
+func (m *VPatch) laneExact(c *metrics.Counters) bool {
+	return m.opt.ForceEngine || m.opt.NoFilterMerge || m.opt.BranchyFilter3 || (c != nil && c.LaneExact)
+}
+
 func (m *VPatch) scan(scr *Scratch, input []byte, c *metrics.Counters, emit patterns.EmitFunc) {
+	var sw metrics.Stopwatch
 	if c != nil {
 		c.BytesScanned += uint64(len(input))
+		sw = metrics.Start()
 	}
 	n := len(input)
 	for start := 0; start < n; start += m.chunk {
@@ -138,18 +151,13 @@ func (m *VPatch) scan(scr *Scratch, input []byte, c *metrics.Counters, emit patt
 		if end > n {
 			end = n
 		}
-		var sw metrics.Stopwatch
-		if c != nil {
-			sw = metrics.Start()
-		}
 		m.filterChunk(scr, input, start, end, c, true)
 		if c != nil {
-			c.FilteringNs += sw.Stop()
-			sw = metrics.Start()
+			c.FilteringNs += sw.Lap()
 		}
 		m.verifyCandidates(scr, input, c, emit)
 		if c != nil {
-			c.VerifyNs += sw.Stop()
+			c.VerifyNs += sw.Lap()
 		}
 	}
 }
@@ -190,19 +198,21 @@ func (m *VPatch) FilterOnly(input []byte, c *metrics.Counters, stores bool) (sho
 // because 4-byte windows straddle the chunk boundary, exactly like the
 // scalar algorithm.
 //
-// Timing runs (nil counters, paper configuration) take the fused
-// production kernel (fused.go): the same merged-word + speculative
-// filter-3 computation with the skip-loop acceleration layer in front.
-// Instrumented runs execute the explicit vector engine; unless
-// ForceEngine pins the paper-faithful reference rendition, they skip
-// ahead of each vector block with the same acceleration table, counting
-// SkippedBytes/AccelChances/AccelRuns for the density story and the
-// cost model. Candidate output is bit-identical on every path (tested).
+// Production scans, with or without counters, take the fused kernel
+// (fused.go): the same merged-word + speculative filter-3 computation
+// with the skip-loop acceleration layer in front. Lane-exact runs (see
+// laneExact) execute the explicit vector engine; unless ForceEngine pins
+// the paper-faithful reference rendition, they skip ahead of each vector
+// block with the same acceleration table, counting
+// SkippedBytes/AccelChances/AccelRuns per skip invocation for the
+// density story and the cost model. Candidate output is bit-identical on
+// every path (tested).
 func (m *VPatch) filterChunk(scr *Scratch, input []byte, start, end int, c *metrics.Counters, stores bool) {
 	scr.aShort = scr.aShort[:0]
 	scr.aLong = scr.aLong[:0]
-	if c == nil && !m.opt.ForceEngine && !m.opt.NoFilterMerge && !m.opt.BranchyFilter3 {
-		m.fusedRangeMerged(scr, input, start, end, stores)
+	if !m.laneExact(c) {
+		m.fusedRangeMerged(scr, input, start, end, c, stores)
+		m.recordCandidates(scr, c)
 		return
 	}
 	n := len(input)

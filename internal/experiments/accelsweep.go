@@ -85,9 +85,10 @@ func AccelSweep(cfg Config, set *patterns.Set, matchFracs []float64, bufSizes []
 			if row.PlainGbps > 0 {
 				row.Speedup = row.AccelGbps / row.PlainGbps
 			}
-			// Skip ratio from an instrumented run (the engine-path skip
-			// uses the same table and predicate as the fused kernels).
-			var c metrics.Counters
+			// Skip ratio from a lane-exact instrumented run (the
+			// engine-path skip counts every invocation and uses the same
+			// table and predicate as the fused kernels).
+			c := metrics.Counters{LaneExact: true}
 			for _, b := range bufs {
 				accel.Scan(b, &c, nil)
 			}

@@ -105,15 +105,15 @@ func BatchSweep(cfg Config, set *patterns.Set, sizes []int, batch, width int) []
 			row.Speedup = row.BatchGbps / row.SerialGbps
 		}
 
-		// Lane metrics from instrumented runs (vector-engine paths).
-		var cs metrics.Counters
+		// Lane metrics from lane-exact runs (vector-engine paths).
+		cs := metrics.Counters{LaneExact: true}
 		for _, p := range pkts {
 			vp.Scan(p, &cs, nil)
 		}
 		if cs.BytesScanned > 0 {
 			row.SerialVectorCoverage = float64(cs.VectorIters) * float64(width) / float64(cs.BytesScanned)
 		}
-		var cb metrics.Counters
+		cb := metrics.Counters{LaneExact: true}
 		for lo := 0; lo < len(pkts); lo += batch {
 			hi := lo + batch
 			if hi > len(pkts) {

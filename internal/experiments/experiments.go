@@ -158,8 +158,9 @@ func Measure(cfg Config, a Algo, platform costmodel.Platform, data []byte) Measu
 			best = g
 		}
 	}
-	// Instrumented scan feeds the cost model.
-	var c metrics.Counters
+	// A lane-exact instrumented scan feeds the cost model: its inputs
+	// are the emulated engine's probe, gather and iteration counts.
+	c := metrics.Counters{LaneExact: true}
 	a.Scan(data, &c)
 	res := costmodel.Estimate(platform, costmodel.Inputs{
 		Kind: a.Kind, Counters: &c,
@@ -365,7 +366,7 @@ func Fig6(cfg Config, set *patterns.Set, platform costmodel.Platform, width int)
 					best = g
 				}
 			}
-			var c metrics.Counters
+			c := metrics.Counters{LaneExact: true} // cost-model inputs
 			v.run(ds.Data, &c)
 			if v.name == "V-PATCH-filtering" {
 				// No-store variant: remove the store cost from the model

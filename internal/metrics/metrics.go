@@ -26,10 +26,24 @@ import (
 // goroutine calls Atomic.AddCounters at flush points; scrapers call
 // Atomic.Snapshot from any goroutine) — see atomic.go.
 type Counters struct {
+	// LaneExact asks S-PATCH/V-PATCH for lane-exact accounting: the scan
+	// runs on the explicit (emulated) vector engine and fills the
+	// emulation-only counters below — filter probes, gathers, vector and
+	// batch iterations, lane occupancy — at several times the cost of a
+	// production scan. Set only by the figure drivers, the cost-model
+	// inputs and the lane-occupancy tests. Without it, attaching counters
+	// never changes which kernels run: scans take the fused production
+	// path and fill what is free there (BytesScanned, the candidate and
+	// verification counts, Matches, the skip tallies and the two phase
+	// clocks), leaving the emulation-only counters zero. A request, not
+	// an event count: Add ignores it and Reset clears it.
+	LaneExact bool `json:"-"`
+
 	// BytesScanned is the input volume processed.
 	BytesScanned uint64
 
-	// Scalar filter probes (one memory access each).
+	// Scalar filter probes (one memory access each). Emulation-only
+	// (LaneExact), like the vector and batch execution counters below.
 	Filter1Probes uint64
 	Filter2Probes uint64
 	Filter3Probes uint64
@@ -59,12 +73,15 @@ type Counters struct {
 	// Skip-loop acceleration (the hot-path layer in front of the
 	// filter probes). SkippedBytes counts input positions the
 	// accelerator proved unable to start a candidate and skipped
-	// without probing; AccelChances counts skip invocations (each a
-	// chance to jump a run of impossible bytes); AccelRuns counts the
-	// invocations that actually cleared a run of at least 8 bytes.
-	// Together with BytesScanned they give the Fig.-5c-style density
-	// story: SkipFrac collapses as the matching fraction of the input
-	// grows.
+	// without probing. On the production path the unit of the other two
+	// is the governor span (at most accel.SpanBytes of accelerated
+	// scanning): AccelChances counts spans scanned, AccelRuns the spans
+	// whose viable fraction kept the skip loop engaged. Under LaneExact
+	// the unit is the emulated engine's skip invocation: AccelChances
+	// counts invocations, AccelRuns those that cleared a run of at least
+	// 8 bytes. Together with BytesScanned they give the Fig.-5c-style
+	// density story: SkipFrac collapses as the matching fraction of the
+	// input grows.
 	SkippedBytes uint64
 	AccelChances uint64
 	AccelRuns    uint64
@@ -122,7 +139,10 @@ type Counters struct {
 	BytesDropped uint64
 	PeakFlows    uint64
 
-	// Phase wall-clock time.
+	// Phase wall-clock time: the filtering and verification rounds of
+	// the matcher, and — for pipelines that layer work on top of the
+	// matcher — everything else inside a scan (OtherNs: the ids shard's
+	// rule evaluation over a flushed batch's hits).
 	FilteringNs int64
 	VerifyNs    int64
 	OtherNs     int64
@@ -233,7 +253,7 @@ func (c *Counters) CandidateFrac() float64 {
 
 func (c *Counters) String() string {
 	return fmt.Sprintf(
-		"bytes=%d f1=%d f2=%d f3=%d vecIters=%d gathers=%d(merged %d) f3blocks=%d batch=%d(lanes %d) skipped=%d(chances %d, runs %d) cand=%d/%d ht=%d verify=%d(%dB) matches=%d rules=%d(runs %d, states %d) degraded=%d(denied %d) panics=%d(quarantined %d) evicted=%d dropped=%dB peakflows=%d filter=%s verify=%s",
+		"bytes=%d f1=%d f2=%d f3=%d vecIters=%d gathers=%d(merged %d) f3blocks=%d batch=%d(lanes %d) skipped=%d(chances %d, runs %d) cand=%d/%d ht=%d verify=%d(%dB) matches=%d rules=%d(runs %d, states %d) degraded=%d(denied %d) panics=%d(quarantined %d) evicted=%d dropped=%dB peakflows=%d filter=%s verify=%s other=%s",
 		c.BytesScanned, c.Filter1Probes, c.Filter2Probes, c.Filter3Probes,
 		c.VectorIters, c.Gathers, c.MergedGathers, c.Filter3Blocks,
 		c.BatchIters, c.BatchActiveLanes,
@@ -244,7 +264,7 @@ func (c *Counters) String() string {
 		c.DegradedFlows, c.VerifierBudgetExhausted,
 		c.PanicsRecovered, c.FlowsQuarantined,
 		c.FlowsEvicted, c.BytesDropped, c.PeakFlows,
-		time.Duration(c.FilteringNs), time.Duration(c.VerifyNs))
+		time.Duration(c.FilteringNs), time.Duration(c.VerifyNs), time.Duration(c.OtherNs))
 }
 
 // Stopwatch measures one phase. Usage:
@@ -259,6 +279,16 @@ func Start() Stopwatch { return Stopwatch{t0: time.Now()} }
 
 // Stop returns elapsed nanoseconds since Start.
 func (s Stopwatch) Stop() int64 { return time.Since(s.t0).Nanoseconds() }
+
+// Lap returns elapsed nanoseconds since Start (or the previous Lap) and
+// restarts the stopwatch on the same clock read, so back-to-back phases
+// cost one read per boundary.
+func (s *Stopwatch) Lap() int64 {
+	now := time.Now()
+	d := now.Sub(s.t0)
+	s.t0 = now
+	return d.Nanoseconds()
+}
 
 // Throughput converts (bytes, elapsed ns) into gigabits per second, the
 // unit all the paper's figures use.

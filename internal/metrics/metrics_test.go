@@ -147,6 +147,9 @@ func fillDistinct(c *Counters) {
 			f.SetUint(uint64(1000 + i))
 		case reflect.Int64:
 			f.SetInt(int64(2000 + i))
+		case reflect.Bool:
+			// LaneExact is a request, not a count: Add and the atomic
+			// path leave it alone.
 		default:
 			panic("unhandled Counters field kind " + f.Kind().String())
 		}

@@ -21,12 +21,17 @@
 //   - Teardown: a FIN segment marks the end of the stream; once every
 //     byte up to the FIN has been delivered the flow is closed. RST
 //     closes immediately, dropping buffered data. Closed flows keep a
-//     cheap tombstone so late retransmits are dropped instead of being
+//     cheap tombstone — a pointer-free entry in a close-ordered queue
+//     plus an index slot, two dozen bytes the collector never scans
+//     (tombs.go) — so late retransmits are dropped instead of being
 //     misread as a new stream.
 //   - Eviction: SetLimits arms a hard cap on tracked flows and an idle
-//     timeout driven by capture timestamps (an LRU list orders flows by
-//     last activity). Evicting an open flow drops its buffered bytes
-//     and notifies the OnClose hook.
+//     timeout driven by capture timestamps (an LRU list orders live
+//     flows by last activity, the tombstone queue closed ones by
+//     teardown time). Evicting an open flow drops its buffered bytes
+//     and notifies the OnClose hook. Segments that carry no timestamp
+//     (TsMicros 0) are stamped with a monotonic arrival clock, so
+//     timeouts still run for senders that do not stamp.
 //   - Pending budgets: out-of-order bytes are bounded per flow and
 //     globally. The drop policy is explicit: for a live (delivering)
 //     stream the per-flow budget keeps the bytes nearest the
@@ -52,6 +57,7 @@ import (
 	"fmt"
 	"math/rand"
 	"sync/atomic"
+	"time"
 
 	"vpatch/internal/arena"
 	"vpatch/internal/metrics"
@@ -110,7 +116,8 @@ type Segment struct {
 	Seq uint32
 	// Payload is the application bytes carried by this segment.
 	Payload []byte
-	// TsMicros is the capture timestamp in microseconds.
+	// TsMicros is the capture timestamp in microseconds; 0 means
+	// unstamped (the reassembler substitutes its arrival clock).
 	TsMicros uint64
 	// Flags carries the TCP-style connection-lifecycle flags
 	// (FlagFIN, FlagRST).
@@ -422,10 +429,9 @@ type pseg struct {
 	buf  *arena.Buf
 }
 
-// flowState is the per-flow reassembly state. States are linked into an
-// LRU list ordered by last activity; closed flows stay listed as
-// tombstones (pending freed, closed set) until evicted or expired, so
-// late retransmits are recognized and dropped.
+// flowState is the per-flow reassembly state of a live flow. States
+// are linked into an LRU list ordered by last activity and recycled
+// through a free list when the flow closes or is evicted.
 type flowState struct {
 	key  FlowKey
 	next uint32 // next expected stream offset
@@ -436,7 +442,6 @@ type flowState struct {
 	lastTs       uint64
 	finSeq       uint32 // end-of-stream offset, valid when finSeen
 	finSeen      bool
-	closed       bool
 	// delivered records whether any in-order byte ever reached the
 	// sink: it separates a jittered young flow from a mid-stream joiner
 	// when the reorder budget fills.
@@ -457,13 +462,22 @@ type flowState struct {
 type Reassembler struct {
 	sink    func(FlowKey, []byte)
 	onClose func(FlowKey, bool)
-	flows   map[FlowKey]*flowState
+	flows   map[FlowKey]*flowState // live flows
 	limits  Limits
 
-	// LRU list of flow states: lruHead is least recently active.
+	// LRU list of live flow states: lruHead is least recently active.
 	lruHead, lruTail *flowState
+	// freeStates recycles the states of closed and evicted flows, so
+	// steady flow churn allocates nothing.
+	freeStates []*flowState
 
-	now          uint64 // capture clock: max timestamp seen
+	// tombs remembers closed flows until they expire (tombs.go): it
+	// answers "was this flow torn down?" for late retransmits and orders
+	// the keys by teardown time for expiry and cap eviction.
+	tombs tombSet
+
+	now          uint64    // capture clock: max timestamp seen
+	arrival0     time.Time // origin of the arrival clock (unstamped segments)
 	totalPending int
 	free         [][]byte     // recycled pending buffers (legacy, arena unset)
 	arena        *arena.Local // when set, pending copies rent pooled chunks
@@ -475,8 +489,12 @@ type Reassembler struct {
 	gapSkips     uint64
 }
 
-// maxFreeBufs bounds the recycled pending-buffer pool.
-const maxFreeBufs = 64
+// maxFreeBufs bounds the recycled pending-buffer pool; maxFreeStates the
+// recycled flow states (an eviction burst frees more than churn reuses).
+const (
+	maxFreeBufs   = 64
+	maxFreeStates = 256
+)
 
 // NewReassembler creates a reassembler delivering contiguous payload
 // slices per flow to sink. It starts unlimited (see SetLimits) with no
@@ -502,13 +520,38 @@ func (r *Reassembler) SetArena(l *arena.Local) { r.arena = l }
 // already-closed flow does not call the hook again.
 func (r *Reassembler) OnClose(fn func(k FlowKey, evicted bool)) { r.onClose = fn }
 
+// arrivalMicros is the fallback clock for unstamped segments:
+// microseconds of monotonic time since the first of them arrived (never
+// 0, which means unstamped).
+func (r *Reassembler) arrivalMicros() uint64 {
+	if r.arrival0.IsZero() {
+		r.arrival0 = time.Now()
+	}
+	return uint64(time.Since(r.arrival0)/time.Microsecond) + 1
+}
+
 // Add processes one captured segment.
 func (r *Reassembler) Add(seg Segment) {
-	if seg.TsMicros > r.now {
-		r.now = seg.TsMicros
+	ts := seg.TsMicros
+	if ts == 0 {
+		ts = r.arrivalMicros()
+	}
+	if ts > r.now {
+		r.now = ts
 	}
 	st := r.flows[seg.Flow]
 	if st == nil {
+		// Expire first: a tombstone whose time has come must not claim
+		// the segment that re-opens its key.
+		r.expireIdle()
+		if r.tombs.has(seg.Flow) {
+			// Late retransmit after teardown: the stream already ended.
+			// The tombstone is not refreshed — a retransmit flood must
+			// not keep tombstones alive at the expense of live flows; it
+			// expires on its teardown-time clock.
+			r.bytesDropped += uint64(len(seg.Payload))
+			return
+		}
 		if seg.Flags&FlagRST != 0 || len(seg.Payload) == 0 {
 			// Control-only segment (RST, bare FIN, keepalive) for an
 			// untracked flow: there is nothing to reassemble or tear
@@ -518,30 +561,19 @@ func (r *Reassembler) Add(seg Segment) {
 			// out-of-state control packets.
 			return
 		}
-		r.expireIdle()
 		if r.limits.MaxFlows > 0 {
-			for len(r.flows) >= r.limits.MaxFlows && r.lruHead != nil {
-				r.evict(r.lruHead)
+			for r.Flows() >= r.limits.MaxFlows && r.evictOldest() {
 			}
 		}
 		// Streams start at Seq 0 in this model; a nonzero first arrival
 		// is an out-of-order segment ahead of the origin.
-		st = &flowState{key: seg.Flow, lastTs: r.now}
+		st = r.newState(seg.Flow)
 		r.flows[seg.Flow] = st
 		r.lruPush(st)
-		if len(r.flows) > r.peakFlows {
-			r.peakFlows = len(r.flows)
+		if n := r.Flows(); n > r.peakFlows {
+			r.peakFlows = n
 		}
 	} else {
-		if st.closed {
-			// Late retransmit after teardown: the stream already
-			// ended. Deliberately no LRU touch — a retransmit flood
-			// must not keep tombstones alive at the expense of live
-			// flows; the tombstone expires on its teardown-time clock.
-			r.bytesDropped += uint64(len(seg.Payload))
-			r.expireIdle()
-			return
-		}
 		st.lastTs = r.now
 		r.lruTouch(st)
 		r.expireIdle()
@@ -757,52 +789,82 @@ func (r *Reassembler) dropPending(st *flowState, i int) {
 	st.pending = append(st.pending[:i], st.pending[i+1:]...)
 }
 
-// closeFlow performs normal teardown: buffered data past the end of the
-// stream is discarded and the state becomes a tombstone (kept in the
-// map and LRU so late retransmits are dropped, expired like any idle
-// flow).
-func (r *Reassembler) closeFlow(st *flowState) {
-	r.freePending(st, true)
-	st.closed = true
-	st.finSeen = false
-	r.flowsClosed++
-	if r.onClose != nil {
-		r.onClose(st.key, false)
+// newState returns a zeroed live-flow state for k, recycled when one
+// is free.
+func (r *Reassembler) newState(k FlowKey) *flowState {
+	var st *flowState
+	if n := len(r.freeStates); n > 0 {
+		st = r.freeStates[n-1]
+		r.freeStates = r.freeStates[:n-1]
+	} else {
+		st = &flowState{}
 	}
+	st.key, st.lastTs = k, r.now
+	return st
 }
 
-// evict removes a flow outright — the cap/idle-timeout path. Open flows
-// count as evicted and fire the hook; closed tombstones just expire.
-func (r *Reassembler) evict(st *flowState) {
-	open := !st.closed
-	r.freePending(st, open)
-	r.lruRemove(st)
-	delete(r.flows, st.key)
-	if open {
-		r.flowsEvicted++
-		if r.onClose != nil {
-			r.onClose(st.key, true)
-		}
-	}
-}
-
-// freePending discards all buffered segments of st, optionally counting
-// them as dropped data.
-func (r *Reassembler) freePending(st *flowState, countDropped bool) {
+// forget stops tracking a live flow: its buffered segments are dropped
+// (and counted), it leaves the table and the LRU, and its state is
+// recycled, keeping the pending slice's capacity.
+func (r *Reassembler) forget(st *flowState) {
 	for i := range st.pending {
 		p := &st.pending[i]
-		if countDropped {
-			r.bytesDropped += uint64(len(p.data))
-		}
+		r.bytesDropped += uint64(len(p.data))
 		r.totalPending -= len(p.data)
 		r.recycle(p.data, p.buf)
 	}
-	st.pending = nil
-	st.pendingBytes = 0
+	clear(st.pending)
+	r.lruRemove(st)
+	delete(r.flows, st.key)
+	if len(r.freeStates) < maxFreeStates {
+		*st = flowState{pending: st.pending[:0]}
+		r.freeStates = append(r.freeStates, st)
+	}
 }
 
-// expireIdle evicts flows (and expires tombstones) whose last activity
-// is older than the idle timeout on the capture clock.
+// closeFlow performs normal teardown: buffered data past the end of the
+// stream is discarded and the flow leaves the live table for the
+// tombstone set, so late retransmits are dropped until the tombstone
+// expires like any idle flow.
+func (r *Reassembler) closeFlow(st *flowState) {
+	k := st.key
+	r.tombs.push(k, st.lastTs)
+	r.forget(st)
+	r.flowsClosed++
+	if r.onClose != nil {
+		r.onClose(k, false)
+	}
+}
+
+// evict removes an open flow outright — the cap/idle-timeout path — and
+// fires the hook.
+func (r *Reassembler) evict(st *flowState) {
+	k := st.key
+	r.forget(st)
+	r.flowsEvicted++
+	if r.onClose != nil {
+		r.onClose(k, true)
+	}
+}
+
+// evictOldest makes room under the flow cap by dropping whichever is
+// older on the capture clock, the least recently active live flow or the
+// oldest tombstone (the tombstone on a tie: it holds no stream state).
+// It reports false when nothing is tracked.
+func (r *Reassembler) evictOldest() bool {
+	switch {
+	case r.tombs.len() > 0 && (r.lruHead == nil || r.tombs.front().ts() <= r.lruHead.lastTs):
+		r.tombs.pop() // tombstones expire silently: the hook fired at teardown
+	case r.lruHead != nil:
+		r.evict(r.lruHead)
+	default:
+		return false
+	}
+	return true
+}
+
+// expireIdle evicts flows and expires tombstones whose last activity is
+// older than the idle timeout on the capture clock.
 func (r *Reassembler) expireIdle() {
 	lim := r.limits.IdleTimeoutMicros
 	if lim == 0 {
@@ -810,6 +872,9 @@ func (r *Reassembler) expireIdle() {
 	}
 	for r.lruHead != nil && r.now-r.lruHead.lastTs > lim {
 		r.evict(r.lruHead)
+	}
+	for r.tombs.len() > 0 && r.now-r.tombs.front().ts() > lim {
+		r.tombs.pop()
 	}
 }
 
@@ -884,7 +949,7 @@ func (r *Reassembler) lruTouch(st *flowState) {
 // Stats returns the lifecycle and drop counters.
 func (r *Reassembler) Stats() Stats {
 	return Stats{
-		Flows:        len(r.flows),
+		Flows:        r.Flows(),
 		PeakFlows:    r.peakFlows,
 		FlowsClosed:  r.flowsClosed,
 		FlowsEvicted: r.flowsEvicted,
@@ -900,4 +965,4 @@ func (r *Reassembler) PendingBytes() int { return r.totalPending }
 
 // Flows returns the number of flows tracked, including closed flows
 // awaiting tombstone expiry.
-func (r *Reassembler) Flows() int { return len(r.flows) }
+func (r *Reassembler) Flows() int { return len(r.flows) + r.tombs.len() }

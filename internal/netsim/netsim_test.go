@@ -414,7 +414,7 @@ func TestTombstoneFloodDoesNotStarveLiveFlows(t *testing.T) {
 	if _, live := r.flows[flow(2)]; !live {
 		t.Fatal("replay flood starved a live flow out of the table")
 	}
-	if _, dead := r.flows[flow(1)]; dead {
+	if r.tombs.has(flow(1)) || r.tombs.len() != 0 {
 		t.Fatal("tombstone outlived a live flow under the cap")
 	}
 	if st := r.Stats(); st.FlowsEvicted != 0 {
@@ -428,7 +428,7 @@ func TestTombstoneFloodDoesNotStarveLiveFlows(t *testing.T) {
 	r2.Add(Segment{Flow: flow(1), Seq: 0, Payload: []byte("a"), Flags: FlagFIN, TsMicros: 100})
 	r2.Add(Segment{Flow: flow(1), Seq: 0, Payload: []byte("a"), TsMicros: 1050}) // replay
 	r2.Add(Segment{Flow: flow(2), Seq: 0, Payload: []byte("b"), TsMicros: 1200})
-	if _, dead := r2.flows[flow(1)]; dead {
+	if r2.tombs.has(flow(1)) || r2.tombs.len() != 0 {
 		t.Fatal("replayed tombstone did not expire on its teardown clock")
 	}
 }

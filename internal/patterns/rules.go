@@ -65,7 +65,7 @@ type ParseOptions struct {
 func ParseRules(r io.Reader, opt ParseOptions) (*Set, error) {
 	set := NewSet()
 	sc := bufio.NewScanner(r)
-	sc.Buffer(make([]byte, 1<<20), 1<<20)
+	sc.Buffer(nil, 1<<20) // lines up to 1 MiB; the buffer grows to what the input needs
 	lineNo := 0
 	for sc.Scan() {
 		lineNo++
@@ -141,8 +141,12 @@ func protoFromHeader(line string) Protocol {
 	for _, f := range strings.Fields(header) {
 		if f == "$HTTP_PORTS" {
 			consider(ProtoHTTP)
-		} else if n, err := strconv.ParseUint(f, 10, 16); err == nil {
-			consider(ProtoForPort(uint16(n)))
+		} else if f[0] >= '0' && f[0] <= '9' {
+			// Only a field that starts with a digit can be a port;
+			// ParseUint would allocate an error for every other one.
+			if n, err := strconv.ParseUint(f, 10, 16); err == nil {
+				consider(ProtoForPort(uint16(n)))
+			}
 		}
 	}
 	if strings.Contains(header, "http") {

@@ -51,7 +51,7 @@ type ParseOptions struct {
 func ParseRules(r io.Reader, opt ParseOptions) (*Set, error) {
 	var prs []parsedRule
 	sc := bufio.NewScanner(r)
-	sc.Buffer(make([]byte, 1<<20), 1<<20)
+	sc.Buffer(nil, 1<<20) // lines up to 1 MiB; the buffer grows to what the input needs
 	lineNo := 0
 	for sc.Scan() {
 		lineNo++
@@ -231,71 +231,55 @@ type option struct {
 
 // splitOptions splits a rule's option body on semicolons outside
 // quoted strings, then each token at its first colon outside quotes.
+// Keys and values are slices of body.
 func splitOptions(body string) ([]option, error) {
 	var out []option
-	var tok strings.Builder
 	inQuote := false
-	flush := func() error {
-		t := strings.TrimSpace(tok.String())
-		tok.Reset()
-		if t == "" {
-			return nil
-		}
-		colon := -1
-		q := false
-		for i := 0; i < len(t); i++ {
-			switch t[i] {
-			case '"':
-				q = !q
-			case '\\':
-				if q {
-					i++
-				}
-			case ':':
-				if !q {
-					colon = i
-				}
-			}
-			if colon >= 0 {
-				break
-			}
-		}
-		if colon < 0 {
-			out = append(out, option{key: t})
-		} else {
-			out = append(out, option{key: strings.TrimSpace(t[:colon]), val: strings.TrimSpace(t[colon+1:])})
-		}
-		return nil
-	}
+	start := 0
 	for i := 0; i < len(body); i++ {
-		c := body[i]
-		switch c {
+		switch body[i] {
 		case '"':
 			inQuote = !inQuote
-			tok.WriteByte(c)
 		case '\\':
-			tok.WriteByte(c)
-			if inQuote && i+1 < len(body) {
-				i++
-				tok.WriteByte(body[i])
+			if inQuote {
+				i++ // the escaped byte cannot close the quote
 			}
 		case ';':
-			if inQuote {
-				tok.WriteByte(c)
-			} else if err := flush(); err != nil {
-				return nil, err
+			if !inQuote {
+				out = appendOption(out, body[start:i])
+				start = i + 1
 			}
-		default:
-			tok.WriteByte(c)
 		}
 	}
 	if inQuote {
 		return nil, fmt.Errorf("unterminated quoted string in options")
 	}
-	if err := flush(); err != nil {
-		return nil, err
+	return appendOption(out, body[start:]), nil
+}
+
+// appendOption parses one semicolon-delimited token (blank ones are
+// skipped) into key and value at its first colon outside quotes.
+func appendOption(out []option, tok string) []option {
+	t := strings.TrimSpace(tok)
+	if t == "" {
+		return out
 	}
-	return out, nil
+	q := false
+	for i := 0; i < len(t); i++ {
+		switch t[i] {
+		case '"':
+			q = !q
+		case '\\':
+			if q {
+				i++
+			}
+		case ':':
+			if !q {
+				return append(out, option{key: strings.TrimSpace(t[:i]), val: strings.TrimSpace(t[i+1:])})
+			}
+		}
+	}
+	return append(out, option{key: t})
 }
 
 // unquote strips the surrounding quotes of an option value and

@@ -778,16 +778,14 @@ func (s *Server) handleMetrics(w http.ResponseWriter, _ *http.Request) {
 		func(i int) float64 { return float64(scans[i].BytesScanned) })
 	counter("vpatch_matches_total", "Pattern occurrences found (stream and one-shot scans).",
 		func(i int) float64 { return float64(scans[i].Matches) })
-	promFamily(&b, "vpatch_filter_probes_total", "counter", "Scalar filter probes by filter stage.")
-	for i, r := range rows {
-		promSample(&b, "vpatch_filter_probes_total", tenantLabel(r.name)+`,filter="1"`, float64(scans[i].Filter1Probes))
-		promSample(&b, "vpatch_filter_probes_total", tenantLabel(r.name)+`,filter="2"`, float64(scans[i].Filter2Probes))
-		promSample(&b, "vpatch_filter_probes_total", tenantLabel(r.name)+`,filter="3"`, float64(scans[i].Filter3Probes))
-	}
 	counter("vpatch_verify_bytes_total", "Pattern bytes compared during verification.",
 		func(i int) float64 { return float64(scans[i].VerifyBytes) })
-	counter("vpatch_batch_iters_total", "Batched (lane-per-packet) filtering steps.",
-		func(i int) float64 { return float64(scans[i].BatchIters) })
+	promFamily(&b, "vpatch_scan_seconds_total", "counter", "Time inside scans by round: matcher filtering, matcher verification, rule evaluation (other).")
+	for i, r := range rows {
+		promSample(&b, "vpatch_scan_seconds_total", tenantLabel(r.name)+`,round="filter"`, float64(scans[i].FilteringNs)/1e9)
+		promSample(&b, "vpatch_scan_seconds_total", tenantLabel(r.name)+`,round="verify"`, float64(scans[i].VerifyNs)/1e9)
+		promSample(&b, "vpatch_scan_seconds_total", tenantLabel(r.name)+`,round="other"`, float64(scans[i].OtherNs)/1e9)
+	}
 
 	// Rule tier (rule-conditioned databases only; zero otherwise).
 	counter("vpatch_rule_alerts_total", "Completed rule alerts (all clauses satisfied, regex verified).",
@@ -824,9 +822,9 @@ func (s *Server) handleMetrics(w http.ResponseWriter, _ *http.Request) {
 	// Acceleration counters.
 	counter("vpatch_accel_skipped_bytes_total", "Input bytes cleared by the skip-loop accelerator without probing.",
 		func(i int) float64 { return float64(scans[i].SkippedBytes) })
-	counter("vpatch_accel_chances_total", "Skip-loop invocations.",
+	counter("vpatch_accel_chances_total", "Skip-loop governor spans scanned (at most 2 KiB of accelerated scanning each).",
 		func(i int) float64 { return float64(scans[i].AccelChances) })
-	counter("vpatch_accel_runs_total", "Skip-loop invocations that cleared a run of at least 8 bytes.",
+	counter("vpatch_accel_runs_total", "Governor spans whose viable fraction kept the skip loop engaged.",
 		func(i int) float64 { return float64(scans[i].AccelRuns) })
 
 	// Reassembly / flow lifecycle.

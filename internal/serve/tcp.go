@@ -82,7 +82,8 @@ func (s *Server) ServeIngest(l net.Listener) error {
 // (deadline on the first byte of a frame) never loses mid-frame data.
 type bufferedConn struct {
 	c   net.Conn
-	buf []byte // peeked-but-unconsumed bytes
+	one [1]byte // waitByte's read target: no allocation per frame
+	buf []byte  // the peeked-but-unconsumed byte (a view of one), or empty
 }
 
 func (b *bufferedConn) Read(p []byte) (int, error) {
@@ -103,11 +104,10 @@ func (b *bufferedConn) waitByte(d time.Duration) error {
 		return nil
 	}
 	b.c.SetReadDeadline(time.Now().Add(d))
-	one := make([]byte, 1)
-	n, err := b.c.Read(one)
+	n, err := b.c.Read(b.one[:])
 	b.c.SetReadDeadline(time.Time{})
 	if n > 0 {
-		b.buf = append(b.buf, one[:n]...)
+		b.buf = b.one[:n]
 		return nil
 	}
 	var ne net.Error

@@ -87,7 +87,10 @@ type (
 	// Protocol tags a pattern with its traffic class.
 	Protocol = patterns.Protocol
 	// Counters collects per-scan instrumentation; pass nil to Scan when
-	// not needed (instrumentation costs a few percent of throughput).
+	// not needed. For S-PATCH and V-PATCH, attaching counters costs a
+	// few clock reads per scan and never changes which kernels run;
+	// only Counters.LaneExact selects the emulated vector engine and its
+	// exact probe/gather/lane counts, at several times the scan cost.
 	Counters = metrics.Counters
 	// EmitFunc receives matches during a scan; nil means count-only.
 	EmitFunc = patterns.EmitFunc
