@@ -49,7 +49,7 @@ func benchFixtures() *fixtures {
 
 var benchDatasets = []string{"ISCX-day2", "ISCX-day6", "DARPA", "random"}
 
-func benchScan(b *testing.B, m Matcher, data []byte) {
+func benchScan(b *testing.B, m *Session, data []byte) {
 	b.Helper()
 	b.SetBytes(int64(len(data)))
 	b.ResetTimer()
@@ -63,9 +63,9 @@ func benchScan(b *testing.B, m Matcher, data []byte) {
 func figThroughput(b *testing.B, set *patterns.Set, width int) {
 	f := benchFixtures()
 	algos := []Algorithm{AlgoAhoCorasick, AlgoDFC, AlgoVectorDFC, AlgoSPatch, AlgoVPatch}
-	matchers := make(map[Algorithm]Matcher, len(algos))
+	matchers := make(map[Algorithm]*Session, len(algos))
 	for _, alg := range algos {
-		m, err := New(set, Options{Algorithm: alg, VectorWidth: width})
+		m, err := newSession(set, Options{Algorithm: alg, VectorWidth: width})
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -94,7 +94,7 @@ func BenchmarkFig5a(b *testing.B) {
 		sub := f.s2.Subset(n, 1)
 		data := traffic.Synthesize(traffic.ISCXDay2, benchBytes, 1, sub)
 		for _, alg := range []Algorithm{AlgoSPatch, AlgoVPatch} {
-			m, err := New(sub, Options{Algorithm: alg})
+			m, err := newSession(sub, Options{Algorithm: alg})
 			if err != nil {
 				b.Fatal(err)
 			}
@@ -112,7 +112,7 @@ func BenchmarkFig5c(b *testing.B) {
 		data := traffic.Random(benchBytes, 1)
 		traffic.InjectMatches(data, set, frac, 3)
 		for _, alg := range []Algorithm{AlgoSPatch, AlgoVPatch} {
-			m, err := New(set, Options{Algorithm: alg})
+			m, err := newSession(set, Options{Algorithm: alg})
 			if err != nil {
 				b.Fatal(err)
 			}
@@ -233,7 +233,7 @@ func BenchmarkAblationTwoRound(b *testing.B) {
 			}
 		})
 	}
-	m, _ := New(f.s1web, Options{Algorithm: AlgoDFC})
+	m, _ := newSession(f.s1web, Options{Algorithm: AlgoDFC})
 	b.Run("dfc-inline", func(b *testing.B) { benchScan(b, m, data) })
 }
 
@@ -241,12 +241,12 @@ func BenchmarkAblationTwoRound(b *testing.B) {
 func BenchmarkStreamScanner(b *testing.B) {
 	f := benchFixtures()
 	data := f.data["ISCX-day2"]
-	m, _ := New(f.s1web, Options{})
+	m, _ := newSession(f.s1web, Options{})
 	b.Run("whole", func(b *testing.B) { benchScan(b, m, data) })
 	b.Run("chunked1500", func(b *testing.B) {
 		b.SetBytes(int64(len(data)))
 		for i := 0; i < b.N; i++ {
-			s, _ := NewStreamScanner(m, func(Match) {})
+			s, _ := m.NewStreamScanner(func(StreamMatch) {})
 			for pos := 0; pos < len(data); pos += 1500 {
 				end := pos + 1500
 				if end > len(data) {
@@ -402,7 +402,7 @@ func BenchmarkAccelIndexByte(b *testing.B) {
 // BenchmarkWuManber: the related-work baseline on the same workload.
 func BenchmarkWuManber(b *testing.B) {
 	f := benchFixtures()
-	m, _ := New(f.s1web, Options{Algorithm: AlgoWuManber})
+	m, _ := newSession(f.s1web, Options{Algorithm: AlgoWuManber})
 	benchScan(b, m, f.data["ISCX-day2"])
 }
 

@@ -8,8 +8,6 @@
 //	vpatch-bench -sizes 64,256,1514,imix -batch 32
 //	                                # packet-size sweep: serial vs batch
 //	vpatch-bench -accel             # acceleration density sweep
-//	vpatch-bench -ingest            # end-to-end ingest sweep:
-//	                                # per-segment vs batched dispatch
 //	vpatch-bench -rules             # rule-tier overhead sweep:
 //	                                # full semantics vs literal-only
 //	vpatch-bench -flood             # match-flood adversarial sweep:
@@ -43,14 +41,7 @@
 // vs plain fused kernels plus the skip ratio per cell — the crossover
 // evidence behind the acceleration layer's governor thresholds.
 //
-// The -ingest mode runs the end-to-end ingest sweep: a simulated
-// capture loop rents arena chunks and drives the sharded dispatcher
-// with per-segment Handle calls versus batched HandleBatch slabs,
-// reporting segments/s and Gbps per segment size — the evidence behind
-// the batched-handoff ingest path, and the section the bench gate pins
-// for ingest regressions.
-//
-// Sweep and startup modes combine: -kernels -sizes 64 -ingest in one
+// Sweep and startup modes combine: -kernels -sizes 64 -rules in one
 // invocation runs all three and writes one JSON report with every
 // section.
 //
@@ -58,11 +49,10 @@
 // figure selection) runs the extract-kernel A/B sweep: each kernel's
 // filtering-round and full-scan throughput over clean-random and
 // ISCX-like traffic, with speedups against the always-included SWAR
-// reference kernel. This is the snapshot the CI bench-regression gate
-// (vpatch-benchgate) pins. -kernel also records the selected kernel in
-// the -json report for every mode; the paper figures themselves stay
-// pinned to the unaccelerated reference rendition and report kernel
-// "reference".
+// reference kernel — the way to re-measure AVX2 against SWAR on a host.
+// -kernel also records the selected kernel in the -json report for
+// every mode; the paper figures themselves stay pinned to the
+// unaccelerated reference rendition and report kernel "reference".
 //
 // -json writes every result produced by the run as one machine-readable
 // JSON document ("-" = stdout): per-figure wall-clock and modeled Gbps
@@ -96,7 +86,6 @@ type report struct {
 	Figures     map[string]figEntry          `json:"figures,omitempty"`
 	KernelSweep []experiments.KernelSweepRow `json:"kernel_sweep,omitempty"`
 	BatchSweep  []experiments.BatchSweepRow  `json:"batch_sweep,omitempty"`
-	IngestSweep []experiments.IngestSweepRow `json:"ingest_sweep,omitempty"`
 	AccelSweep  []experiments.AccelSweepRow  `json:"accel_sweep,omitempty"`
 	RuleSweep   []experiments.RuleSweepRow   `json:"rule_sweep,omitempty"`
 	FloodSweep  []experiments.FloodSweepRow  `json:"flood_sweep,omitempty"`
@@ -162,12 +151,9 @@ func main() {
 	batchN := flag.Int("batch", 32, "buffers per ScanBatch call in the packet sweep")
 	dbPath := flag.String("db", "", "precompiled .vpdb database: run the load-vs-compile startup benchmark instead of figures")
 	accelSweep := flag.Bool("accel", false, "run the skip-loop acceleration density sweep instead of figures")
-	ingestSweep := flag.Bool("ingest", false, "run the end-to-end ingest sweep (per-segment vs batched dispatch) instead of figures")
 	rulesSweep := flag.Bool("rules", false, "run the rule-tier overhead sweep (full rule semantics vs literal-only at 0-10% anchor-hit rates) instead of figures")
 	floodSweep := flag.Bool("flood", false, "run the match-flood adversarial sweep (verifier budgets on vs off at 0-40% flood-site densities) instead of figures")
-	ingestShards := flag.Int("ingest-shards", 0, "worker shards in the ingest sweep (0 = one per core)")
-	ingestBatch := flag.Int("ingest-batch", 0, "segments per HandleBatch call in the ingest sweep (0 = dispatcher default)")
-	kernelFlag := flag.String("kernel", "auto", "extract kernel to force (auto, avx2, ssse3, swar); with no figure selection, runs the kernel sweep for it vs the swar baseline")
+	kernelFlag := flag.String("kernel", "auto", "extract kernel to force (auto, avx2, swar); with no figure selection, runs the kernel sweep for it vs the swar baseline")
 	kernelsMode := flag.Bool("kernels", false, "run the extract-kernel A/B sweep over every kernel available on this host")
 	jsonPath := flag.String("json", "", "write all results of this run as JSON to the given path ('-' = stdout)")
 	flag.Parse()
@@ -199,12 +185,11 @@ func main() {
 	}
 
 	// The sweep and startup modes combine: one invocation may run any
-	// subset of them (e.g. -kernels -sizes ... -ingest) and the -json
-	// report carries every section produced — how CI builds the single
-	// BENCH snapshot the bench-regression gate pins.
+	// subset of them (e.g. -kernels -sizes ... -rules) and the -json
+	// report carries every section produced.
 	ranMode := false
 	if *kernelsMode || (kern != vpatch.KernelAuto && *fig == "" && !*all &&
-		*sizesFlag == "" && *dbPath == "" && !*accelSweep && !*ingestSweep && !*rulesSweep && !*floodSweep) {
+		*sizesFlag == "" && *dbPath == "" && !*accelSweep && !*rulesSweep && !*floodSweep) {
 		kernels := vpatch.AvailableKernels()
 		if !*kernelsMode {
 			kernels = []vpatch.Kernel{resolved}
@@ -222,10 +207,6 @@ func main() {
 	}
 	if *sizesFlag != "" {
 		runBatchSweep(cfg, *sizesFlag, *batchN, *csvDir, rep)
-		ranMode = true
-	}
-	if *ingestSweep {
-		runIngestSweep(cfg, *ingestShards, *ingestBatch, *csvDir, rep)
 		ranMode = true
 	}
 	if *rulesSweep {
@@ -453,37 +434,13 @@ func runBatchSweep(cfg experiments.Config, sizesFlag string, batch int, csvDir s
 	writeCSV(csvDir, func() error { return experiments.WriteBatchSweepCSV(csvDir, "batchsweep.csv", rows) })
 }
 
-// runIngestSweep runs the end-to-end ingest sweep (capture loop →
-// arena → dispatcher → reassembly → scan) at 64B, IMIX, and 1514B
-// segments. It pins a small fixed rule set on purpose: the sweep's
-// subject is the handoff path — rent, ownership transfer, channel
-// operations, reassembly — so scan work is kept light enough not to
-// drown the signal. Scan-bound throughput at full rule scale is what
-// the figures and the kernel sweep measure.
-func runIngestSweep(cfg experiments.Config, shards, batch int, csvDir string, rep *report) {
-	set := patterns.FromStrings(
-		"attack-sig-001", "malware-beacon", "exploit-shellcode",
-		"/etc/passwd", "cmd.exe /c", "union select", "../../..",
-		"X-Backdoor-Key",
-	)
-	fmt.Printf("ingest rule set: %d fixed signatures (handoff-bound on purpose)\n\n", set.Len())
-	rows := experiments.IngestSweep(cfg, set, []int{64, 0, 1514}, shards, batch)
-	title := "Ingest sweep: per-segment vs batched dispatch, ISCX-day2 traffic"
-	if len(rows) > 0 {
-		title = fmt.Sprintf("Ingest sweep: per-segment vs batched dispatch through %d shard(s), ISCX-day2 traffic", rows[0].Shards)
-	}
-	experiments.PrintIngestSweep(os.Stdout, title, rows)
-	rep.IngestSweep = rows
-	writeCSV(csvDir, func() error { return experiments.WriteIngestSweepCSV(csvDir, "ingestsweep.csv", rows) })
-}
-
 // runRuleSweep runs the rule-tier overhead sweep: the full rule
 // semantics pipeline (clause evaluation + anchored lazy-DFA verifier)
 // against the literal-only pipeline over the same prefilter literals,
 // as injected anchor density sweeps from clean traffic to ~10% of
 // bytes. The paper figures stay literal-only; this section is the
 // evidence that verification rides on the prefilter instead of taxing
-// the fast path, and the bench gate pins its clean-traffic overhead.
+// the fast path.
 func runRuleSweep(cfg experiments.Config, csvDir string, rep *report) {
 	rows, err := experiments.RuleSweep(cfg, vpatch.Options{}, nil)
 	if err != nil {
@@ -499,8 +456,8 @@ func runRuleSweep(cfg experiments.Config, csvDir string, rep *report) {
 // pipeline with verifier budgets disarmed versus armed as injected
 // always-rejecting anchor sites sweep from clean traffic to attack
 // densities. The 0% cell's budgets-on/off ratio is the budget
-// bookkeeping's clean-traffic overhead the bench gate pins; the attack
-// cells show the throughput floor the budget defends.
+// bookkeeping's clean-traffic overhead; the attack cells show the
+// throughput floor the budget defends.
 func runFloodSweep(cfg experiments.Config, csvDir string, rep *report) {
 	rows, err := experiments.FloodSweep(cfg, vpatch.Options{}, nil)
 	if err != nil {

@@ -185,7 +185,7 @@ type Info struct {
 	// FFBF, Vector-DFC).
 	Accel AccelInfo
 	// Kernel is the extract kernel the engine's filtering round resolved
-	// to at Compile/Deserialize time ("avx2", "ssse3", "swar"); empty
+	// to at Compile/Deserialize time ("avx2", "swar"); empty
 	// for engines without the kernel dispatch.
 	Kernel string
 }

@@ -1,6 +1,7 @@
 package vpatch
 
 import (
+	"strings"
 	"sync"
 	"testing"
 
@@ -107,19 +108,19 @@ func TestEngineParallelReuse(t *testing.T) {
 	}
 }
 
-func TestSessionImplementsMatcher(t *testing.T) {
+func TestSessionExposesEngineIdentity(t *testing.T) {
 	set := PatternSetFromStrings("needle")
 	eng, err := Compile(set, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	var m Matcher = eng.NewSession()
-	if m.Algorithm() != AlgoVPatch || m.Set() != set {
+	m := eng.NewSession()
+	if m.Algorithm() != AlgoVPatch || m.Set() != set || m.Engine() != eng {
 		t.Fatal("session does not expose engine identity")
 	}
-	// Sessions feed the stream scanner, the canonical Matcher consumer.
+	// Sessions feed the stream scanner.
 	var hits int
-	sc, err := NewStreamScanner(m, func(Match) { hits++ })
+	sc, err := m.NewStreamScanner(func(StreamMatch) { hits++ })
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -225,7 +226,7 @@ func seedCountParallel(b *testing.B, set *PatternSet, input []byte, opt Options,
 		wg.Add(1)
 		go func(w, start, end int) {
 			defer wg.Done()
-			m, err := New(set, opt) // the seed's per-worker compile
+			m, err := newSession(set, opt) // the seed's per-worker compile
 			if err != nil {
 				b.Error(err)
 				return
@@ -250,4 +251,50 @@ func seedCountParallel(b *testing.B, set *PatternSet, input []byte, opt Options,
 		total += n
 	}
 	return total
+}
+
+// TestActiveKernelIsWhatEnginesRun: ActiveKernel names the kernel every
+// auto-dispatched filtering engine on this host runs, compiled or
+// loaded, for any rule set — so vpatch_kernel_info, vpatch-serve's
+// reload log line and the bench's extract_kernel fingerprint cannot name
+// a kernel no engine runs. (Under -tags purego all of them say "swar".)
+// A kernel that does not exist is refused by name and by value, with an
+// error that lists the kernels that do.
+func TestActiveKernelIsWhatEnginesRun(t *testing.T) {
+	want := ActiveKernel().String()
+	if !KernelAvailable(KernelAVX2) && want != "swar" {
+		t.Fatalf("ActiveKernel() = %s on a host without avx2", want)
+	}
+	set := patterns.GenerateS1(1)
+	for _, alg := range []Algorithm{AlgoVPatch, AlgoSPatch} {
+		eng, err := Compile(set, Options{Algorithm: alg})
+		if err != nil {
+			t.Fatalf("%v: %v", alg, err)
+		}
+		if got := eng.Info().Kernel; got != want {
+			t.Errorf("%v compiled: Info().Kernel = %q, ActiveKernel() = %q", alg, got, want)
+		}
+		blob, err := eng.Serialize()
+		if err != nil {
+			t.Fatalf("%v: %v", alg, err)
+		}
+		loaded, err := Deserialize(blob)
+		if err != nil {
+			t.Fatalf("%v: %v", alg, err)
+		}
+		if got := loaded.Info().Kernel; got != want {
+			t.Errorf("%v loaded: Info().Kernel = %q, ActiveKernel() = %q", alg, got, want)
+		}
+	}
+
+	if k, err := ParseKernel("ssse3"); err == nil {
+		t.Errorf("ParseKernel accepted the removed kernel name (as %v)", k)
+	} else if !strings.Contains(err.Error(), "swar") || !strings.Contains(err.Error(), "avx2") {
+		t.Errorf("ParseKernel error does not list the kernels that exist: %v", err)
+	}
+	if _, err := Compile(set.Subset(10, 1), Options{ForceKernel: KernelAVX2 + 1}); err == nil {
+		t.Error("Compile accepted a kernel value past the last kernel")
+	} else if !strings.Contains(err.Error(), "swar") {
+		t.Errorf("Compile error does not list the kernels that exist: %v", err)
+	}
 }

@@ -29,8 +29,8 @@ import (
 )
 
 // Dispatcher fans captured segments out to N worker shards by flow-key
-// hash. HandleBatch is the fast path (amortized channel sends); Handle
-// wraps one segment. Close drains the workers and merges their stats.
+// hash. HandleBatch is the one ingest entry point (amortized channel
+// sends). Close drains the workers and merges their stats.
 type Dispatcher struct {
 	shards []*Shard
 	chans  []chan []netsim.Segment
@@ -174,7 +174,7 @@ func (e *Engine) NewDispatcher(n int, limits netsim.Limits, emit func(Alert)) *D
 }
 
 // SetArena replaces the arena backing defensive copies and the shard
-// reassemblers. Must be called before the first Handle/HandleBatch.
+// reassemblers. Must be called before the first HandleBatch.
 func (d *Dispatcher) SetArena(a *arena.Arena) {
 	d.arena = a
 	for _, sh := range d.shards {
@@ -184,7 +184,7 @@ func (d *Dispatcher) SetArena(a *arena.Arena) {
 
 // SetVerifierBudget arms the match-flood defense on every worker shard
 // (see Shard.SetVerifierBudget). Must be called before the first
-// Handle/HandleBatch, like the other pre-start configuration.
+// HandleBatch, like the other pre-start configuration.
 func (d *Dispatcher) SetVerifierBudget(b resil.VerifierBudget) {
 	for _, sh := range d.shards {
 		sh.SetVerifierBudget(b)
@@ -196,13 +196,13 @@ func (d *Dispatcher) SetVerifierBudget(b resil.VerifierBudget) {
 // pipeline has consumed them (e.g. a replay loop over per-segment
 // buffers, like netsim.ReadPcap's) should enable it; a capture loop
 // that recycles read buffers must leave it off or rent arena chunks
-// itself. Must be called before the first Handle/HandleBatch.
+// itself. Must be called before the first HandleBatch.
 func (d *Dispatcher) SetZeroCopy(v bool) { d.zeroCopy = v }
 
 // SetBatching tunes the slab size watermark and the linger deadline
 // (the latency bound for segments waiting in accumulators at low
 // rate). Zero keeps the current value. Must be called before the first
-// Handle/HandleBatch.
+// HandleBatch.
 func (d *Dispatcher) SetBatching(segs int, linger time.Duration) {
 	if segs > 0 {
 		d.batchSegs = segs
@@ -254,44 +254,27 @@ func (d *Dispatcher) putSlab(s []netsim.Segment) {
 	}
 }
 
-// Handle routes one captured segment to its flow's shard. Segments of
-// one flow always land on the same shard, so per-flow stream order is
-// preserved. Unlike Engine.HandleSegment, Handle may be called from
-// multiple goroutines (it is one slab send); per-flow ordering then
-// holds per sender, which is what a request-scoped ingest needs.
+// HandleBatch routes a batch of captured segments (one segment is a
+// one-element batch) to their flows' shards. Segments of one flow always
+// land on the same shard, so per-flow stream order is preserved.
+// Segments accumulate in per-shard slabs handed to the workers when full
+// (SetBatching's size watermark) or when the linger deadline fires, so
+// per-segment channel operations amortize away while low-rate latency
+// stays bounded.
 //
 // Unowned payloads are defensively copied into an arena chunk before
 // enqueueing, so callers may reuse their read buffer between calls;
 // arena-owned segments (Segment.SetOwned) and zero-copy dispatchers
-// (SetZeroCopy) transfer the payload by reference. Do not mix Handle
-// and HandleBatch for segments of the same flow: batched segments may
-// still be lingering in an accumulator when Handle bypasses it.
+// (SetZeroCopy) transfer the payload by reference.
 //
-// After Close, Handle drops the segment (releasing an owned payload)
-// instead of panicking — the benign outcome of the shutdown race a
-// resident service's ingest connections run against Drain.
-func (d *Dispatcher) Handle(seg netsim.Segment) {
-	d.mu.Lock()
-	defer d.mu.Unlock()
-	if d.closed {
-		seg.ReleasePayload()
-		return
-	}
-	seg = d.adopt(seg)
-	slab := append(d.takeSlab(), seg)
-	d.chans[seg.Flow.Hash()%uint32(len(d.chans))] <- slab
-}
-
-// HandleBatch routes a batch of captured segments — the fast path for
-// capture loops. Segments accumulate in per-shard slabs handed to the
-// workers when full (SetBatching's size watermark) or when the linger
-// deadline fires, so per-segment channel operations amortize away
-// while low-rate latency stays bounded. Ownership of owned payloads
-// transfers to the pipeline; unowned payloads are defensively copied
-// (see Handle). Safe for concurrent use; segments of one flow keep
-// their per-sender order relative to other HandleBatch/FlushAll calls.
-// After Close the batch is dropped (owned payloads released), like
-// Handle.
+// Unlike Engine.HandleSegment, HandleBatch is safe for concurrent use;
+// segments of one flow keep their per-sender order relative to other
+// HandleBatch/FlushAll calls, which is what a request-scoped ingest
+// needs.
+//
+// After Close the batch is dropped (owned payloads released) instead of
+// panicking — the benign outcome of the shutdown race a resident
+// service's ingest connections run against Drain.
 func (d *Dispatcher) HandleBatch(segs []netsim.Segment) {
 	if len(segs) == 0 {
 		return
@@ -364,7 +347,7 @@ func (d *Dispatcher) Arena() *arena.Arena { return d.arena }
 
 // InstrumentCounters attaches a fresh scan-counter set to every worker
 // shard and returns them, index-aligned with the shards. It must be
-// called before the first Handle (the first segment's channel send
+// called before the first HandleBatch (the first slab's channel send
 // publishes the counters to its worker); read or merge the counters
 // only after Close. Counters do not change the scan path (see
 // Shard.SetCounters).
@@ -391,8 +374,8 @@ type PipelineObserver struct {
 
 // Observe attaches (or returns the already-attached) observer for this
 // dispatcher. Like InstrumentCounters it must be called before the
-// first Handle, so the attachment is published to the workers by the
-// first segment send.
+// first HandleBatch, so the attachment is published to the workers by
+// the first slab send.
 func (d *Dispatcher) Observe() *PipelineObserver {
 	if d.obs == nil {
 		o := &PipelineObserver{
@@ -433,8 +416,8 @@ func (o *PipelineObserver) FlowStats() netsim.Stats {
 // every worker scan its pending batches now, and waits until all have
 // done so — the latency-deadline lever of a resident pipeline (alerts
 // otherwise wait for a watermark). Safe to call concurrently with
-// Handle/HandleBatch (from any goroutine) and with Close; after Close
-// it is a no-op.
+// HandleBatch (from any goroutine) and with Close; after Close it is a
+// no-op.
 func (d *Dispatcher) FlushAll() {
 	d.mu.Lock()
 	defer d.mu.Unlock()
@@ -457,8 +440,8 @@ func (d *Dispatcher) FlushAll() {
 // partial batches, so all pending alerts surface), stops the
 // goroutines, and returns the per-shard lifecycle stats merged. Close
 // is safe to call from any goroutine and any number of times (every
-// call waits for the drain and returns the same merged stats);
-// Handle/HandleBatch must not be called after it.
+// call waits for the drain and returns the same merged stats); a
+// HandleBatch after it drops its batch.
 func (d *Dispatcher) Close() netsim.Stats {
 	d.closeOnce.Do(func() {
 		d.mu.Lock()

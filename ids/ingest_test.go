@@ -12,9 +12,9 @@ import (
 	"vpatch/internal/netsim"
 )
 
-// dispatchAll feeds segs through an n-shard dispatcher (Handle or
-// HandleBatch per useBatch) and returns the sorted alerts.
-func dispatchAll(t *testing.T, set *vpatch.PatternSet, segs []netsim.Segment, n int, useBatch bool) []Alert {
+// dispatchAll feeds segs through an n-shard dispatcher in uneven
+// HandleBatch calls and returns the sorted alerts.
+func dispatchAll(t *testing.T, set *vpatch.PatternSet, segs []netsim.Segment, n int) []Alert {
 	t.Helper()
 	var mu sync.Mutex
 	var alerts []Alert
@@ -28,27 +28,39 @@ func dispatchAll(t *testing.T, set *vpatch.PatternSet, segs []netsim.Segment, n 
 		t.Fatal(err)
 	}
 	d := e.NewDispatcher(n, netsim.Limits{}, sink)
-	if useBatch {
-		// Uneven batch sizes exercise accumulator carry across calls.
-		for i := 0; i < len(segs); {
-			j := i + 1 + i%7
-			if j > len(segs) {
-				j = len(segs)
-			}
-			d.HandleBatch(segs[i:j])
-			i = j
+	// Uneven batch sizes exercise accumulator carry across calls.
+	for i := 0; i < len(segs); {
+		j := i + 1 + i%7
+		if j > len(segs) {
+			j = len(segs)
 		}
-	} else {
-		for _, s := range segs {
-			d.Handle(s)
-		}
+		d.HandleBatch(segs[i:j])
+		i = j
 	}
 	d.Close()
 	sortAlerts(alerts)
 	return alerts
 }
 
-// TestHandleBatchAlertIdentity proves the batched fast path emits
+// perSegmentAlerts is the per-segment reference: every segment through
+// Engine.HandleSegment on the default shard, one goroutine and no
+// dispatcher, as bench/oracle.go does.
+func perSegmentAlerts(t *testing.T, set *vpatch.PatternSet, segs []netsim.Segment) []Alert {
+	t.Helper()
+	var alerts []Alert
+	e, err := NewEngine(set, vpatch.Options{}, func(a Alert) { alerts = append(alerts, a) })
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, s := range segs {
+		e.HandleSegment(s)
+	}
+	e.Flush()
+	sortAlerts(alerts)
+	return alerts
+}
+
+// TestHandleBatchAlertIdentity proves the batched dispatcher emits
 // exactly the alerts of the per-segment path, across shard counts and
 // reordered traffic.
 func TestHandleBatchAlertIdentity(t *testing.T) {
@@ -65,12 +77,12 @@ func TestHandleBatchAlertIdentity(t *testing.T) {
 	segs := netsim.Packetize(flows, netsim.PacketizeOptions{
 		MTU: 48, Jitter: 6, DuplicateFrac: 0.05, FIN: true, Seed: 77,
 	})
+	want := perSegmentAlerts(t, set, segs)
+	if len(want) == 0 {
+		t.Fatal("no alerts from baseline")
+	}
 	for _, shards := range []int{1, 3} {
-		want := dispatchAll(t, set, segs, shards, false)
-		got := dispatchAll(t, set, segs, shards, true)
-		if len(want) == 0 {
-			t.Fatalf("shards=%d: no alerts from baseline", shards)
-		}
+		got := dispatchAll(t, set, segs, shards)
 		if !reflect.DeepEqual(want, got) {
 			t.Fatalf("shards=%d: HandleBatch alerts differ: %d vs %d", shards, len(got), len(want))
 		}
@@ -78,7 +90,7 @@ func TestHandleBatchAlertIdentity(t *testing.T) {
 }
 
 // TestDispatcherDefensiveCopy is the aliasing-corruption regression:
-// a capture loop that recycles one read buffer across Handle calls
+// a capture loop that recycles one read buffer across HandleBatch calls
 // must not corrupt queued segments. Before the defensive copy this
 // raced (the doc comment was the only guard) — payloads were scribbled
 // over while workers still held references.
@@ -106,7 +118,7 @@ func TestDispatcherDefensiveCopy(t *testing.T) {
 			buf[j] = '.'
 		}
 		copy(buf[100:], "needle-in-flow")
-		d.Handle(netsim.Segment{Flow: key(i, 9999), Seq: 0, Payload: buf})
+		d.HandleBatch([]netsim.Segment{{Flow: key(i, 9999), Seq: 0, Payload: buf}})
 		// Immediately scribble over the buffer, as the next read would.
 		for j := range buf {
 			buf[j] = 'X'
@@ -133,7 +145,7 @@ func TestDispatcherArenaExhaustionIdentical(t *testing.T) {
 		MTU: 64, Jitter: 8, FIN: true, Seed: 5,
 	})
 
-	want := dispatchAll(t, set, segs, 2, true)
+	want := dispatchAll(t, set, segs, 2)
 
 	tiny := arena.New(arena.Config{MaxBytes: 64}) // one rent fills the cap
 	var mu sync.Mutex
@@ -183,7 +195,7 @@ func TestReleaseAfterDispatcherClose(t *testing.T) {
 	seg.Flow = key(1, 9999)
 	seg.Payload = b.Data()[:64]
 	seg.SetOwned(b)
-	d.Handle(seg)
+	d.HandleBatch([]netsim.Segment{seg})
 	d.Close()
 
 	stray := a.Rent(128) // rented before Close, released after

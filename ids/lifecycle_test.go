@@ -188,8 +188,8 @@ func TestPipelineReorderOverlapTeardownProperty(t *testing.T) {
 				got = append(got, a)
 				mu.Unlock()
 			})
-			for _, s := range segs {
-				d.Handle(s)
+			for i := range segs {
+				d.HandleBatch(segs[i : i+1])
 			}
 			stats := d.Close()
 
@@ -257,8 +257,8 @@ func TestDispatcherPartitionsAndMerges(t *testing.T) {
 		t.Fatalf("Shards() = %d", d.Shards())
 	}
 	perShard := d.InstrumentCounters()
-	for _, s := range segs {
-		d.Handle(s)
+	for i := range segs {
+		d.HandleBatch(segs[i : i+1])
 	}
 	st := d.Close()
 	st2 := d.Close() // idempotent

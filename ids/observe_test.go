@@ -133,8 +133,8 @@ func TestDispatcherObserver(t *testing.T) {
 		}
 	}()
 
-	for _, s := range segs {
-		d.Handle(s)
+	for i := range segs {
+		d.HandleBatch(segs[i : i+1])
 	}
 	st := d.Close()
 	close(stop)
@@ -172,17 +172,17 @@ func TestDispatcherFlushAll(t *testing.T) {
 	// watermarks, so nothing flushes on its own. No FIN, flows stay
 	// open.
 	for i := 0; i < 6; i++ {
-		d.Handle(netsim.Segment{
+		d.HandleBatch([]netsim.Segment{{
 			Flow:    key(i, 80),
 			Payload: []byte("hit http-attack-xyz here"),
-		})
+		}})
 	}
 	d.FlushAll()
 	if alerts.Load() != 6 {
 		t.Fatalf("after FlushAll: %d alerts, want 6", alerts.Load())
 	}
 	// Ingest continues after a flush.
-	d.Handle(netsim.Segment{Flow: key(99, 80), Payload: []byte("http-attack-xyz")})
+	d.HandleBatch([]netsim.Segment{{Flow: key(99, 80), Payload: []byte("http-attack-xyz")}})
 	d.FlushAll()
 	if alerts.Load() != 7 {
 		t.Fatalf("after second FlushAll: %d alerts, want 7", alerts.Load())

@@ -164,8 +164,8 @@ func TestVerifierBudgetCleanEquivalence(t *testing.T) {
 	}
 }
 
-// TestDispatcherShutdownRaces drives Handle, HandleBatch and FlushAll
-// concurrently with Close: no panic, no deadlock, no payload leak —
+// TestDispatcherShutdownRaces drives batched and one-segment
+// HandleBatch senders and FlushAll concurrently with Close: no panic, no deadlock, no payload leak —
 // the shutdown race every ingest connection of a resident service runs
 // against Drain. Race-pinned in CI.
 func TestDispatcherShutdownRaces(t *testing.T) {
@@ -210,7 +210,7 @@ func TestDispatcherShutdownRaces(t *testing.T) {
 			<-start
 			var seq uint32
 			for i := 0; i < 400; i++ {
-				d.Handle(rent(8+i%4, seq))
+				d.HandleBatch([]netsim.Segment{rent(8+i%4, seq)})
 				if i%4 == 3 {
 					seq += uint32(len(payload))
 				}
@@ -238,8 +238,8 @@ func TestDispatcherShutdownRaces(t *testing.T) {
 	}
 }
 
-// TestDispatcherHandleAfterClose: both entry points drop cleanly after
-// Close, releasing owned payloads.
+// TestDispatcherHandleAfterClose: HandleBatch drops cleanly after Close,
+// releasing owned payloads, for a one-segment and a longer batch.
 func TestDispatcherHandleAfterClose(t *testing.T) {
 	e, err := NewEngine(mixedRuleSet(), vpatch.Options{}, func(Alert) {})
 	if err != nil {
@@ -253,12 +253,16 @@ func TestDispatcherHandleAfterClose(t *testing.T) {
 	b := a.Rent(32)
 	seg := netsim.Segment{Flow: key(1, 80), Payload: b.Data()[:32]}
 	seg.SetOwned(b)
-	d.Handle(seg)
+	d.HandleBatch([]netsim.Segment{seg})
 
-	b2 := a.Rent(32)
-	seg2 := netsim.Segment{Flow: key(2, 80), Payload: b2.Data()[:32]}
-	seg2.SetOwned(b2)
-	d.HandleBatch([]netsim.Segment{seg2})
+	var batch []netsim.Segment
+	for f := 2; f < 5; f++ {
+		b := a.Rent(32)
+		seg := netsim.Segment{Flow: key(f, 80), Payload: b.Data()[:32]}
+		seg.SetOwned(b)
+		batch = append(batch, seg)
+	}
+	d.HandleBatch(batch)
 
 	d.FlushAll() // no-op, must not hang
 	if st := a.Stats(); st.InUse != 0 {

@@ -38,8 +38,6 @@ import (
 	"bytes"
 	"encoding/binary"
 	"math/bits"
-
-	"vpatch/internal/vec"
 )
 
 // Mode selects the skip primitive a scan loop should use.
@@ -115,23 +113,8 @@ type Table struct {
 	Union [1 << 10]uint64
 
 	// StartBytes is the 256-entry start-byte bitmap: bit b is set when
-	// some window starting with byte b is viable. SecondBytes is its
-	// counterpart for the windows' second byte.
-	StartBytes  [4]uint64
-	SecondBytes [4]uint64
-
-	// Pair is the Truffle descriptor of the (start-byte, second-byte)
-	// projection of the viable-window set, consumed by the SSSE3 kernel
-	// (vec.PairMask32). The pair classifier over-approximates window
-	// viability (it is the product of the two byte projections), so its
-	// survivors are confirmed against Union before queueing.
-	Pair vec.PairTabs
-
-	// PairDensity is the expected pass rate of the pair classifier on
-	// uniform traffic (start-byte density x second-byte density). When
-	// it is much higher than Density the SSSE3 kernel confirms too many
-	// false survivors to pay, and auto-selection keeps SWAR.
-	PairDensity float64
+	// some window starting with byte b is viable.
+	StartBytes [4]uint64
 
 	// Rare lists the viable start bytes when there are at most
 	// MaxRareBytes of them (ModeIndexByte); nil otherwise.
@@ -176,23 +159,13 @@ func BuildUnion(union *[1 << 10]uint64) *Table {
 		}
 		set += bits.OnesCount64(w)
 		t.StartBytes[k&3] |= w
-		second := k >> 2
-		t.SecondBytes[second>>6] |= 1 << (second & 63)
 	}
-	nBytes, nSecond := 0, 0
-	for b := 0; b < 256; b++ {
-		if t.ViableByte(byte(b)) {
-			nBytes++
-			t.Pair.SetMember(0, byte(b))
-		}
-		if t.SecondBytes[b>>6]&(1<<(b&63)) != 0 {
-			nSecond++
-			t.Pair.SetMember(32, byte(b))
-		}
+	nBytes := 0
+	for _, w := range t.StartBytes {
+		nBytes += bits.OnesCount64(w)
 	}
 	t.Density = float64(set) / (1 << 16)
 	t.ByteDensity = float64(nBytes) / 256
-	t.PairDensity = t.ByteDensity * float64(nSecond) / 256
 	t.nStartBytes = nBytes
 	switch {
 	case nBytes <= MaxRareBytes:

@@ -14,24 +14,14 @@ import (
 // size their bursts from Geometry exactly as they do for the SWAR pack
 // loop, so queue and governor bookkeeping are kernel-independent.
 
-// MaxPairDensity is the auto-selection break-even of the SSSE3 kernel:
-// its byte-pair classifier over-approximates window viability, and
-// every false survivor costs an exact-bitmap confirmation. Above this
-// expected pass rate on uniform traffic, SWAR's exact 5-per-load walk
-// wins and auto-selection keeps it.
-const MaxPairDensity = 0.25
-
 // Geometry returns kernel k's extract-loop geometry: block is the
 // positions classified per step (the queue can grow by block per
 // step), lookahead the bytes a step may read past its base position.
 // SWAR geometry (5-position packs over one 8-byte load) is the
 // default for any unknown kernel.
 func Geometry(k vec.KernelID) (block, lookahead int) {
-	switch k {
-	case vec.KernelAVX2:
+	if k == vec.KernelAVX2 {
 		return 64, vec.ViableLookahead
-	case vec.KernelSSSE3:
-		return 32, vec.PairLookahead
 	}
 	return 5, 8
 }
@@ -39,22 +29,17 @@ func Geometry(k vec.KernelID) (block, lookahead int) {
 // SelectKernel resolves the kernel a compiled engine should run its
 // extract loop with: a forced kernel when it is available on this host
 // (callers validate availability at the API boundary; an unavailable
-// force degrades to SWAR rather than crash), otherwise the best
-// profitable kernel — AVX2 whenever the host has it (its classifier is
-// exact, so density cannot hurt it), SSSE3 only while the pair
-// classifier stays selective, SWAR everywhere else.
-func (t *Table) SelectKernel(force vec.KernelID) vec.KernelID {
-	if force != vec.KernelAuto {
-		if vec.Available(force) {
-			return force
-		}
-		return vec.KernelSWAR
-	}
+// force degrades to SWAR rather than crash), otherwise vec.Best() —
+// AVX2 whenever the host has it (its classifier is exact, so no rule
+// set's density can hurt it), SWAR everywhere else. The choice depends
+// on the host alone, so what an auto-compiled engine runs is what
+// vpatch.ActiveKernel reports.
+func SelectKernel(force vec.KernelID) vec.KernelID {
 	switch {
-	case vec.Available(vec.KernelAVX2):
-		return vec.KernelAVX2
-	case vec.Available(vec.KernelSSSE3) && t.PairDensity <= MaxPairDensity:
-		return vec.KernelSSSE3
+	case force == vec.KernelAuto:
+		return vec.Best()
+	case vec.Available(force):
+		return force
 	}
 	return vec.KernelSWAR
 }
@@ -65,11 +50,8 @@ func (t *Table) SelectKernel(force vec.KernelID) vec.KernelID {
 // block*steps <= QueueLen-block-w, mirroring Extract's contract (which
 // handles the SWAR case).
 func (t *Table) ExtractKernel(k vec.KernelID, input []byte, i, limit int, q *[QueueLen]int32, w int) (int, int) {
-	switch k {
-	case vec.KernelAVX2:
+	if k == vec.KernelAVX2 {
 		return t.extractAVX2(input, i, limit, q, w)
-	case vec.KernelSSSE3:
-		return t.extractSSSE3(input, i, limit, q, w)
 	}
 	return t.Extract(input, i, limit, q, w)
 }
@@ -84,27 +66,6 @@ func (t *Table) extractAVX2(input []byte, i, limit int, q *[QueueLen]int32, w in
 		for ; m != 0; m &= m - 1 {
 			q[w&QueueMask] = int32(i + bits.TrailingZeros64(m))
 			w++
-		}
-	}
-	return i, w
-}
-
-// extractSSSE3 classifies 32 positions per assembly call with the
-// byte-pair tables, then confirms each survivor against the exact
-// union bitmap before queueing — the queue (and therefore the probe
-// chain, candidates, governor accounting) stays byte-exact with the
-// other kernels; only the classification cost model differs.
-func (t *Table) extractSSSE3(input []byte, i, limit int, q *[QueueLen]int32, w int) (int, int) {
-	u := &t.Union
-	for ; i <= limit; i += 32 {
-		m := vec.PairMask32(&input[i], &t.Pair)
-		for ; m != 0; m &= m - 1 {
-			p := i + bits.TrailingZeros32(m)
-			idx := uint32(input[p]) | uint32(input[p+1])<<8
-			if u[(idx>>6)&1023]&(1<<(idx&63)) != 0 {
-				q[w&QueueMask] = int32(p)
-				w++
-			}
 		}
 	}
 	return i, w

@@ -261,7 +261,7 @@ func (m *VPatch) fusedScanBatch(scr *Scratch, inputs [][]byte, c *metrics.Counte
 			if end > n {
 				end = n
 			}
-			m.fusedRangeMerged(scr, input, start, end, c, true)
+			m.fusedRange(scr, input, start, end, c, true)
 			scr.units = append(scr.units, batchUnit{
 				buf: int32(b), endShort: int32(len(scr.aShort)), endLong: int32(len(scr.aLong)),
 			})

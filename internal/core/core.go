@@ -106,6 +106,12 @@ type common struct {
 	accel   *accel.Table
 	noAccel bool
 
+	// split selects S-PATCH's probe chain (separate filter-1 and
+	// filter-2 lookups, Alg. 1) in the fused kernels instead of V-PATCH's
+	// merged-word fetch. It is the algorithm, not an option: NewSPatch
+	// and DecodeSPatch set it, nothing else does.
+	split bool
+
 	// kern is the extract-loop kernel resolved at compile/decode time
 	// by the CPUID dispatch (fused.go setKernel); kblock/klook cache
 	// its geometry for the burst arithmetic. Host state, never

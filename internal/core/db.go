@@ -63,6 +63,7 @@ func DecodeSPatch(d *dbfmt.Decoder, set *patterns.Set) (*SPatch, error) {
 	if err := d.Finish(); err != nil {
 		return nil, err
 	}
+	c.split = true
 	return &SPatch{common: c}, nil
 }
 

@@ -48,9 +48,14 @@ import (
 //     traffic is too dense for skipping to pay, so match-heavy input
 //     costs at most a few percent over the plain path.
 //
-// The V-PATCH (merged-filter word fetch) and S-PATCH (split filter-1/
-// filter-2 probes) renditions are kept textually parallel; they differ
-// only in the probe chain. Keep them in lockstep.
+// V-PATCH (merged-filter word fetch) and S-PATCH (split filter-1/
+// filter-2 probes) differ in the probe chain and in nothing else
+// (Alg. 2 vs Alg. 1), so the skip/burst/governor skeleton below exists
+// once. common.split — set from the algorithm at construction and
+// decode, never a knob — picks the rendition in plainRange and drain:
+// once per range or per queue drain (<= accel.QueueLen positions), never
+// per position. The probe bodies themselves (probe/plainRange/drain x
+// Merged/Split) stay separate straight-line code.
 
 // mergedWords returns the merged filter storage as a fixed-size array
 // pointer: the 2^16-bit direct-filter domain always interleaves into
@@ -83,14 +88,8 @@ func (m *common) buildAccel() {
 // kernels. The choice is host state, not compiled state — databases
 // never serialize it, so a .vpdb moved between hosts re-dispatches.
 func (m *common) setKernel(force vec.KernelID) {
-	k := vec.KernelSWAR
-	if m.accel != nil {
-		k = m.accel.SelectKernel(force)
-	} else if force != vec.KernelAuto && vec.Available(force) {
-		k = force
-	}
-	m.kern = k
-	m.kblock, m.klook = accel.Geometry(k)
+	m.kern = accel.SelectKernel(force)
+	m.kblock, m.klook = accel.Geometry(m.kern)
 }
 
 // KernelInfo reports the resolved extract kernel
@@ -197,11 +196,12 @@ func (m *common) probeSplit(scr *Scratch, input []byte, p int) {
 	}
 }
 
-// fusedRangeMerged is the V-PATCH fused filtering round over positions
-// [start, end): skip loop (when profitable), SWAR probe chain, scalar
-// tail for the final sub-window positions. Reads may extend up to 3
-// bytes past end (within input), exactly like the scalar algorithm.
-func (m *common) fusedRangeMerged(scr *Scratch, input []byte, start, end int, c *metrics.Counters, stores bool) {
+// fusedRange is the fused filtering round over positions [start, end):
+// skip loop (when profitable), SWAR probe chain, scalar tail for the
+// final sub-window positions. Reads may extend up to 3 bytes past end
+// (within input), exactly like the scalar algorithm. S-PATCH has no
+// no-store measurement mode and always passes stores=true.
+func (m *common) fusedRange(scr *Scratch, input []byte, start, end int, c *metrics.Counters, stores bool) {
 	n := len(input)
 	mainEnd := end
 	if n-3 < mainEnd {
@@ -213,16 +213,36 @@ func (m *common) fusedRangeMerged(scr *Scratch, input []byte, start, end int, c 
 	i := start
 	if m.accelOn() {
 		if m.accel.Mode() == accel.ModeIndexByte {
-			m.accelIndexRangeMerged(scr, input, i, mainEnd, c, stores)
+			m.accelIndexRange(scr, input, i, mainEnd, c, stores)
 		} else {
-			m.accelWindowRangeMerged(scr, input, i, mainEnd, c, stores)
+			m.accelWindowRange(scr, input, i, mainEnd, c, stores)
 		}
 	} else {
-		m.plainRangeMerged(scr, input, i, mainEnd, stores)
+		m.plainRange(scr, input, i, mainEnd, stores)
 	}
 	// Positions with fewer than 4 bytes left: scalar chain with guards.
 	for i = mainEnd; i < end; i++ {
 		m.scalarFilterPos(scr, input, i, n, nil)
+	}
+}
+
+// plainRange runs the engine's unaccelerated probe loop over [i, end),
+// end <= len(input)-3.
+func (m *common) plainRange(scr *Scratch, input []byte, i, end int, stores bool) {
+	if m.split {
+		m.plainRangeSplit(scr, input, i, end)
+	} else {
+		m.plainRangeMerged(scr, input, i, end, stores)
+	}
+}
+
+// drain replays queued viable positions through the engine's probe
+// chain, in position order.
+func (m *common) drain(scr *Scratch, input []byte, q []int32, stores bool) {
+	if m.split {
+		m.drainSplit(scr, input, q)
+	} else {
+		m.drainMerged(scr, input, q, stores)
 	}
 }
 
@@ -346,9 +366,9 @@ func (m *common) plainRangeMerged(scr *Scratch, input []byte, i, end int, stores
 	}
 }
 
-// accelWindowRangeMerged processes [start, mainEnd) with the branchless
-// window-bitmap skip: the resolved kernel (accel.ExtractKernel —
-// assembly classifiers on capable hosts, the SWAR pack loop otherwise)
+// accelWindowRange processes [start, mainEnd) with the branchless
+// window-bitmap skip: the resolved kernel (accel.ExtractKernel — the
+// AVX2 classifier on capable hosts, the SWAR pack loop otherwise)
 // compacts viable positions into the scratch queue, and the probe chain
 // drains it at the queue watermark. The loop runs in *bursts* sized so
 // that neither the queue (block stores per step) nor the governor
@@ -360,7 +380,7 @@ func (m *common) plainRangeMerged(scr *Scratch, input []byte, i, end int, stores
 // remainder with SWAR geometry over the same queue and governor state,
 // so short buffers and range tails cost exactly what they did before
 // the native kernels existed. mainEnd <= len(input)-3.
-func (m *common) accelWindowRangeMerged(scr *Scratch, input []byte, start, mainEnd int, c *metrics.Counters, stores bool) {
+func (m *common) accelWindowRange(scr *Scratch, input []byte, start, mainEnd int, c *metrics.Counters, stores bool) {
 	t := m.accel
 	q := &scr.aq
 	w := 0
@@ -382,7 +402,7 @@ func (m *common) accelWindowRangeMerged(scr *Scratch, input []byte, start, mainE
 			room := (accel.QueueLen - blk - w) / blk // blocks until possible overflow
 			if room == 0 {
 				drained += w
-				m.drainMerged(scr, input, q[:w], stores)
+				m.drain(scr, input, q[:w], stores)
 				w = 0
 				continue
 			}
@@ -399,7 +419,7 @@ func (m *common) accelWindowRangeMerged(scr *Scratch, input []byte, start, mainE
 			i, w = t.ExtractKernel(kern, input, i, limit, q, w)
 			if w >= accel.QueueLen-blk {
 				drained += w
-				m.drainMerged(scr, input, q[:w], stores)
+				m.drain(scr, input, q[:w], stores)
 				w = 0
 			}
 			if i >= checkAt {
@@ -410,13 +430,13 @@ func (m *common) accelWindowRangeMerged(scr *Scratch, input []byte, start, mainE
 				tally.span(drained+w-carry, i-spanStart, keep)
 				if !keep {
 					drained += w
-					m.drainMerged(scr, input, q[:w], stores)
+					m.drain(scr, input, q[:w], stores)
 					w = 0
 					plainEnd := i + accel.PlainBytes
 					if plainEnd > mainEnd {
 						plainEnd = mainEnd
 					}
-					m.plainRangeMerged(scr, input, i, plainEnd, stores)
+					m.plainRange(scr, input, i, plainEnd, stores)
 					i = plainEnd
 				}
 				spanStart = i
@@ -435,19 +455,18 @@ func (m *common) accelWindowRangeMerged(scr *Scratch, input []byte, start, mainE
 		tally.span(drained+w-carry, i-spanStart, accel.KeepAccel(drained+w, i-spanStart))
 	}
 	tally.addTo(c)
-	m.drainMerged(scr, input, q[:w], stores)
-	// Remainder: fewer than 8 loadable bytes left; probe per position.
-	for ; i < mainEnd; i++ {
-		m.probeMerged(scr, input, i, stores)
-	}
+	m.drain(scr, input, q[:w], stores)
+	// Remainder: fewer than 8 loadable bytes left, so plainRange has no
+	// full pack and probes per position.
+	m.plainRange(scr, input, i, mainEnd, stores)
 }
 
-// accelIndexRangeMerged processes [start, mainEnd) with bytes.IndexByte
+// accelIndexRange processes [start, mainEnd) with bytes.IndexByte
 // skipping over the rare start-byte list, with the same governor. Hits
 // funnel through the queue and the table-hoisted drain (position order
 // preserved) instead of paying per-position table setup.
 // mainEnd <= len(input)-3.
-func (m *common) accelIndexRangeMerged(scr *Scratch, input []byte, start, mainEnd int, c *metrics.Counters, stores bool) {
+func (m *common) accelIndexRange(scr *Scratch, input []byte, start, mainEnd int, c *metrics.Counters, stores bool) {
 	t := m.accel
 	q := &scr.aq
 	i := start
@@ -470,12 +489,12 @@ func (m *common) accelIndexRangeMerged(scr *Scratch, input []byte, start, mainEn
 			q[w&accel.QueueMask] = int32(i)
 			w++
 			if w >= accel.QueueLen {
-				m.drainMerged(scr, input, q[:w], stores)
+				m.drain(scr, input, q[:w], stores)
 				w = 0
 			}
 			i++
 		}
-		m.drainMerged(scr, input, q[:w], stores)
+		m.drain(scr, input, q[:w], stores)
 		keep := accel.KeepAccelIndex(viable, spanLen)
 		tally.span(viable, spanLen, keep)
 		if !keep {
@@ -483,7 +502,7 @@ func (m *common) accelIndexRangeMerged(scr *Scratch, input []byte, start, mainEn
 			if plainEnd > mainEnd {
 				plainEnd = mainEnd
 			}
-			m.plainRangeMerged(scr, input, i, plainEnd, stores)
+			m.plainRange(scr, input, i, plainEnd, stores)
 			i = plainEnd
 		}
 	}
@@ -525,36 +544,6 @@ func (m *common) drainMerged(scr *Scratch, input []byte, q []int32, stores bool)
 	}
 }
 
-// --- S-PATCH renditions (split filter-1/filter-2 probes) ---
-
-// fusedRangeSplit is the S-PATCH fused filtering round over [start,
-// end): the same skip/SWAR/tail structure as fusedRangeMerged with the
-// scalar algorithm's two separate filter probes. S-PATCH has no
-// no-store measurement mode, so candidates always store.
-func (m *common) fusedRangeSplit(scr *Scratch, input []byte, start, end int, c *metrics.Counters) {
-	n := len(input)
-	mainEnd := end
-	if n-3 < mainEnd {
-		mainEnd = n - 3
-	}
-	if mainEnd < start {
-		mainEnd = start
-	}
-	i := start
-	if m.accelOn() {
-		if m.accel.Mode() == accel.ModeIndexByte {
-			m.accelIndexRangeSplit(scr, input, i, mainEnd, c)
-		} else {
-			m.accelWindowRangeSplit(scr, input, i, mainEnd, c)
-		}
-	} else {
-		m.plainRangeSplit(scr, input, i, mainEnd)
-	}
-	for i = mainEnd; i < end; i++ {
-		m.scalarFilterPos(scr, input, i, n, nil)
-	}
-}
-
 // plainRangeSplit is the unaccelerated S-PATCH probe loop over [i, end),
 // end <= len(input)-3, with the same 5-windows-per-load SWAR structure
 // as plainRangeMerged.
@@ -588,124 +577,6 @@ func (m *common) plainRangeSplit(scr *Scratch, input []byte, i, end int) {
 	for ; i < end; i++ {
 		m.probeSplit(scr, input, i)
 	}
-}
-
-// accelWindowRangeSplit mirrors accelWindowRangeMerged for S-PATCH,
-// including the kernel dispatch and the SWAR finish pass.
-func (m *common) accelWindowRangeSplit(scr *Scratch, input []byte, start, mainEnd int, c *metrics.Counters) {
-	t := m.accel
-	q := &scr.aq
-	w := 0
-	i := start
-	checkAt := i + accel.SpanBytes
-	spanStart := i
-	drained := 0
-	carry := 0
-	var tally skipTally
-	kern, blk, look := m.kern, m.kblock, m.klook
-	for {
-		packEnd := mainEnd - blk
-		if lim := len(input) - look; lim < packEnd {
-			packEnd = lim
-		}
-		for i <= packEnd {
-			room := (accel.QueueLen - blk - w) / blk
-			if room == 0 {
-				drained += w
-				m.drainSplit(scr, input, q[:w])
-				w = 0
-				continue
-			}
-			limit := i + (room-1)*blk
-			if packEnd < limit {
-				limit = packEnd
-			}
-			if checkAt < limit {
-				limit = checkAt
-			}
-			i, w = t.ExtractKernel(kern, input, i, limit, q, w)
-			if w >= accel.QueueLen-blk {
-				drained += w
-				m.drainSplit(scr, input, q[:w])
-				w = 0
-			}
-			if i >= checkAt {
-				keep := accel.KeepAccel(drained+w, i-spanStart)
-				tally.span(drained+w-carry, i-spanStart, keep)
-				if !keep {
-					drained += w
-					m.drainSplit(scr, input, q[:w])
-					w = 0
-					plainEnd := i + accel.PlainBytes
-					if plainEnd > mainEnd {
-						plainEnd = mainEnd
-					}
-					m.plainRangeSplit(scr, input, i, plainEnd)
-					i = plainEnd
-				}
-				spanStart = i
-				drained = 0
-				carry = w
-				checkAt = i + accel.SpanBytes
-			}
-		}
-		if kern == vec.KernelSWAR {
-			break
-		}
-		kern, blk, look = vec.KernelSWAR, 5, 8
-	}
-	if i > spanStart {
-		tally.span(drained+w-carry, i-spanStart, accel.KeepAccel(drained+w, i-spanStart))
-	}
-	tally.addTo(c)
-	m.drainSplit(scr, input, q[:w])
-	for ; i < mainEnd; i++ {
-		m.probeSplit(scr, input, i)
-	}
-}
-
-// accelIndexRangeSplit mirrors accelIndexRangeMerged for S-PATCH.
-func (m *common) accelIndexRangeSplit(scr *Scratch, input []byte, start, mainEnd int, c *metrics.Counters) {
-	t := m.accel
-	q := &scr.aq
-	i := start
-	var tally skipTally
-	for i < mainEnd {
-		spanEnd := i + accel.SpanBytes
-		if spanEnd > mainEnd {
-			spanEnd = mainEnd
-		}
-		spanLen := spanEnd - i
-		viable := 0
-		w := 0
-		for i < spanEnd {
-			j := t.Next(input, i, spanEnd)
-			i = j
-			if i >= spanEnd {
-				break
-			}
-			viable++
-			q[w&accel.QueueMask] = int32(i)
-			w++
-			if w >= accel.QueueLen {
-				m.drainSplit(scr, input, q[:w])
-				w = 0
-			}
-			i++
-		}
-		m.drainSplit(scr, input, q[:w])
-		keep := accel.KeepAccelIndex(viable, spanLen)
-		tally.span(viable, spanLen, keep)
-		if !keep {
-			plainEnd := i + accel.PlainBytes
-			if plainEnd > mainEnd {
-				plainEnd = mainEnd
-			}
-			m.plainRangeSplit(scr, input, i, plainEnd)
-			i = plainEnd
-		}
-	}
-	tally.addTo(c)
 }
 
 // drainSplit replays queued viable positions through the S-PATCH probe

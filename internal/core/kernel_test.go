@@ -68,7 +68,7 @@ func TestPropertyKernelParity(t *testing.T) {
 		width := widths[uint64(seed)%uint64(len(widths))]
 		for _, set := range []*patterns.Set{genSet(seed), genBinarySet(seed)} {
 			// Dense 3-letter traffic and uniform random traffic; lengths
-			// sweep below the SSSE3/AVX2 lookaheads and past the chunk
+			// sweep below the AVX2 lookahead and past the chunk
 			// boundary arithmetic.
 			n := int(sizeRaw % 3000)
 			dense := genInput(seed, n)

@@ -45,6 +45,7 @@ type Options struct {
 func NewSPatch(set *patterns.Set, opt Options) *SPatch {
 	m := &SPatch{common: newCommon(set, opt.Filter3Log2Bits, opt.ChunkSize, opt.ForceKernel)}
 	m.noAccel = opt.NoAccel
+	m.split = true
 	return m
 }
 
@@ -107,7 +108,7 @@ func (m *SPatch) filterChunk(scr *Scratch, input []byte, start, end int, c *metr
 	scr.aShort = scr.aShort[:0]
 	scr.aLong = scr.aLong[:0]
 	if c == nil || !c.LaneExact {
-		m.fusedRangeSplit(scr, input, start, end, c)
+		m.fusedRange(scr, input, start, end, c, true)
 		m.recordCandidates(scr, c)
 		return
 	}

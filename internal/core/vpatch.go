@@ -211,7 +211,7 @@ func (m *VPatch) filterChunk(scr *Scratch, input []byte, start, end int, c *metr
 	scr.aShort = scr.aShort[:0]
 	scr.aLong = scr.aLong[:0]
 	if !m.laneExact(c) {
-		m.fusedRangeMerged(scr, input, start, end, c, stores)
+		m.fusedRange(scr, input, start, end, c, stores)
 		m.recordCandidates(scr, c)
 		return
 	}

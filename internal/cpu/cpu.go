@@ -1,23 +1,15 @@
 // Package cpu probes the host processor for the vector instruction-set
-// extensions the native filtering kernels need (internal/vec's amd64
+// extension the native filtering kernel needs (internal/vec's amd64
 // assembly). The probe runs once at init via CPUID/XGETBV on amd64; on
 // every other architecture the feature flags are constant false and the
 // engines stay on the portable SWAR kernels.
 //
-// The package deliberately mirrors the runtime's internal/cpu shape (a
-// handful of exported booleans, filled in by an arch-specific init)
-// instead of importing golang.org/x/sys/cpu: the engine needs exactly
-// two bits, and keeping the probe in-tree keeps the module free of
-// dependencies.
+// The package deliberately mirrors the runtime's internal/cpu shape
+// (exported booleans, filled in by an arch-specific init) instead of
+// importing golang.org/x/sys/cpu: the engine needs exactly one bit, and
+// keeping the probe in-tree keeps the module free of dependencies.
 package cpu
 
-var (
-	// HasAVX2 reports AVX2 support *and* operating-system YMM state
-	// saving (XGETBV), so kernels may execute 256-bit instructions.
-	HasAVX2 bool
-
-	// HasSSSE3 reports SSSE3 support (PSHUFB et al.). Baseline on every
-	// 64-bit x86 CPU since ~2006, but probed rather than assumed: GOAMD64
-	// defaults to v1, which guarantees only SSE2.
-	HasSSSE3 bool
-)
+// HasAVX2 reports AVX2 support *and* operating-system YMM state
+// saving (XGETBV), so kernels may execute 256-bit instructions.
+var HasAVX2 bool

@@ -9,7 +9,6 @@ func xgetbv() (eax, edx uint32)
 
 const (
 	// CPUID.1:ECX bits.
-	cpuidSSSE3   = 1 << 9
 	cpuidOSXSAVE = 1 << 27
 	cpuidAVX     = 1 << 28
 	// CPUID.(7,0):EBX bits.
@@ -25,7 +24,6 @@ func init() {
 		return
 	}
 	_, _, ecx1, _ := cpuid(1, 0)
-	HasSSSE3 = ecx1&cpuidSSSE3 != 0
 
 	// AVX2 needs the CPU feature bit, AVX, and the OS actually saving
 	// YMM state across context switches (OSXSAVE + XCR0 SSE|AVX bits).

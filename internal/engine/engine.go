@@ -72,8 +72,8 @@ type AccelReporter interface {
 // KernelReporter is implemented by engines whose filtering round
 // dispatches to a CPU-specific extract kernel (S-PATCH, V-PATCH). It
 // reports the kernel resolved at Compile/Deserialize time ("avx2",
-// "ssse3", "swar"); the public Engine.Info and the serve daemon's
-// /metrics surface it.
+// "swar"); the public Engine.Info and the serve daemon's /metrics
+// surface it.
 type KernelReporter interface {
 	KernelInfo() string
 }

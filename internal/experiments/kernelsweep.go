@@ -19,12 +19,11 @@ import (
 // reports filtering-round and full-scan wall-clock throughput plus the
 // speedup over the SWAR reference kernel on the same traffic. This is
 // the paper's §VI claim (the filtering round maps onto hardware
-// gather/shuffle/movemask) measured directly, and the quantity the CI
-// bench gate pins.
+// gather/shuffle/movemask) measured directly.
 
 // KernelSweepRow is one (kernel, traffic) cell.
 type KernelSweepRow struct {
-	// Kernel is the resolved extract kernel ("avx2", "ssse3", "swar").
+	// Kernel is the resolved extract kernel ("avx2", "swar").
 	Kernel string `json:"kernel"`
 	// Traffic names the input: "clean-random" or "iscx-day2".
 	Traffic string `json:"traffic"`

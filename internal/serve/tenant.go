@@ -130,8 +130,6 @@ type Tenant struct {
 
 	alerts   atomic.Uint64 // flow alerts delivered
 	rejected atomic.Uint64 // quota rejections (429s)
-	ruleMu   sync.Mutex
-	perRule  map[int32]uint64
 
 	// httpScan accumulates one-shot ScanBuffer instrumentation
 	// (request-scoped scratch folded in after each scan).
@@ -170,11 +168,10 @@ type generation struct {
 
 func (s *Server) newTenant(name string, cfg TenantConfig) *Tenant {
 	t := &Tenant{
-		name:    name,
-		cfg:     cfg,
-		srv:     s,
-		perRule: make(map[int32]uint64),
-		live:    make(map[*generation]struct{}),
+		name: name,
+		cfg:  cfg,
+		srv:  s,
+		live: make(map[*generation]struct{}),
 	}
 	if cfg.QuotaBytesPerSec > 0 {
 		burst := cfg.QuotaBurstBytes
@@ -285,17 +282,9 @@ func (g *generation) finalize() {
 }
 
 // onAlert is the tenant's alert sink, called concurrently from the
-// dispatcher's worker goroutines. Rule-conditioned databases tally per
-// rule; literal databases per pattern.
+// dispatcher's worker goroutines.
 func (t *Tenant) onAlert(gen uint64, eng *ids.Engine, a ids.Alert) {
 	t.alerts.Add(1)
-	id := a.PatternID
-	if a.RuleID >= 0 {
-		id = a.RuleID
-	}
-	t.ruleMu.Lock()
-	t.perRule[id]++
-	t.ruleMu.Unlock()
 	t.srv.alertHub.publish(alertRecord(t.name, gen, eng, a))
 	if fn := t.srv.cfg.OnAlert; fn != nil {
 		fn(t.name, gen, a)

@@ -22,10 +22,6 @@ import (
 //     each window's bit into the sign position and VMOVMSKPS extracts
 //     the survivor mask (paper §IV-B's gather/shuffle/movemask recipe
 //     applied to the skip loop, where the cycles actually go).
-//   - KernelSSSE3 (32 positions/call): no gathers before AVX2, so the
-//     16-lane fallback classifies the (first,second) byte pair with
-//     Hyperscan-Truffle-style dual PSHUFB set membership; survivors
-//     are confirmed against the exact window bitmap scalar-side.
 //   - KernelSWAR: the portable fused path (accel.Table.Extract and the
 //     5-positions-per-load probe loops) — always available, byte-exact
 //     on every architecture, and the reference oracle the assembly is
@@ -46,8 +42,6 @@ const (
 	// KernelSWAR is the portable fused path (5 positions per 8-byte
 	// load). Always available; the reference oracle.
 	KernelSWAR
-	// KernelSSSE3 is the 16-lane PSHUFB byte-pair classifier.
-	KernelSSSE3
 	// KernelAVX2 is the 32-lane (two 8-dword pipelines per iteration)
 	// shuffle+gather+movemask classifier.
 	KernelAVX2
@@ -59,15 +53,13 @@ func (k KernelID) String() string {
 		return "auto"
 	case KernelSWAR:
 		return "swar"
-	case KernelSSSE3:
-		return "ssse3"
 	case KernelAVX2:
 		return "avx2"
 	}
 	return fmt.Sprintf("kernel(%d)", uint8(k))
 }
 
-// ParseKernel resolves a kernel name ("auto", "swar", "ssse3", "avx2"),
+// ParseKernel resolves a kernel name ("auto", "swar", "avx2"),
 // case-insensitively.
 func ParseKernel(name string) (KernelID, error) {
 	switch strings.ToLower(strings.TrimSpace(name)) {
@@ -75,12 +67,10 @@ func ParseKernel(name string) (KernelID, error) {
 		return KernelAuto, nil
 	case "swar", "portable", "fused":
 		return KernelSWAR, nil
-	case "ssse3", "sse":
-		return KernelSSSE3, nil
 	case "avx2", "avx":
 		return KernelAVX2, nil
 	}
-	return 0, fmt.Errorf("unknown kernel %q (want auto, swar, ssse3 or avx2)", name)
+	return 0, fmt.Errorf("unknown kernel %q (want auto, swar or avx2)", name)
 }
 
 // Available reports whether kernel k can run on this host and build
@@ -89,8 +79,6 @@ func Available(k KernelID) bool {
 	switch k {
 	case KernelAuto, KernelSWAR:
 		return true
-	case KernelSSSE3:
-		return hasSSSE3Kernel
 	case KernelAVX2:
 		return hasAVX2Kernel
 	}
@@ -100,11 +88,8 @@ func Available(k KernelID) bool {
 // Best returns the fastest kernel available on this host: the value
 // KernelAuto resolves to.
 func Best() KernelID {
-	switch {
-	case hasAVX2Kernel:
+	if hasAVX2Kernel {
 		return KernelAVX2
-	case hasSSSE3Kernel:
-		return KernelSSSE3
 	}
 	return KernelSWAR
 }
@@ -112,9 +97,6 @@ func Best() KernelID {
 // Kernels lists the kernels available on this host, SWAR first.
 func Kernels() []KernelID {
 	ks := []KernelID{KernelSWAR}
-	if hasSSSE3Kernel {
-		ks = append(ks, KernelSSSE3)
-	}
 	if hasAVX2Kernel {
 		ks = append(ks, KernelAVX2)
 	}
@@ -138,50 +120,3 @@ func ViableMask64Ref(input []byte, at int, bitmap *[1024]uint64) uint64 {
 // ViableLookahead is the bytes ViableMask64 may read past its base
 // position: eight 16-byte loads at offsets 0,8,...,56.
 const ViableLookahead = 72
-
-// PairTabs is the Truffle table block PairMask32 consumes: two
-// 32-byte dual-PSHUFB set descriptors (bytes 0..31 the first-byte set,
-// 32..63 the second-byte set). Within each descriptor, tbl1 (bytes
-// 0..15, indexed by the low nibble, one bit per high nibble 0..7) and
-// tbl2 (bytes 16..31, high nibbles 8..15).
-type PairTabs [64]byte
-
-// SetMember adds byte b to the descriptor at off (0 or 32).
-func (t *PairTabs) SetMember(off int, b byte) {
-	lo, hi := b&15, b>>4
-	if hi < 8 {
-		t[off+int(lo)] |= 1 << hi
-	} else {
-		t[off+16+int(lo)] |= 1 << (hi - 8)
-	}
-}
-
-// Member reports whether b is in the descriptor at off.
-func (t *PairTabs) Member(off int, b byte) bool {
-	lo, hi := b&15, b>>4
-	var sel1, sel2 byte
-	if hi < 8 {
-		sel1 = 1 << hi
-	} else {
-		sel2 = 1 << (hi - 8)
-	}
-	return t[off+int(lo)]&sel1|t[off+16+int(lo)]&sel2 != 0
-}
-
-// PairMask32Ref is the portable reference for PairMask32: bit j is set
-// when input[at+j] is in the first-byte set and input[at+j+1] in the
-// second-byte set. Callers must guarantee at+PairLookahead <=
-// len(input), the same contract as the assembly.
-func PairMask32Ref(input []byte, at int, tabs *PairTabs) uint32 {
-	var m uint32
-	for j := 0; j < 32; j++ {
-		if tabs.Member(0, input[at+j]) && tabs.Member(32, input[at+j+1]) {
-			m |= 1 << j
-		}
-	}
-	return m
-}
-
-// PairLookahead is the bytes PairMask32 may read past its base
-// position: two 16-byte loads each at offsets 0 and 1 of each half.
-const PairLookahead = 33

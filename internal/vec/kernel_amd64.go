@@ -4,13 +4,10 @@ package vec
 
 import "vpatch/internal/cpu"
 
-// The assembly entry points only execute after their CPUID gate: the
-// accel selection logic (accel.SelectKernel via Available) never
-// chooses a kernel the host cannot run.
-var (
-	hasAVX2Kernel  = cpu.HasAVX2
-	hasSSSE3Kernel = cpu.HasSSSE3
-)
+// The assembly entry point only executes after its CPUID gate: the
+// selection logic (accel.SelectKernel via Available) never chooses a
+// kernel the host cannot run.
+var hasAVX2Kernel = cpu.HasAVX2
 
 // ViableMask64 classifies the 64 positions p[0..63] against the 2^16-bit
 // window-viability bitmap: bit j of the result is set when the
@@ -19,11 +16,3 @@ var (
 //
 //go:noescape
 func ViableMask64(p *byte, bitmap *uint64) uint64
-
-// PairMask32 classifies the 32 positions p[0..31] against the PairTabs
-// byte-pair descriptor: bit j is set when p[j] is in the first-byte set
-// and p[j+1] in the second-byte set. Reads p[0..32] (PairLookahead).
-// SSSE3.
-//
-//go:noescape
-func PairMask32(p *byte, tabs *PairTabs) uint32

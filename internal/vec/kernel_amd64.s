@@ -2,10 +2,10 @@
 
 #include "textflag.h"
 
-// Native filtering-round classifiers (see kernel.go for the contracts).
-// Both routines are leaf NOSPLIT functions over caller-pinned memory:
-// //go:noescape keeps the input buffer and tables off the heap-escape
-// path, and neither touches the stack guard.
+// Native filtering-round classifier (see kernel.go for the contract).
+// A leaf NOSPLIT function over caller-pinned memory: //go:noescape
+// keeps the input buffer and bitmap off the heap-escape path, and it
+// does not touch the stack guard.
 
 // shufWin expands a 16-byte load into eight 2-byte sliding windows:
 // byte pairs (0,1) (1,2) ... (7,8) land in the eight 16-bit lanes.
@@ -18,22 +18,6 @@ GLOBL shufWin<>(SB), RODATA|NOPTR, $16
 // word left by shamt moves window w's bit into the dword sign bit.
 DATA const31<>+0(SB)/4, $31
 GLOBL const31<>(SB), RODATA|NOPTR, $4
-
-// nibMask splits bytes into nibbles for the Truffle tables.
-DATA nibMask<>+0(SB)/8, $0x0f0f0f0f0f0f0f0f
-DATA nibMask<>+8(SB)/8, $0x0f0f0f0f0f0f0f0f
-GLOBL nibMask<>(SB), RODATA|NOPTR, $16
-
-// bitselLo/bitselHi select the high-nibble bit of each Truffle table:
-// bitselLo[h] = 1<<h for h in 0..7 (0 above), bitselHi[h] = 1<<(h-8)
-// for h in 8..15 (0 below).
-DATA bitselLo<>+0(SB)/8, $0x8040201008040201
-DATA bitselLo<>+8(SB)/8, $0x0000000000000000
-GLOBL bitselLo<>(SB), RODATA|NOPTR, $16
-
-DATA bitselHi<>+0(SB)/8, $0x0000000000000000
-DATA bitselHi<>+8(SB)/8, $0x8040201008040201
-GLOBL bitselHi<>(SB), RODATA|NOPTR, $16
 
 // func ViableMask64(p *byte, bitmap *uint64) uint64
 //
@@ -70,75 +54,4 @@ avx2_group:
 
 	VZEROUPPER
 	MOVQ R9, ret+16(FP)
-	RET
-
-// func PairMask32(p *byte, tabs *PairTabs) uint32
-//
-// Two blocks of sixteen positions. Per block, Truffle-style exact set
-// membership for the first byte (tables tabs[0:32]) and the second
-// byte (tables tabs[32:64]): res = (tbl1[lo] & bitselLo[hi]) |
-// (tbl2[lo] & bitselHi[hi]) is nonzero iff the byte is in the set.
-// Zero-compare + PMOVMSKB gives the complement mask per set; the final
-// block mask is ~(z1|z2). SSE PSHUFB is two-operand (the table operand
-// is destroyed), so tables reload from L1 per use.
-TEXT ·PairMask32(SB), NOSPLIT, $0-20
-	MOVQ  p+0(FP), SI
-	MOVQ  tabs+8(FP), DX
-	MOVOU nibMask<>(SB), X6
-	PXOR  X5, X5
-	XORQ  R9, R9  // result accumulator
-	XORQ  R10, R10 // block byte offset == result shift (16 per block)
-
-ssse3_block:
-	// First-byte membership: zero mask -> AX.
-	MOVOU (SI)(R10*1), X0
-	MOVOU X0, X1
-	PAND  X6, X1            // lo nibbles
-	PSRLW $4, X0
-	PAND  X6, X0            // hi nibbles
-	MOVOU (DX), X3          // first tbl1
-	PSHUFB X1, X3
-	MOVOU bitselLo<>(SB), X4
-	PSHUFB X0, X4
-	PAND  X3, X4
-	MOVOU 16(DX), X3        // first tbl2
-	PSHUFB X1, X3
-	MOVOU bitselHi<>(SB), X7
-	PSHUFB X0, X7
-	PAND  X3, X7
-	POR   X7, X4            // res1
-	PCMPEQB X5, X4          // bytes: res1 == 0
-	PMOVMSKB X4, AX
-
-	// Second-byte membership (input shifted one byte): zero mask -> BX.
-	MOVOU 1(SI)(R10*1), X0
-	MOVOU X0, X1
-	PAND  X6, X1
-	PSRLW $4, X0
-	PAND  X6, X0
-	MOVOU 32(DX), X3        // second tbl1
-	PSHUFB X1, X3
-	MOVOU bitselLo<>(SB), X4
-	PSHUFB X0, X4
-	PAND  X3, X4
-	MOVOU 48(DX), X3        // second tbl2
-	PSHUFB X1, X3
-	MOVOU bitselHi<>(SB), X7
-	PSHUFB X0, X7
-	PAND  X3, X7
-	POR   X7, X4            // res2
-	PCMPEQB X5, X4          // bytes: res2 == 0
-	PMOVMSKB X4, BX
-
-	ORL   BX, AX
-	NOTL  AX
-	ANDL  $0xffff, AX
-	MOVQ  R10, CX
-	SHLQ  CX, AX
-	ORQ   AX, R9
-	ADDQ  $16, R10
-	CMPQ  R10, $32
-	JNE   ssse3_block
-
-	MOVL R9, ret+16(FP)
 	RET

@@ -6,23 +6,14 @@ import "unsafe"
 
 // Without the amd64 assembly (foreign architecture or the purego build
 // tag) no native kernel is available and dispatch resolves to SWAR; the
-// entry points below keep the package API identical so callers need no
-// build tags of their own. They are correct (they mirror the Ref
-// functions) but not fast — nothing selects them when hasAsm is false.
-var (
-	hasAVX2Kernel  = false
-	hasSSSE3Kernel = false
-)
+// entry point below keeps the package API identical so callers need no
+// build tags of their own. It is correct (it mirrors ViableMask64Ref)
+// but not fast — nothing selects it while hasAVX2Kernel is false.
+var hasAVX2Kernel = false
 
 // ViableMask64 is the pure-Go stand-in for the AVX2 classifier.
 func ViableMask64(p *byte, bitmap *uint64) uint64 {
 	in := unsafe.Slice(p, ViableLookahead)
 	bm := (*[1024]uint64)(unsafe.Pointer(bitmap))
 	return ViableMask64Ref(in, 0, bm)
-}
-
-// PairMask32 is the pure-Go stand-in for the SSSE3 classifier.
-func PairMask32(p *byte, tabs *PairTabs) uint32 {
-	in := unsafe.Slice(p, PairLookahead)
-	return PairMask32Ref(in, 0, tabs)
 }

@@ -77,7 +77,7 @@ func TestParallelEdgeCases(t *testing.T) {
 func TestCountParallel(t *testing.T) {
 	set := patterns.GenerateS1(9).Subset(80, 1)
 	input := traffic.Synthesize(traffic.ISCXDay6, 32<<10, 5, set)
-	m, _ := New(set, Options{})
+	m, _ := newSession(set, Options{})
 	want := Count(m, input)
 	for _, workers := range []int{1, 4, 9} {
 		got, err := CountParallel(set, input, Options{}, workers)

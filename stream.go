@@ -69,25 +69,6 @@ func (s *Session) NewStreamScanner(emit StreamEmitFunc) (*StreamScanner, error) 
 	return newStreamScanner(s.Scan, s.eng.set, emit)
 }
 
-// NewStreamScanner wraps a Matcher for chunked scanning: a thin adapter
-// over the Engine/Session constructors, kept so code written against
-// the Matcher interface still compiles. The adapter narrows stream
-// offsets to Match's int32 — past 2 GiB of stream they wrap.
-//
-// Deprecated: use Engine.NewStreamScanner or Session.NewStreamScanner,
-// whose StreamEmitFunc carries full 64-bit offsets.
-func NewStreamScanner(m Matcher, emit EmitFunc) (*StreamScanner, error) {
-	if m == nil {
-		return nil, fmt.Errorf("vpatch: nil matcher")
-	}
-	if emit == nil {
-		return nil, fmt.Errorf("vpatch: nil emit func")
-	}
-	return newStreamScanner(m.Scan, m.Set(), func(sm StreamMatch) {
-		emit(Match{PatternID: sm.PatternID, Pos: int32(sm.Pos)})
-	})
-}
-
 // Write feeds the next chunk of the stream. It may be called with chunks
 // of any size, including empty ones.
 func (s *StreamScanner) Write(chunk []byte) (int, error) {

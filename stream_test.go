@@ -8,10 +8,12 @@ import (
 	"vpatch/internal/traffic"
 )
 
-func collectStream(t *testing.T, m Matcher, chunks [][]byte) []Match {
+func collectStream(t *testing.T, m *Session, chunks [][]byte) []Match {
 	t.Helper()
 	var out []Match
-	s, err := NewStreamScanner(m, func(mm Match) { out = append(out, mm) })
+	s, err := m.NewStreamScanner(func(sm StreamMatch) {
+		out = append(out, Match{PatternID: sm.PatternID, Pos: int32(sm.Pos)})
+	})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -25,18 +27,20 @@ func collectStream(t *testing.T, m Matcher, chunks [][]byte) []Match {
 }
 
 func TestStreamConstructorErrors(t *testing.T) {
-	m, _ := New(PatternSetFromStrings("ab"), Options{})
-	if _, err := NewStreamScanner(nil, func(Match) {}); err == nil {
-		t.Fatal("nil matcher accepted")
+	eng, err := Compile(PatternSetFromStrings("ab"), Options{})
+	if err != nil {
+		t.Fatal(err)
 	}
-	if _, err := NewStreamScanner(m, nil); err == nil {
-		t.Fatal("nil emit accepted")
+	if _, err := eng.NewStreamScanner(nil); err == nil {
+		t.Fatal("Engine constructor accepted nil emit")
+	}
+	if _, err := eng.NewSession().NewStreamScanner(nil); err == nil {
+		t.Fatal("Session constructor accepted nil emit")
 	}
 }
 
 // TestStreamEngineAndSessionConstructors: the Engine- and
-// Session-backed constructors must behave identically to the deprecated
-// Matcher wrapper, including the nil-emit error.
+// Session-backed constructors must report what a whole-input scan does.
 func TestStreamEngineAndSessionConstructors(t *testing.T) {
 	set := PatternSetFromStrings("chunk-spanning-pattern", "GET")
 	input := []byte("x GET chunk-spanning-pattern and GETchunk-spanning-pattern!")
@@ -47,13 +51,6 @@ func TestStreamEngineAndSessionConstructors(t *testing.T) {
 	want := eng.FindAll(input)
 	if len(want) == 0 {
 		t.Fatal("test needs matches")
-	}
-
-	if _, err := eng.NewStreamScanner(nil); err == nil {
-		t.Fatal("Engine constructor accepted nil emit")
-	}
-	if _, err := eng.NewSession().NewStreamScanner(nil); err == nil {
-		t.Fatal("Session constructor accepted nil emit")
 	}
 
 	for name, mk := range map[string]func(StreamEmitFunc) (*StreamScanner, error){
@@ -84,7 +81,7 @@ func TestStreamEngineAndSessionConstructors(t *testing.T) {
 func TestStreamMatchesWholeInputScan(t *testing.T) {
 	set := PatternSetFromStrings("chunk-spanning-pattern", "GET", "ab")
 	input := []byte("ab GET chunk-spanning-pattern GET abchunk-spanning-patternab")
-	m, _ := New(set, Options{})
+	m, _ := newSession(set, Options{})
 	want, _ := FindAll(set, input, Options{})
 
 	// Split so the long pattern straddles every boundary.
@@ -100,7 +97,7 @@ func TestStreamMatchesWholeInputScan(t *testing.T) {
 func TestStreamByteAtATime(t *testing.T) {
 	set := PatternSetFromStrings("abc", "cab")
 	input := []byte("abcabcababcab")
-	m, _ := New(set, Options{})
+	m, _ := newSession(set, Options{})
 	want, _ := FindAll(set, input, Options{})
 	var chunks [][]byte
 	for i := range input {
@@ -116,7 +113,7 @@ func TestStreamNoDuplicatesWithinCarry(t *testing.T) {
 	// A match entirely inside the carry region must not be re-reported
 	// when the next chunk arrives.
 	set := PatternSetFromStrings("abcdefgh", "cd")
-	m, _ := New(set, Options{})
+	m, _ := newSession(set, Options{})
 	input := []byte("xxcdxxxxyyyy")
 	chunks := [][]byte{input[:6], input[6:9], input[9:]}
 	got := collectStream(t, m, chunks)
@@ -130,7 +127,7 @@ func TestStreamRandomSplitsEqualWholeScan(t *testing.T) {
 	rng := rand.New(rand.NewSource(11))
 	set := patterns.GenerateS1(3).Subset(60, 2)
 	input := traffic.Synthesize(traffic.ISCXDay6, 16<<10, 4, set)
-	m, _ := New(set, Options{})
+	m, _ := newSession(set, Options{})
 	want, _ := FindAll(set, input, Options{})
 	for trial := 0; trial < 5; trial++ {
 		var chunks [][]byte
@@ -151,9 +148,9 @@ func TestStreamRandomSplitsEqualWholeScan(t *testing.T) {
 
 func TestStreamAbsoluteOffsets(t *testing.T) {
 	set := PatternSetFromStrings("zz")
-	m, _ := New(set, Options{})
-	var got []Match
-	s, _ := NewStreamScanner(m, func(mm Match) { got = append(got, mm) })
+	m, _ := newSession(set, Options{})
+	var got []StreamMatch
+	s, _ := m.NewStreamScanner(func(sm StreamMatch) { got = append(got, sm) })
 	s.Write([]byte("aaaa"))   // offsets 0-3
 	s.Write([]byte("zz"))     // offsets 4-5
 	s.Write([]byte("aazzaa")) // zz at 8
@@ -202,8 +199,8 @@ func TestStream64BitOffsetsPast2GiB(t *testing.T) {
 }
 
 func TestStreamEmptyWrites(t *testing.T) {
-	m, _ := New(PatternSetFromStrings("ab"), Options{})
-	s, _ := NewStreamScanner(m, func(Match) {})
+	m, _ := newSession(PatternSetFromStrings("ab"), Options{})
+	s, _ := m.NewStreamScanner(func(StreamMatch) {})
 	if n, err := s.Write(nil); n != 0 || err != nil {
 		t.Fatal("empty write must be a no-op")
 	}
@@ -211,9 +208,9 @@ func TestStreamEmptyWrites(t *testing.T) {
 
 func TestStreamReset(t *testing.T) {
 	set := PatternSetFromStrings("ab")
-	m, _ := New(set, Options{})
-	var got []Match
-	s, _ := NewStreamScanner(m, func(mm Match) { got = append(got, mm) })
+	m, _ := newSession(set, Options{})
+	var got []StreamMatch
+	s, _ := m.NewStreamScanner(func(sm StreamMatch) { got = append(got, sm) })
 	s.Write([]byte("a"))
 	s.Reset()
 	s.Write([]byte("b")) // must NOT combine with the pre-reset "a"
@@ -231,9 +228,9 @@ func TestStreamReset(t *testing.T) {
 
 func TestStreamCallerMayReuseChunkBuffer(t *testing.T) {
 	set := PatternSetFromStrings("abcd")
-	m, _ := New(set, Options{})
-	var got []Match
-	s, _ := NewStreamScanner(m, func(mm Match) { got = append(got, mm) })
+	m, _ := newSession(set, Options{})
+	var got []StreamMatch
+	s, _ := m.NewStreamScanner(func(sm StreamMatch) { got = append(got, sm) })
 	buf := make([]byte, 2)
 	copy(buf, "ab")
 	s.Write(buf)
@@ -249,7 +246,7 @@ func TestStreamAllAlgorithms(t *testing.T) {
 	input := []byte("x GE span-this GE span-this")
 	want, _ := FindAll(set, input, Options{})
 	for _, alg := range allAlgorithms {
-		m, err := New(set, Options{Algorithm: alg})
+		m, err := newSession(set, Options{Algorithm: alg})
 		if err != nil {
 			t.Fatal(err)
 		}

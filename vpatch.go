@@ -210,14 +210,12 @@ const (
 	// architecture, and the reference oracle the assembly kernels are
 	// property-tested against.
 	KernelSWAR = vec.KernelSWAR
-	// KernelSSSE3 is the 16-lane PSHUFB byte-pair classifier (amd64).
-	KernelSSSE3 = vec.KernelSSSE3
 	// KernelAVX2 is the 32-lane shuffle/gather/movemask classifier
 	// (amd64), the paper's §IV-B instruction recipe in hardware.
 	KernelAVX2 = vec.KernelAVX2
 )
 
-// ParseKernel resolves a kernel name ("auto", "swar", "ssse3", "avx2"),
+// ParseKernel resolves a kernel name ("auto", "swar", "avx2"),
 // case-insensitively. The inverse of Kernel.String.
 func ParseKernel(name string) (Kernel, error) {
 	k, err := vec.ParseKernel(name)
@@ -265,10 +263,10 @@ type Options struct {
 	NoAccel bool
 	// ForceKernel pins the filtering engines' extract kernel instead of
 	// the CPUID auto-dispatch: KernelSWAR forces the portable reference
-	// path, KernelAVX2/KernelSSSE3 the native classifiers. Compile
-	// fails when the host cannot run the forced kernel. Ignored by
-	// engines without the kernel dispatch (DFC, Aho-Corasick, ...), and
-	// never serialized — a database re-dispatches on the loading host.
+	// path, KernelAVX2 the native classifier. Compile fails when the
+	// host cannot run the forced kernel. Ignored by engines without the
+	// kernel dispatch (DFC, Aho-Corasick, ...), and never serialized — a
+	// database re-dispatches on the loading host.
 	ForceKernel Kernel
 }
 
@@ -392,8 +390,7 @@ func (e *Engine) FindAll(input []byte) []Match {
 // shared immutable Engine. The zero value is not usable; obtain Sessions
 // from Engine.NewSession.
 //
-// A Session is safe for repeated use from one goroutine at a time and
-// implements Matcher.
+// A Session is safe for repeated use from one goroutine at a time.
 type Session struct {
 	eng     *Engine
 	scratch engine.Scratch
@@ -415,42 +412,6 @@ func (s *Session) Algorithm() Algorithm { return s.eng.alg }
 // Set returns the compiled pattern set.
 func (s *Session) Set() *PatternSet { return s.eng.set }
 
-// Matcher is the original single-goroutine scanning surface, kept so
-// code written against the seed API still compiles. Both *Engine and
-// *Session implement it.
-//
-// Deprecated: use Compile to obtain an *Engine (goroutine-safe) and
-// Engine.NewSession for per-goroutine scanning.
-type Matcher interface {
-	// Scan reports every occurrence of every pattern in input, in
-	// nondecreasing start-offset order per pattern class. c and emit may
-	// be nil; counters accumulate across calls.
-	Scan(input []byte, c *Counters, emit EmitFunc)
-	// Algorithm returns the engine behind this matcher.
-	Algorithm() Algorithm
-	// Set returns the compiled pattern set.
-	Set() *PatternSet
-}
-
-var (
-	_ Matcher = (*Engine)(nil)
-	_ Matcher = (*Session)(nil)
-)
-
-// New compiles a pattern set into a Matcher: a thin adapter returning
-// Compile(set, opt).NewSession().
-//
-// Deprecated: use Compile. The returned Matcher is a single *Session —
-// like the seed's matchers it must not be shared across goroutines,
-// whereas the *Engine behind Compile may be.
-func New(set *PatternSet, opt Options) (Matcher, error) {
-	e, err := Compile(set, opt)
-	if err != nil {
-		return nil, err
-	}
-	return e.NewSession(), nil
-}
-
 // FindAll is a convenience helper: compile-and-scan in one call,
 // returning all matches sorted by (offset, pattern ID). For repeated
 // scans, compile once with Compile instead.
@@ -462,10 +423,13 @@ func FindAll(set *PatternSet, input []byte, opt Options) ([]Match, error) {
 	return e.FindAll(input), nil
 }
 
-// Count scans input and returns only the number of matches. It scans
-// un-instrumented (nil counters), so engines take their fastest path.
-func Count(m Matcher, input []byte) uint64 {
+// Count scans input with an *Engine or a *Session and returns only the
+// number of matches. It scans un-instrumented (nil counters), so engines
+// take their fastest path.
+func Count(s interface {
+	Scan([]byte, *Counters, EmitFunc)
+}, input []byte) uint64 {
 	var n uint64
-	m.Scan(input, nil, func(Match) { n++ })
+	s.Scan(input, nil, func(Match) { n++ })
 	return n
 }

@@ -12,14 +12,24 @@ var allAlgorithms = []Algorithm{
 	AlgoVPatch, AlgoSPatch, AlgoDFC, AlgoVectorDFC, AlgoAhoCorasick, AlgoWuManber, AlgoFFBF,
 }
 
+// newSession compiles set and opens one scanning session on the engine:
+// what the single-goroutine tests below scan with.
+func newSession(set *PatternSet, opt Options) (*Session, error) {
+	e, err := Compile(set, opt)
+	if err != nil {
+		return nil, err
+	}
+	return e.NewSession(), nil
+}
+
 func TestNewRejectsBadInputs(t *testing.T) {
-	if _, err := New(nil, Options{}); err == nil {
+	if _, err := Compile(nil, Options{}); err == nil {
 		t.Fatal("nil set accepted")
 	}
-	if _, err := New(NewPatternSet(), Options{VectorWidth: 5}); err == nil {
+	if _, err := Compile(NewPatternSet(), Options{VectorWidth: 5}); err == nil {
 		t.Fatal("width 5 accepted")
 	}
-	if _, err := New(NewPatternSet(), Options{Algorithm: Algorithm(42)}); err == nil {
+	if _, err := Compile(NewPatternSet(), Options{Algorithm: Algorithm(42)}); err == nil {
 		t.Fatal("unknown algorithm accepted")
 	}
 }
@@ -29,7 +39,7 @@ func TestAllAlgorithmsAgree(t *testing.T) {
 	input := []byte("GET /attack HTTP/1.1 abattack")
 	want := patterns.FindAllNaive(set, input)
 	for _, alg := range allAlgorithms {
-		m, err := New(set, Options{Algorithm: alg})
+		m, err := newSession(set, Options{Algorithm: alg})
 		if err != nil {
 			t.Fatalf("%v: %v", alg, err)
 		}
@@ -89,7 +99,7 @@ func TestVectorWidths(t *testing.T) {
 
 func TestCount(t *testing.T) {
 	set := PatternSetFromStrings("ab")
-	m, err := New(set, Options{})
+	m, err := newSession(set, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -100,7 +110,7 @@ func TestCount(t *testing.T) {
 
 func TestCountersAccumulate(t *testing.T) {
 	set := PatternSetFromStrings("xy")
-	m, _ := New(set, Options{Algorithm: AlgoDFC})
+	m, _ := newSession(set, Options{Algorithm: AlgoDFC})
 	var c Counters
 	m.Scan([]byte("xyxy"), &c, nil)
 	first := c.Matches
