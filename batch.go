@@ -7,19 +7,15 @@ import (
 
 // Batch scanning: many buffers per call. Real NIDS traffic is
 // overwhelmingly small packets, and scanning them one Scan call at a
-// time leaves the vectorized filtering round with mostly-empty lanes
-// and per-call setup dominating (the small-input weakness the paper's
-// Fig. 5b exposes). ScanBatch hands the engine a whole batch: V-PATCH
-// runs its fused kernel buffer by buffer with one call, one emit adapter
-// and filtering/verification rounds that span the batch's buffers —
-// and, when the scan asks for lane-exact accounting
-// (Counters.LaneExact), the lane-per-packet filtering round on the
-// emulated vector engine instead, where each vector lane walks a
-// different buffer with lane refill from the pending queue, so one
-// gather serves W packets and occupancy stays near 100% regardless of
-// packet size. Every other algorithm scans the batch through an
-// equivalent per-buffer loop. Per-buffer match semantics are identical
-// to Scan on that buffer alone, for every algorithm.
+// time leaves per-call setup and too-short filtering rounds dominating
+// (the small-input weakness the paper's Fig. 5b exposes). ScanBatch
+// hands the engine a whole batch: V-PATCH runs its fused kernel buffer
+// by buffer with one call, one emit adapter and filtering/verification
+// rounds that span the batch's buffers. Every other algorithm — and a
+// V-PATCH scan that asks for lane-exact accounting (Counters.LaneExact)
+// — scans the batch through an equivalent per-buffer loop. Per-buffer
+// match semantics are identical to Scan on that buffer alone, for every
+// algorithm.
 
 // BatchEmitFunc receives matches during a batch scan: buf is the index
 // within the batch of the buffer the match occurred in, and the match's
@@ -28,8 +24,7 @@ type BatchEmitFunc = engine.BatchEmitFunc
 
 // ScanBatch scans every buffer of inputs, reporting each match with its
 // buffer index. c and emit may be nil; counters accumulate across the
-// whole batch (with Counters.LaneExact, BatchLaneFrac then reports the
-// batched lane occupancy).
+// whole batch.
 // Like Scan, a Session must not be used from two goroutines at once;
 // distinct Sessions over one Engine batch-scan concurrently.
 func (s *Session) ScanBatch(inputs [][]byte, c *Counters, emit BatchEmitFunc) {

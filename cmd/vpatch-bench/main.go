@@ -32,9 +32,8 @@
 //
 // The -sizes mode runs the batch-scanning sweep instead of a figure:
 // packets of each given size (or the IMIX mix) scanned one Scan call
-// per packet versus one lane-per-packet ScanBatch call per -batch
-// packets, reporting wall-clock throughput, the serial scan's vector
-// coverage, and the batched scan's lane occupancy per size.
+// per packet versus one ScanBatch call per -batch packets, reporting
+// wall-clock throughput and the serial scan's vector coverage per size.
 //
 // The -accel mode runs the skip-loop acceleration density sweep
 // (0-100% match fraction x packet-to-chunk buffer sizes): accelerated
@@ -56,7 +55,7 @@
 //
 // -json writes every result produced by the run as one machine-readable
 // JSON document ("-" = stdout): per-figure wall-clock and modeled Gbps
-// with full event counters, batch-sweep lane occupancy, and accel-sweep
+// with full event counters, the batch sweep's rows, and accel-sweep
 // skip ratios. CI records it as the bench-trajectory artifact.
 package main
 
@@ -429,7 +428,7 @@ func runBatchSweep(cfg experiments.Config, sizesFlag string, batch int, csvDir s
 	fmt.Println()
 	rows := experiments.BatchSweep(cfg, set, sizes, batch, 8)
 	experiments.PrintBatchSweep(os.Stdout,
-		fmt.Sprintf("Batch sweep: V-PATCH serial vs lane-per-packet batch (W=8, batch=%d), ISCX-day2 traffic", batch), rows)
+		fmt.Sprintf("Batch sweep: V-PATCH one Scan per packet vs one ScanBatch per %d packets (W=8), ISCX-day2 traffic", batch), rows)
 	rep.BatchSweep = rows
 	writeCSV(csvDir, func() error { return experiments.WriteBatchSweepCSV(csvDir, "batchsweep.csv", rows) })
 }

@@ -7,18 +7,17 @@ package ids
 // anything but the compiled rule groups (immutable) and the caller's
 // alert sink.
 //
-// Handoff is batched: the capture loop accumulates per-shard
-// []netsim.Segment slabs (flushed on a size watermark or a linger
-// deadline) and workers receive whole slabs, so channel operations —
-// the dominant per-segment cost at small-packet rates — are paid once
-// per ~DefaultDispatchBatch segments instead of once per segment.
-// Slabs are recycled through a bounded pool, and segment payloads ride
-// refcounted arena chunks (see internal/arena), so the steady-state
+// Handoff rides the caller's batching: HandleBatch partitions each
+// batch it is given into per-shard []netsim.Segment slabs and sends them
+// before it returns, so channel operations — the dominant per-segment
+// cost at small-packet rates — are paid once per shard per batch instead
+// of once per segment, and the dispatcher never holds a segment between
+// calls. Slabs are recycled through a bounded pool, and segment payloads
+// ride refcounted arena chunks (see internal/arena), so the steady-state
 // ingest path allocates nothing.
 
 import (
 	"sync"
-	"time"
 
 	"vpatch"
 	"vpatch/internal/arena"
@@ -44,9 +43,6 @@ type Dispatcher struct {
 	arena    *arena.Arena
 	zeroCopy bool
 
-	batchSegs int           // slab capacity: the size watermark
-	linger    time.Duration // max time a segment waits in an accumulator
-
 	// Recycled slab pool: slabCount never exceeds slabMax, so once the
 	// pool is warm takeSlab never allocates — and a capture loop that
 	// outruns the workers blocks on slab reuse (bounded memory) rather
@@ -56,16 +52,17 @@ type Dispatcher struct {
 	slabCount int
 	slabMax   int
 
-	// mu guards the per-shard accumulators and the control plane
-	// (FlushAll vs Close); closeOnce makes Close safe from any
-	// goroutine, any number of times — the ownership handoff a
-	// hot-swapping service needs when the last releaser of an old
-	// engine generation, whoever that is, retires its dispatcher.
-	mu        sync.Mutex
-	acc       [][]netsim.Segment // per-shard pending slabs (HandleBatch)
-	accSegs   int                // total segments across acc
-	timerOn   bool
-	timer     *time.Timer
+	// mu serializes HandleBatch calls (so one sender's batches reach a
+	// shard in call order) and guards the control plane (FlushAll vs
+	// Close); closeOnce makes Close safe from any goroutine, any number
+	// of times — the ownership handoff a hot-swapping service needs when
+	// the last releaser of an old engine generation, whoever that is,
+	// retires its dispatcher.
+	mu sync.Mutex
+	// acc is HandleBatch's partition scratch: the slab each shard is
+	// being filled with during one call. Every entry is nil again before
+	// the call returns.
+	acc       [][]netsim.Segment
 	closed    bool
 	closeOnce sync.Once
 }
@@ -77,14 +74,10 @@ const (
 	// segment references.
 	dispatchQueueBatches = 64
 
-	// DefaultDispatchBatch is the slab size watermark: a shard's
-	// accumulator is handed to its worker once it holds this many
-	// segments (or the linger deadline fires).
+	// DefaultDispatchBatch is the slab capacity: a HandleBatch call
+	// that routes more segments than this to one shard hands them over
+	// in several slabs, in order.
 	DefaultDispatchBatch = 64
-
-	// DefaultDispatchLinger bounds how long a segment may sit in an
-	// accumulator at low rate before being flushed to its worker.
-	DefaultDispatchLinger = 2 * time.Millisecond
 )
 
 // NewDispatcher starts n worker shards (each with limits armed) fed by
@@ -102,13 +95,11 @@ func (e *Engine) NewDispatcher(n int, limits netsim.Limits, emit func(Alert)) *D
 		panic("ids: nil alert sink")
 	}
 	d := &Dispatcher{
-		shards:    make([]*Shard, n),
-		chans:     make([]chan []netsim.Segment, n),
-		flush:     make([]chan chan struct{}, n),
-		arena:     arena.Shared(),
-		batchSegs: DefaultDispatchBatch,
-		linger:    DefaultDispatchLinger,
-		acc:       make([][]netsim.Segment, n),
+		shards: make([]*Shard, n),
+		chans:  make([]chan []netsim.Segment, n),
+		flush:  make([]chan chan struct{}, n),
+		arena:  arena.Shared(),
+		acc:    make([][]netsim.Segment, n),
 	}
 	d.slabMax = n*(dispatchQueueBatches+2) + 16
 	d.slabs = make(chan []netsim.Segment, d.slabMax)
@@ -199,19 +190,6 @@ func (d *Dispatcher) SetVerifierBudget(b resil.VerifierBudget) {
 // itself. Must be called before the first HandleBatch.
 func (d *Dispatcher) SetZeroCopy(v bool) { d.zeroCopy = v }
 
-// SetBatching tunes the slab size watermark and the linger deadline
-// (the latency bound for segments waiting in accumulators at low
-// rate). Zero keeps the current value. Must be called before the first
-// HandleBatch.
-func (d *Dispatcher) SetBatching(segs int, linger time.Duration) {
-	if segs > 0 {
-		d.batchSegs = segs
-	}
-	if linger > 0 {
-		d.linger = linger
-	}
-}
-
 // adopt makes seg safe to enqueue: payloads the caller still owns are
 // copied into an arena chunk (so later reuse of the caller's buffer
 // cannot corrupt queued segments), unless the caller opted into
@@ -241,7 +219,7 @@ func (d *Dispatcher) takeSlab() []netsim.Segment {
 	if d.slabCount < d.slabMax {
 		d.slabCount++
 		d.slabMu.Unlock()
-		return make([]netsim.Segment, 0, d.batchSegs)
+		return make([]netsim.Segment, 0, DefaultDispatchBatch)
 	}
 	d.slabMu.Unlock()
 	return <-d.slabs
@@ -256,11 +234,11 @@ func (d *Dispatcher) putSlab(s []netsim.Segment) {
 
 // HandleBatch routes a batch of captured segments (one segment is a
 // one-element batch) to their flows' shards. Segments of one flow always
-// land on the same shard, so per-flow stream order is preserved.
-// Segments accumulate in per-shard slabs handed to the workers when full
-// (SetBatching's size watermark) or when the linger deadline fires, so
-// per-segment channel operations amortize away while low-rate latency
-// stays bounded.
+// land on the same shard, so per-flow stream order is preserved. The
+// batch is partitioned into per-shard slabs (at most DefaultDispatchBatch
+// segments each) and every slab is on its worker's channel when
+// HandleBatch returns: channel operations amortize over whatever batch
+// the caller built, and the dispatcher adds no hold time of its own.
 //
 // Unowned payloads are defensively copied into an arena chunk before
 // enqueueing, so callers may reuse their read buffer between calls;
@@ -296,44 +274,15 @@ func (d *Dispatcher) HandleBatch(segs []netsim.Segment) {
 			slab = d.takeSlab()
 		}
 		slab = append(slab, seg)
-		if len(slab) >= d.batchSegs {
-			d.acc[i] = nil
-			d.accSegs -= len(slab) - 1
+		if len(slab) >= DefaultDispatchBatch {
 			d.chans[i] <- slab
-			continue
+			slab = nil
 		}
 		d.acc[i] = slab
-		d.accSegs++
 	}
-	if d.accSegs > 0 && !d.timerOn {
-		d.timerOn = true
-		if d.timer == nil {
-			d.timer = time.AfterFunc(d.linger, d.lingerFlush)
-		} else {
-			d.timer.Reset(d.linger)
-		}
-	}
-}
-
-// lingerFlush is the timer path: segments waiting in accumulators are
-// handed to their workers once the linger deadline passes.
-func (d *Dispatcher) lingerFlush() {
-	d.mu.Lock()
-	defer d.mu.Unlock()
-	d.timerOn = false
-	if d.closed {
-		return
-	}
-	d.flushAccLocked()
-}
-
-// flushAccLocked hands every non-empty accumulator slab to its worker.
-// Caller holds d.mu.
-func (d *Dispatcher) flushAccLocked() {
 	for i, slab := range d.acc {
-		if len(slab) > 0 {
+		if slab != nil {
 			d.acc[i] = nil
-			d.accSegs -= len(slab)
 			d.chans[i] <- slab
 		}
 	}
@@ -412,19 +361,18 @@ func (o *PipelineObserver) FlowStats() netsim.Stats {
 	return st
 }
 
-// FlushAll hands lingering accumulator slabs to the workers, makes
-// every worker scan its pending batches now, and waits until all have
-// done so — the latency-deadline lever of a resident pipeline (alerts
-// otherwise wait for a watermark). Safe to call concurrently with
-// HandleBatch (from any goroutine) and with Close; after Close it is a
-// no-op.
+// FlushAll makes every worker scan its shard's pending group batches
+// now — after the slabs already queued to it — and waits until all have
+// done so: the latency-deadline lever of a resident pipeline (alerts
+// otherwise wait for a shard watermark). The dispatcher itself holds
+// nothing to flush. Safe to call concurrently with HandleBatch (from any
+// goroutine) and with Close; after Close it is a no-op.
 func (d *Dispatcher) FlushAll() {
 	d.mu.Lock()
 	defer d.mu.Unlock()
 	if d.closed {
 		return
 	}
-	d.flushAccLocked()
 	acks := make([]chan struct{}, len(d.flush))
 	for i, fch := range d.flush {
 		ack := make(chan struct{})
@@ -436,8 +384,8 @@ func (d *Dispatcher) FlushAll() {
 	}
 }
 
-// Close drains every worker (flushing lingering accumulators and
-// partial batches, so all pending alerts surface), stops the
+// Close drains every worker (queued slabs are handled and partial
+// group batches scanned, so all pending alerts surface), stops the
 // goroutines, and returns the per-shard lifecycle stats merged. Close
 // is safe to call from any goroutine and any number of times (every
 // call waits for the drain and returns the same merged stats); a
@@ -445,10 +393,6 @@ func (d *Dispatcher) FlushAll() {
 func (d *Dispatcher) Close() netsim.Stats {
 	d.closeOnce.Do(func() {
 		d.mu.Lock()
-		if d.timer != nil {
-			d.timer.Stop()
-		}
-		d.flushAccLocked()
 		d.closed = true
 		for _, ch := range d.chans {
 			close(ch)

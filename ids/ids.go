@@ -22,11 +22,12 @@
 //
 // Scanning is batched: reassembled payloads accumulate per protocol
 // group and flush through vpatch.Session.ScanBatch once a group reaches
-// a buffer-count or byte watermark, so V-PATCH's lane-per-packet
-// filtering sees whole batches of (mostly small) payloads instead of
-// one Scan call each. Alerts therefore surface at flush time; call
-// Flush after the last segment (or on a latency deadline) to drain
-// partial batches.
+// a buffer-count or byte watermark, so a group of (mostly small)
+// payloads costs one filtering round and one verification round — the
+// paper's cache-sized two-round structure — instead of one Scan call,
+// its set-up and its clock reads each. Alerts therefore surface at flush
+// time; call Flush after the last segment (or on a latency deadline) to
+// drain partial batches.
 //
 // # Flow lifecycle and memory bounds
 //
@@ -103,7 +104,8 @@ type group struct {
 
 // Flush watermarks: a group's pending batch is scanned once it holds
 // DefaultBatchBufs buffers or DefaultBatchBytes bytes, whichever comes
-// first. Shard.SetWatermarks overrides per shard.
+// first. They are constants, not knobs: scan-per-payload (watermark 1)
+// was measured and costs 4-12 % CPU per byte (see ROADMAP item 7).
 const (
 	DefaultBatchBufs  = 32
 	DefaultBatchBytes = 256 << 10
@@ -126,7 +128,8 @@ type Shard struct {
 	// goroutine, so flows never scan concurrently).
 	sessions map[*group]*vpatch.Session
 	// pending accumulates scan jobs per group until a watermark flushes
-	// them through ScanBatch.
+	// them through ScanBatch. The watermarks are DefaultBatchBufs/Bytes;
+	// they are fields so in-package tests can pin flush points.
 	pending       map[*group]*groupBatch
 	maxBatchBufs  int
 	maxBatchBytes int
@@ -426,20 +429,6 @@ func (pb *groupBatch) hasJobs(fs *flowState) bool {
 	return false
 }
 
-// SetWatermarks overrides the shard's flush watermarks: a group's
-// pending batch is scanned once it holds maxBufs buffers or maxBytes
-// bytes. Lower values trade batching efficiency for alert latency;
-// maxBufs = 1 restores scan-per-payload behavior. Values <= 0 keep the
-// current setting.
-func (s *Shard) SetWatermarks(maxBufs, maxBytes int) {
-	if maxBufs > 0 {
-		s.maxBatchBufs = maxBufs
-	}
-	if maxBytes > 0 {
-		s.maxBatchBytes = maxBytes
-	}
-}
-
 // Set returns the full rule set the engine's groups were compiled from.
 func (e *Engine) Set() *vpatch.PatternSet { return e.set }
 
@@ -509,10 +498,6 @@ func (e *Engine) HandleSegment(seg netsim.Segment) { e.def.HandleSegment(seg) }
 
 // Flush drains the default shard's pending batches (see Shard.Flush).
 func (e *Engine) Flush() { e.def.Flush() }
-
-// SetWatermarks tunes the default shard's flush watermarks (see
-// Shard.SetWatermarks).
-func (e *Engine) SetWatermarks(maxBufs, maxBytes int) { e.def.SetWatermarks(maxBufs, maxBytes) }
 
 // Flows returns the number of flows tracked by the default shard.
 func (e *Engine) Flows() int { return e.def.Flows() }
@@ -775,16 +760,6 @@ func (s *Shard) Flush() {
 		s.obsScratch.Reset()
 	}
 	s.publishFlowStats()
-}
-
-// PendingScanBufs reports enqueued-but-unscanned payload buffers
-// (diagnostic).
-func (s *Shard) PendingScanBufs() int {
-	n := 0
-	for _, pb := range s.pending {
-		n += len(pb.bufs)
-	}
-	return n
 }
 
 // Flows returns the number of flows holding scan state in this shard.

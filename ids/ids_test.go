@@ -268,14 +268,16 @@ func TestBatchWatermarksAndFlush(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		e.SetWatermarks(maxBufs, maxBytes)
+		e.def.maxBatchBufs, e.def.maxBatchBytes = maxBufs, maxBytes
 		for _, s := range segs {
 			e.HandleSegment(s)
 		}
 		if explicitFlush {
 			e.Flush()
-			if n := e.def.PendingScanBufs(); n != 0 {
-				t.Fatalf("%d buffers still pending after Flush", n)
+			for _, pb := range e.def.pending {
+				if n := len(pb.bufs); n != 0 {
+					t.Fatalf("%d buffers still pending after Flush", n)
+				}
 			}
 		}
 		return alerts

@@ -6,6 +6,7 @@ import (
 	"reflect"
 	"sync"
 	"testing"
+	"time"
 
 	"vpatch"
 	"vpatch/internal/arena"
@@ -28,7 +29,7 @@ func dispatchAll(t *testing.T, set *vpatch.PatternSet, segs []netsim.Segment, n 
 		t.Fatal(err)
 	}
 	d := e.NewDispatcher(n, netsim.Limits{}, sink)
-	// Uneven batch sizes exercise accumulator carry across calls.
+	// Uneven batch sizes: slabs of every fill level, one or two per shard.
 	for i := 0; i < len(segs); {
 		j := i + 1 + i%7
 		if j > len(segs) {
@@ -85,6 +86,54 @@ func TestHandleBatchAlertIdentity(t *testing.T) {
 		got := dispatchAll(t, set, segs, shards)
 		if !reflect.DeepEqual(want, got) {
 			t.Fatalf("shards=%d: HandleBatch alerts differ: %d vs %d", shards, len(got), len(want))
+		}
+	}
+}
+
+// TestHandleBatchHoldsNothingBack: a batch that fills no slab (3
+// segments over 2 shards) is on the workers' channels when HandleBatch
+// returns. The dispatcher keeps no segment between calls, so nothing
+// waits for a later call, a timer or FlushAll.
+func TestHandleBatchHoldsNothingBack(t *testing.T) {
+	e, err := NewEngine(mixedRuleSet(), vpatch.Options{}, func(Alert) {})
+	if err != nil {
+		t.Fatal(err)
+	}
+	alerts := make(chan Alert, 3)
+	d := e.NewDispatcher(2, netsim.Limits{}, func(a Alert) { alerts <- a })
+	defer d.Close()
+	// Scan-per-payload shards: a segment that reaches its worker alerts
+	// without any flush. Published to the workers by the first slab send.
+	for _, sh := range d.shards {
+		sh.maxBatchBufs = 1
+	}
+
+	// Only SrcIP varies: key()'s paired SrcIP/SrcPort steps cancel in the
+	// hash's low bit and would put every flow on one shard.
+	var segs []netsim.Segment
+	var onShard [2]int
+	for i := uint32(0); i < 3; i++ {
+		k := netsim.FlowKey{SrcIP: 0x0A000001 + i, DstIP: 0xC0A80001, SrcPort: 40000, DstPort: 80}
+		onShard[k.Hash()%2]++
+		segs = append(segs, netsim.Segment{Flow: k, Payload: []byte("hit http-attack-xyz here")})
+	}
+	if onShard[0] == 0 || onShard[1] == 0 {
+		t.Fatalf("test flows cover one shard only: %v", onShard)
+	}
+	d.HandleBatch(segs)
+
+	d.mu.Lock()
+	for i, slab := range d.acc {
+		if len(slab) != 0 {
+			t.Errorf("shard %d: dispatcher still holds %d segments after HandleBatch returned", i, len(slab))
+		}
+	}
+	d.mu.Unlock()
+	for range segs {
+		select {
+		case <-alerts:
+		case <-time.After(30 * time.Second):
+			t.Fatal("a segment never reached its worker")
 		}
 	}
 }

@@ -7,10 +7,12 @@ package ids
 // pipeline and asserting alert-identity with direct per-stream scans.
 
 import (
+	"bytes"
 	"fmt"
 	"math/rand"
 	"strings"
 	"sync"
+	"sync/atomic"
 	"testing"
 
 	"vpatch"
@@ -99,7 +101,7 @@ func TestEvictionFlushesEnqueuedJobs(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	e.SetWatermarks(1<<20, 1<<30) // watermarks never trigger on their own
+	e.def.maxBatchBufs, e.def.maxBatchBytes = 1<<20, 1<<30 // watermarks never trigger on their own
 	e.SetLimits(netsim.Limits{MaxFlows: 1})
 
 	e.HandleSegment(netsim.Segment{Flow: key(1, 80), Seq: 0,
@@ -224,8 +226,9 @@ func TestPipelineReorderOverlapTeardownProperty(t *testing.T) {
 }
 
 // TestDispatcherPartitionsAndMerges: the dispatcher must deliver
-// exactly the single-shard alert multiset, keep each flow on one shard,
-// and merge per-shard stats at Close.
+// exactly the single-shard alert multiset, keep each flow on one shard
+// and in order (also across the slabs of one oversized batch), and merge
+// per-shard stats at Close.
 func TestDispatcherPartitionsAndMerges(t *testing.T) {
 	set := mixedRuleSet()
 	flows := map[netsim.FlowKey][]byte{
@@ -299,6 +302,25 @@ func TestDispatcherPartitionsAndMerges(t *testing.T) {
 	}
 	if c.Matches < uint64(len(got)) {
 		t.Fatalf("counters report %d matches, %d alerts emitted", c.Matches, len(got))
+	}
+
+	// One flow, one HandleBatch call, 129 in-order segments: three slabs
+	// to one shard, which must arrive in order. FlowPendingBytes 1 makes
+	// any reordering visible — an out-of-order segment is dropped, not
+	// buffered, and the alerts straddling the slab boundaries go with it.
+	const segLen = 16
+	stream := bytes.Repeat([]byte{'.'}, 129*segLen)
+	copy(stream[DefaultDispatchBatch*segLen-7:], "generic-bad-001")
+	copy(stream[2*DefaultDispatchBatch*segLen-7:], "generic-bad-001")
+	var one []netsim.Segment
+	for off := 0; off < len(stream); off += segLen {
+		one = append(one, netsim.Segment{Flow: key(7, 9999), Seq: uint32(off), Payload: stream[off : off+segLen]})
+	}
+	var ordered atomic.Int64
+	d = e.NewDispatcher(2, netsim.Limits{FlowPendingBytes: 1}, func(Alert) { ordered.Add(1) })
+	d.HandleBatch(one)
+	if st := d.Close(); st.BytesDropped != 0 || st.GapSkips != 0 || ordered.Load() != 2 {
+		t.Fatalf("129-segment batch reordered across slabs: %d alerts (want 2), stats %+v", ordered.Load(), st)
 	}
 }
 

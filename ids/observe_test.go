@@ -273,7 +273,7 @@ func TestObserverDoesNotChangeScans(t *testing.T) {
 	}
 	// The production path: no emulation-only counter moves, and the three
 	// round clocks all run (OtherNs is the rule evaluation's).
-	if oc.BatchIters != 0 || oc.Gathers != 0 || oc.Filter1Probes != 0 {
+	if oc.Gathers != 0 || oc.Filter1Probes != 0 {
 		t.Fatalf("observed scans ran the lane emulation: %+v", oc)
 	}
 	if oc.FilteringNs <= 0 || oc.VerifyNs <= 0 || oc.OtherNs <= 0 {

@@ -29,7 +29,6 @@ package core
 import (
 	"vpatch/internal/accel"
 	"vpatch/internal/bitarr"
-	"vpatch/internal/engine"
 	"vpatch/internal/filters"
 	"vpatch/internal/hashtab"
 	"vpatch/internal/metrics"
@@ -51,17 +50,9 @@ type Scratch struct {
 	aShort []int32
 	aLong  []int32
 
-	// bShort/bLong are the lane-exact batch scan's candidate arrays: packed
-	// (buffer, position) pairs (vec.PackCursor), since a batched
-	// filtering round interleaves candidates from many buffers and the
-	// verification round must resolve each one to its buffer. Flushed at
-	// a watermark so both arrays stay cache-resident like aShort/aLong.
-	bShort []int64
-	bLong  []int64
-
-	// units records, for the fused batch scan, which buffer each
-	// filtered unit of the current round belongs to and where its
-	// candidates end in aShort/aLong (batch.go fusedScanBatch).
+	// units records, for the batch scan, which buffer each filtered
+	// unit of the current round belongs to and where its candidates end
+	// in aShort/aLong (batch.go scanBatch).
 	units []batchUnit
 
 	// sink absorbs filter masks in no-store mode (Fig. 6's
@@ -76,7 +67,7 @@ type Scratch struct {
 	aq [accel.QueueLen]int32
 }
 
-// batchUnit is one filtered unit of a fused batch round: a whole
+// batchUnit is one filtered unit of a batch round: a whole
 // buffer, or one chunk of a buffer larger than a chunk.
 type batchUnit struct {
 	buf, endShort, endLong int32
@@ -172,77 +163,6 @@ func (m *common) scalarFilterPos(scr *Scratch, input []byte, i, n int, c *metric
 		if m.fs.Filter3.Test4(bitarr.Load4(input[i:])) {
 			scr.aLong = append(scr.aLong, int32(i))
 		}
-	}
-}
-
-// scalarFilterPosBatch is scalarFilterPos for batch mode: the same
-// filter chain for position i of the batch's buf'th buffer, appending
-// packed (buffer, position) candidates.
-func (m *common) scalarFilterPosBatch(scr *Scratch, input []byte, buf int32, i, n int, c *metrics.Counters) {
-	if i+1 >= n {
-		if m.fs.HasLen1 {
-			scr.bShort = append(scr.bShort, vec.PackCursor(buf, int32(i)))
-		}
-		return
-	}
-	idx := bitarr.Index2(input[i], input[i+1])
-	if c != nil {
-		c.Filter1Probes++
-		c.Filter2Probes++
-	}
-	if m.fs.Filter1.Test(idx) {
-		scr.bShort = append(scr.bShort, vec.PackCursor(buf, int32(i)))
-	}
-	if m.fs.Filter2.Test(idx) && i+4 <= n {
-		if c != nil {
-			c.Filter3Probes++
-		}
-		if m.fs.Filter3.Test4(bitarr.Load4(input[i:])) {
-			scr.bLong = append(scr.bLong, vec.PackCursor(buf, int32(i)))
-		}
-	}
-}
-
-// batchFlushCandidates is the verification watermark of batch mode:
-// once either packed candidate array holds this many entries the
-// verification round runs and the arrays reset, keeping the batch
-// two-round structure as cache-resident as the per-chunk serial one
-// (2 x 4096 x 8 B = 64 KB, the serial chunk size).
-const batchFlushCandidates = 4096
-
-// verifyBatch replays the batched candidate arrays against the compact
-// hash tables, resolving each packed candidate to its buffer, then
-// resets the arrays. It is the batch analogue of verifyCandidates and
-// runs at the flush watermark and at end of batch.
-func (m *common) verifyBatch(scr *Scratch, inputs [][]byte, c *metrics.Counters, emit engine.BatchEmitFunc) {
-	if len(scr.bShort) == 0 && len(scr.bLong) == 0 {
-		return
-	}
-	var sw metrics.Stopwatch
-	if c != nil {
-		c.ShortCandidates += uint64(len(scr.bShort))
-		c.LongCandidates += uint64(len(scr.bLong))
-		sw = metrics.Start()
-	}
-	buf := -1
-	var wrap patterns.EmitFunc
-	if emit != nil {
-		wrap = func(mm patterns.Match) { emit(buf, mm) }
-	}
-	for _, pc := range scr.bShort {
-		b, pos := vec.UnpackCursor(pc)
-		buf = int(b)
-		m.verifier.VerifyShortAt(inputs[buf], int(pos), c, wrap)
-	}
-	for _, pc := range scr.bLong {
-		b, pos := vec.UnpackCursor(pc)
-		buf = int(b)
-		m.verifier.VerifyLongAt(inputs[buf], int(pos), c, wrap)
-	}
-	scr.bShort = scr.bShort[:0]
-	scr.bLong = scr.bLong[:0]
-	if c != nil {
-		c.VerifyNs += sw.Stop()
 	}
 }
 

@@ -272,13 +272,6 @@ func Estimate(p Platform, in Inputs) Result {
 		// Register ops per block: shuffles, shifts, mask logic,
 		// movemask ≈ 8 ops, pipelined like other ALU work.
 		bd["vecops"] = float64(c.VectorIters) * 8 * p.VecOpLat * scale / p.ILP
-		// Batched (lane-per-packet) steps carry the same register work
-		// plus cursor bookkeeping: per-lane advance, drain test and
-		// refill mask updates ≈ 4 extra ops per step. Gathers issued by
-		// batched steps are already in c.Gathers above.
-		if c.BatchIters > 0 {
-			bd["batch-vecops"] = float64(c.BatchIters) * (8 + 4) * p.VecOpLat * scale / p.ILP
-		}
 		if in.Kind == KindVectorDFC {
 			// Inline scalar continuation after vector hits.
 			bd["filter"] = float64(c.Filter2Probes+c.Filter3Probes) * p.probeCost()

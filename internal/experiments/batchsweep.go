@@ -13,15 +13,14 @@ import (
 )
 
 // The packet-size sweep: serial per-packet V-PATCH scans versus one
-// lane-per-packet ScanBatch call over the same packets, across packet
-// sizes. This is the experiment behind the batch scan path — the
-// paper's Fig. 5b shows V-PATCH's filtering round degrading on small
-// inputs (sub-register tails, per-call setup, empty lanes), and real
-// NIDS traffic is overwhelmingly small packets. The sweep reports
-// wall-clock throughput of both modes plus the two lane metrics:
-// vector coverage of the serial scan (fraction of positions filtered in
-// full W-lane blocks — collapses as packets shrink) and lane occupancy
-// of the batched scan (stays ~1.0 at every size, by lane refill).
+// ScanBatch call per batch of the same packets, across packet sizes.
+// This is the experiment behind the batch scan path — the paper's
+// Fig. 5b shows V-PATCH's filtering round degrading on small inputs
+// (sub-register tails, per-call setup, empty lanes), and real NIDS
+// traffic is overwhelmingly small packets. The sweep reports wall-clock
+// throughput of both modes plus the serial scan's vector coverage
+// (fraction of positions filtered in full W-lane blocks — collapses as
+// packets shrink).
 
 // BatchSweepRow is one packet size of the sweep.
 type BatchSweepRow struct {
@@ -40,8 +39,6 @@ type BatchSweepRow struct {
 	// per-packet scans: the fraction of positions the serial filtering
 	// round handles in full vector blocks rather than scalar tail.
 	SerialVectorCoverage float64 `json:"serial_vector_coverage"`
-	// BatchLaneOccupancy is Counters.BatchLaneFrac of the batched scan.
-	BatchLaneOccupancy float64 `json:"batch_lane_occupancy"`
 }
 
 // BatchSweep measures serial vs batched V-PATCH over packets of each
@@ -105,7 +102,7 @@ func BatchSweep(cfg Config, set *patterns.Set, sizes []int, batch, width int) []
 			row.Speedup = row.BatchGbps / row.SerialGbps
 		}
 
-		// Lane metrics from lane-exact runs (vector-engine paths).
+		// Vector coverage from a lane-exact run (vector-engine path).
 		cs := metrics.Counters{LaneExact: true}
 		for _, p := range pkts {
 			vp.Scan(p, &cs, nil)
@@ -113,15 +110,6 @@ func BatchSweep(cfg Config, set *patterns.Set, sizes []int, batch, width int) []
 		if cs.BytesScanned > 0 {
 			row.SerialVectorCoverage = float64(cs.VectorIters) * float64(width) / float64(cs.BytesScanned)
 		}
-		cb := metrics.Counters{LaneExact: true}
-		for lo := 0; lo < len(pkts); lo += batch {
-			hi := lo + batch
-			if hi > len(pkts) {
-				hi = len(pkts)
-			}
-			vp.ScanBatch(pkts[lo:hi], &cb, nil)
-		}
-		row.BatchLaneOccupancy = cb.BatchLaneFrac(width)
 
 		rows = append(rows, row)
 	}
@@ -131,12 +119,12 @@ func BatchSweep(cfg Config, set *patterns.Set, sizes []int, batch, width int) []
 // PrintBatchSweep renders the sweep as an aligned table.
 func PrintBatchSweep(w io.Writer, title string, rows []BatchSweepRow) {
 	fmt.Fprintln(w, title)
-	fmt.Fprintf(w, "  %8s %9s %7s %12s %12s %9s %14s %14s\n",
-		"pkt", "packets", "batch", "serial Gbps", "batch Gbps", "speedup", "serial vec cov", "batch lane occ")
+	fmt.Fprintf(w, "  %8s %9s %7s %12s %12s %9s %14s\n",
+		"pkt", "packets", "batch", "serial Gbps", "batch Gbps", "speedup", "serial vec cov")
 	for _, r := range rows {
-		fmt.Fprintf(w, "  %8s %9d %7d %12.3f %12.3f %8.2fx %14.3f %14.3f\n",
+		fmt.Fprintf(w, "  %8s %9d %7d %12.3f %12.3f %8.2fx %14.3f\n",
 			r.Label, r.Packets, r.Batch, r.SerialGbps, r.BatchGbps, r.Speedup,
-			r.SerialVectorCoverage, r.BatchLaneOccupancy)
+			r.SerialVectorCoverage)
 	}
 }
 
@@ -147,10 +135,10 @@ func WriteBatchSweepCSV(dir, name string, rows []BatchSweepRow) error {
 		out = append(out, []string{
 			r.Label, strconv.Itoa(r.Packets), strconv.Itoa(r.Batch),
 			ftoa(r.SerialGbps), ftoa(r.BatchGbps), ftoa(r.Speedup),
-			ftoa(r.SerialVectorCoverage), ftoa(r.BatchLaneOccupancy),
+			ftoa(r.SerialVectorCoverage),
 		})
 	}
 	return writeCSV(dir, name,
 		[]string{"packet", "packets", "batch", "serial_gbps", "batch_gbps", "speedup",
-			"serial_vector_coverage", "batch_lane_occupancy"}, out)
+			"serial_vector_coverage"}, out)
 }

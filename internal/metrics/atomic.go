@@ -32,9 +32,6 @@ type Atomic struct {
 	filter3Blocks      atomic.Uint64
 	filter3UsefulLanes atomic.Uint64
 
-	batchIters       atomic.Uint64
-	batchActiveLanes atomic.Uint64
-
 	skippedBytes atomic.Uint64
 	accelChances atomic.Uint64
 	accelRuns    atomic.Uint64
@@ -82,8 +79,6 @@ func (a *Atomic) AddCounters(c *Counters) {
 	a.mergedGathers.Add(c.MergedGathers)
 	a.filter3Blocks.Add(c.Filter3Blocks)
 	a.filter3UsefulLanes.Add(c.Filter3UsefulLanes)
-	a.batchIters.Add(c.BatchIters)
-	a.batchActiveLanes.Add(c.BatchActiveLanes)
 	a.skippedBytes.Add(c.SkippedBytes)
 	a.accelChances.Add(c.AccelChances)
 	a.accelRuns.Add(c.AccelRuns)
@@ -135,8 +130,6 @@ func (a *Atomic) Snapshot() Counters {
 		MergedGathers:      a.mergedGathers.Load(),
 		Filter3Blocks:      a.filter3Blocks.Load(),
 		Filter3UsefulLanes: a.filter3UsefulLanes.Load(),
-		BatchIters:         a.batchIters.Load(),
-		BatchActiveLanes:   a.batchActiveLanes.Load(),
 		SkippedBytes:       a.skippedBytes.Load(),
 		AccelChances:       a.accelChances.Load(),
 		AccelRuns:          a.accelRuns.Load(),

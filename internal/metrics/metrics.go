@@ -28,8 +28,8 @@ import (
 type Counters struct {
 	// LaneExact asks S-PATCH/V-PATCH for lane-exact accounting: the scan
 	// runs on the explicit (emulated) vector engine and fills the
-	// emulation-only counters below — filter probes, gathers, vector and
-	// batch iterations, lane occupancy — at several times the cost of a
+	// emulation-only counters below — filter probes, gathers, vector
+	// iterations, lane occupancy — at several times the cost of a
 	// production scan. Set only by the figure drivers, the cost-model
 	// inputs and the lane-occupancy tests. Without it, attaching counters
 	// never changes which kernels run: scans take the fused production
@@ -43,7 +43,7 @@ type Counters struct {
 	BytesScanned uint64
 
 	// Scalar filter probes (one memory access each). Emulation-only
-	// (LaneExact), like the vector and batch execution counters below.
+	// (LaneExact), like the vector execution counters below.
 	Filter1Probes uint64
 	Filter2Probes uint64
 	Filter3Probes uint64
@@ -61,14 +61,6 @@ type Counters struct {
 	// needed it (the "useful elements").
 	Filter3Blocks      uint64
 	Filter3UsefulLanes uint64
-
-	// Batched (lane-per-packet) execution. BatchIters counts batched
-	// filtering steps (each advancing up to W lanes, every lane walking
-	// its own buffer); BatchActiveLanes sums the lanes that held a
-	// buffer at each step, so BatchActiveLanes/(BatchIters*W) is the
-	// Fig. 5b lane-occupancy metric extended to batch mode.
-	BatchIters       uint64
-	BatchActiveLanes uint64
 
 	// Skip-loop acceleration (the hot-path layer in front of the
 	// filter probes). SkippedBytes counts input positions the
@@ -159,8 +151,6 @@ func (c *Counters) Add(o *Counters) {
 	c.MergedGathers += o.MergedGathers
 	c.Filter3Blocks += o.Filter3Blocks
 	c.Filter3UsefulLanes += o.Filter3UsefulLanes
-	c.BatchIters += o.BatchIters
-	c.BatchActiveLanes += o.BatchActiveLanes
 	c.SkippedBytes += o.SkippedBytes
 	c.AccelChances += o.AccelChances
 	c.AccelRuns += o.AccelRuns
@@ -209,17 +199,12 @@ func (c *Counters) UsefulLaneFrac(w int) float64 {
 	return float64(c.Filter3UsefulLanes) / (float64(c.Filter3Blocks) * float64(w))
 }
 
-// BatchLaneFrac returns the average fraction of lanes that held a
-// buffer per batched filtering step, given the register width W — the
-// lane-occupancy metric of the lane-per-packet batch mode (near 1.0
-// when lane refill keeps every lane busy, regardless of packet size).
-// Returns 0 when no batched steps ran.
-func (c *Counters) BatchLaneFrac(w int) float64 {
-	if c.BatchIters == 0 || w <= 0 {
-		return 0
-	}
-	return float64(c.BatchActiveLanes) / (float64(c.BatchIters) * float64(w))
-}
+// BatchLaneFrac was the lane occupancy of the emulated lane-per-packet
+// batch round, which is deleted. It returns 0 — what every daemon scan
+// has read since the daemon left the emulation — and stays only because
+// the frozen bench/trace.go compiles against it (core.filter.lane_frac);
+// the row and this shim leave together (ROADMAP item 9).
+func (c *Counters) BatchLaneFrac(w int) float64 { return 0 }
 
 // SkipFrac returns the fraction of scanned bytes the skip-loop
 // accelerator cleared without probing — the acceleration analogue of
@@ -253,10 +238,9 @@ func (c *Counters) CandidateFrac() float64 {
 
 func (c *Counters) String() string {
 	return fmt.Sprintf(
-		"bytes=%d f1=%d f2=%d f3=%d vecIters=%d gathers=%d(merged %d) f3blocks=%d batch=%d(lanes %d) skipped=%d(chances %d, runs %d) cand=%d/%d ht=%d verify=%d(%dB) matches=%d rules=%d(runs %d, states %d) degraded=%d(denied %d) panics=%d(quarantined %d) evicted=%d dropped=%dB peakflows=%d filter=%s verify=%s other=%s",
+		"bytes=%d f1=%d f2=%d f3=%d vecIters=%d gathers=%d(merged %d) f3blocks=%d skipped=%d(chances %d, runs %d) cand=%d/%d ht=%d verify=%d(%dB) matches=%d rules=%d(runs %d, states %d) degraded=%d(denied %d) panics=%d(quarantined %d) evicted=%d dropped=%dB peakflows=%d filter=%s verify=%s other=%s",
 		c.BytesScanned, c.Filter1Probes, c.Filter2Probes, c.Filter3Probes,
 		c.VectorIters, c.Gathers, c.MergedGathers, c.Filter3Blocks,
-		c.BatchIters, c.BatchActiveLanes,
 		c.SkippedBytes, c.AccelChances, c.AccelRuns,
 		c.ShortCandidates, c.LongCandidates, c.HTProbes, c.VerifyAttempts,
 		c.VerifyBytes, c.Matches,

@@ -43,9 +43,8 @@ import (
 // Eval is one shard's rule-evaluation scratch: the per-rule lazy-DFA
 // machines. Single-goroutine, shared across the shard's flows.
 type Eval struct {
-	set       *Set
-	machines  []*redfa.Machine
-	maxStates int
+	set      *Set
+	machines []*redfa.Machine
 }
 
 // NewEval returns evaluation scratch for set.
@@ -56,17 +55,13 @@ func NewEval(set *Set) *Eval {
 	}
 }
 
-// SetMaxStates caps each rule's lazy-DFA state cache (0 =
-// redfa.DefaultMaxStates). Applies to machines not yet created.
-func (ev *Eval) SetMaxStates(n int) { ev.maxStates = n }
-
 // Set returns the compiled rule set under evaluation.
 func (ev *Eval) Set() *Set { return ev.set }
 
 func (ev *Eval) machine(rule int32) *redfa.Machine {
 	m := ev.machines[rule]
 	if m == nil {
-		m = redfa.NewMachine(ev.set.Rules[rule].Regex, ev.maxStates)
+		m = redfa.NewMachine(ev.set.Rules[rule].Regex, 0) // 0 = redfa.DefaultMaxStates
 		ev.machines[rule] = m
 	}
 	return m
