@@ -51,6 +51,7 @@ import (
 	"encoding/json"
 	"flag"
 	"fmt"
+	"net/netip"
 	"os"
 	"os/signal"
 	"sort"
@@ -68,20 +69,22 @@ import (
 // alertRec is the JSONL alert shape shared with vpatch-serve's
 // /v1/alerts stream (which adds a tenant field).
 type alertRec struct {
-	SID       int64  `json:"sid,omitempty"`
-	Msg       string `json:"msg,omitempty"`
-	Rule      int32  `json:"rule"`
-	Pattern   int32  `json:"pattern"`
-	Proto     string `json:"proto"`
-	SrcIP     string `json:"src_ip"`
-	SrcPort   uint16 `json:"src_port"`
-	DstIP     string `json:"dst_ip"`
-	DstPort   uint16 `json:"dst_port"`
-	StreamOff int64  `json:"stream_off"`
+	SID       int64      `json:"sid,omitempty"`
+	Msg       string     `json:"msg,omitempty"`
+	Rule      int32      `json:"rule"`
+	Pattern   int32      `json:"pattern"`
+	Proto     string     `json:"proto"`
+	SrcIP     netip.Addr `json:"src_ip"`
+	SrcPort   uint16     `json:"src_port"`
+	DstIP     netip.Addr `json:"dst_ip"`
+	DstPort   uint16     `json:"dst_port"`
+	StreamOff int64      `json:"stream_off"`
 }
 
-func ip4(v uint32) string {
-	return fmt.Sprintf("%d.%d.%d.%d", byte(v>>24), byte(v>>16), byte(v>>8), byte(v))
+// ip4 converts a host-order IPv4 address to netip.Addr, which marshals
+// as the dotted-quad string.
+func ip4(v uint32) netip.Addr {
+	return netip.AddrFrom4([4]byte{byte(v >> 24), byte(v >> 16), byte(v >> 8), byte(v)})
 }
 
 func main() {

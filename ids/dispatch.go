@@ -15,6 +15,13 @@ package ids
 // calls. Slabs are recycled through a bounded pool, and segment payloads
 // ride refcounted arena chunks (see internal/arena), so the steady-state
 // ingest path allocates nothing.
+//
+// Alerts leave in batches too: each worker collects its shard's alerts
+// in a reused slice and hands it to the sink as soon as the segment that
+// raised them (by triggering a group flush or a flow teardown) has been
+// handled, and after every shard flush. A dense alert stream costs the
+// sink one call per group flush rather than one per alert, and no alert
+// waits for the rest of its slab.
 
 import (
 	"sync"
@@ -81,13 +88,35 @@ const (
 )
 
 // NewDispatcher starts n worker shards (each with limits armed) fed by
-// flow-key hash partitioning, delivering alerts to emit. emit is called
-// concurrently from the n worker goroutines and must be safe for
-// concurrent use; alerts of one flow always come from one worker, in
-// stream order. Shard reassemblers recycle their buffers through the
-// shared arena (override with SetArena). Close must be called to drain
-// and stop the workers.
+// flow-key hash partitioning, delivering alerts to emit one at a time.
+// emit is called concurrently from the n worker goroutines and must be
+// safe for concurrent use; alerts of one flow always come from one
+// worker, in stream order. It is NewBatchDispatcher with a sink that
+// walks each batch. Close must be called to drain and stop the workers.
 func (e *Engine) NewDispatcher(n int, limits netsim.Limits, emit func(Alert)) *Dispatcher {
+	if emit == nil {
+		panic("ids: nil alert sink")
+	}
+	return e.NewBatchDispatcher(n, limits, func(as []Alert) {
+		for _, a := range as {
+			emit(a)
+		}
+	})
+}
+
+// NewBatchDispatcher starts n worker shards (each with limits armed) fed
+// by flow-key hash partitioning, delivering alerts to emit in batches:
+// each worker hands over the alerts its shard raised while handling one
+// segment of a slab — one group flush's worth, or one flow teardown's —
+// and again after every shard flush (FlushAll and Close return only
+// after those batches were delivered). emit is called concurrently
+// from the n worker goroutines and must be safe for concurrent use; the
+// slice is never empty, holds alerts of one worker only (those of one
+// flow in stream order), and is reused after emit returns, so emit must
+// copy anything it keeps. Shard reassemblers recycle their buffers
+// through the shared arena (override with SetArena). Close must be
+// called to drain and stop the workers.
+func (e *Engine) NewBatchDispatcher(n int, limits netsim.Limits, emit func([]Alert)) *Dispatcher {
 	if n < 1 {
 		n = 1
 	}
@@ -104,7 +133,16 @@ func (e *Engine) NewDispatcher(n int, limits netsim.Limits, emit func(Alert)) *D
 	d.slabMax = n*(dispatchQueueBatches+2) + 16
 	d.slabs = make(chan []netsim.Segment, d.slabMax)
 	for i := 0; i < n; i++ {
-		sh := e.NewShard(emit)
+		// out collects the shard's alerts between deliveries; only this
+		// worker's goroutine touches it.
+		var out []Alert
+		deliver := func() {
+			if len(out) > 0 {
+				emit(out)
+				out = out[:0]
+			}
+		}
+		sh := e.NewShard(func(a Alert) { out = append(out, a) })
 		sh.SetLimits(limits)
 		sh.SetArena(d.arena)
 		ch := make(chan []netsim.Segment, dispatchQueueBatches)
@@ -126,14 +164,22 @@ func (e *Engine) NewDispatcher(n int, limits netsim.Limits, emit func(Alert)) *D
 					// Shard.handleSegmentSafe).
 					sh.handleSegmentSafe(bt[j])
 					bt[j] = netsim.Segment{}
+					// Alerts are raised only by the group flush or flow
+					// teardown a segment triggers: hand them over now
+					// rather than after the rest of the slab.
+					deliver()
 				}
 				d.putSlab(bt[:0])
+			}
+			flush := func() {
+				sh.Flush()
+				deliver()
 			}
 			for {
 				select {
 				case bt, ok := <-ch:
 					if !ok {
-						sh.Flush()
+						flush()
 						return
 					}
 					handle(bt)
@@ -146,7 +192,7 @@ func (e *Engine) NewDispatcher(n int, limits netsim.Limits, emit func(Alert)) *D
 						select {
 						case bt, ok := <-ch:
 							if !ok {
-								sh.Flush()
+								flush()
 								close(ack)
 								return
 							}
@@ -155,7 +201,7 @@ func (e *Engine) NewDispatcher(n int, limits netsim.Limits, emit func(Alert)) *D
 							drained = true
 						}
 					}
-					sh.Flush()
+					flush()
 					close(ack)
 				}
 			}

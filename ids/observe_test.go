@@ -192,6 +192,52 @@ func TestDispatcherFlushAll(t *testing.T) {
 		t.Fatalf("Close duplicated alerts: %d", alerts.Load())
 	}
 	d.FlushAll() // no-op after Close, must not hang or panic
+
+	// The batch constructor: each HandleBatch routes several slabs to
+	// every shard, and every alert of every slab queued before FlushAll
+	// is delivered before it returns — exactly once, in non-empty
+	// batches the sink must copy (the slice is reused).
+	type hit struct {
+		flow netsim.FlowKey
+		off  int64
+	}
+	var mu sync.Mutex
+	seen := map[hit]int{}
+	bd := e.NewBatchDispatcher(2, netsim.Limits{}, func(as []Alert) {
+		if len(as) == 0 {
+			t.Error("empty alert batch")
+		}
+		mu.Lock()
+		for _, a := range as {
+			seen[hit{a.Flow, a.StreamOffset}]++
+		}
+		mu.Unlock()
+	})
+	payload := []byte("hit http-attack-xyz here")
+	const flows, perFlow = 40, 8 // 320 segments per call: >= 2 slabs per shard
+	for round := 0; round < 3; round++ {
+		var segs []netsim.Segment
+		for f := 0; f < flows; f++ {
+			for j := 0; j < perFlow; j++ {
+				off := (round*perFlow + j) * len(payload)
+				segs = append(segs, netsim.Segment{Flow: key(f, 80), Seq: uint32(off), Payload: payload})
+			}
+		}
+		bd.HandleBatch(segs)
+		bd.FlushAll()
+		mu.Lock()
+		got := len(seen)
+		mu.Unlock()
+		if want := (round + 1) * flows * perFlow; got != want {
+			t.Fatalf("batch dispatcher, round %d: %d distinct alerts after FlushAll, want %d", round, got, want)
+		}
+	}
+	bd.Close()
+	for h, n := range seen {
+		if n != 1 || (h.off-4)%int64(len(payload)) != 0 {
+			t.Fatalf("alert %+v delivered %d times", h, n)
+		}
+	}
 }
 
 // TestObserverDoesNotChangeScans: a dispatcher with Observe() attached

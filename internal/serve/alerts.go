@@ -5,40 +5,46 @@ package serve
 // databases, pattern id otherwise), kept in a bounded replay ring, and
 // fanned out to followers — GET /v1/alerts streams them as JSON lines,
 // and embedding programs (vpatch-serve's -alerts-out sink) subscribe
-// with SubscribeAlerts. Publishing never blocks the data path: slow
-// followers lose records (counted, exported on /metrics) instead of
-// stalling worker goroutines.
+// with SubscribeAlerts. Publishing happens per shard batch, never per
+// alert: while working through a slab, each dispatcher worker hands over
+// the alerts one group flush or flow teardown raised (and the rest at
+// every shard flush) as one batch, and the hub resolves, sequences and
+// fans the whole batch out under one lock, formatting nothing and
+// allocating nothing.
+// Publishing never blocks the data path: slow followers lose records
+// (counted, exported on /metrics) instead of stalling worker goroutines.
 
 import (
 	"encoding/json"
-	"fmt"
 	"io"
 	"net/http"
+	"net/netip"
 	"strconv"
 	"sync"
 	"time"
 
 	"vpatch/ids"
+	"vpatch/internal/rules"
 )
 
 // AlertRecord is the JSONL alert shape of GET /v1/alerts and the
 // -alerts-out sinks: vpatch-ids's record plus tenant, generation and a
 // monotone sequence number (gaps mean records were dropped on a slow
-// follower).
+// follower). The addresses marshal as dotted-quad strings.
 type AlertRecord struct {
-	Seq        uint64 `json:"seq"`
-	Tenant     string `json:"tenant"`
-	Generation uint64 `json:"generation"`
-	SID        int64  `json:"sid,omitempty"`
-	Msg        string `json:"msg,omitempty"`
-	Rule       int32  `json:"rule"`
-	Pattern    int32  `json:"pattern"`
-	Proto      string `json:"proto"`
-	SrcIP      string `json:"src_ip"`
-	SrcPort    uint16 `json:"src_port"`
-	DstIP      string `json:"dst_ip"`
-	DstPort    uint16 `json:"dst_port"`
-	StreamOff  int64  `json:"stream_off"`
+	Seq        uint64     `json:"seq"`
+	Tenant     string     `json:"tenant"`
+	Generation uint64     `json:"generation"`
+	SID        int64      `json:"sid,omitempty"`
+	Msg        string     `json:"msg,omitempty"`
+	Rule       int32      `json:"rule"`
+	Pattern    int32      `json:"pattern"`
+	Proto      string     `json:"proto"`
+	SrcIP      netip.Addr `json:"src_ip"`
+	SrcPort    uint16     `json:"src_port"`
+	DstIP      netip.Addr `json:"dst_ip"`
+	DstPort    uint16     `json:"dst_port"`
+	StreamOff  int64      `json:"stream_off"`
 }
 
 // alertRingSize bounds the replay buffer (the last N alerts a plain
@@ -63,21 +69,31 @@ func newAlertHub() *alertHub {
 	return &alertHub{subs: make(map[chan AlertRecord]struct{})}
 }
 
-// publish stamps the record's sequence number, buffers it for replay,
-// and offers it to every follower without blocking.
-func (h *alertHub) publish(rec AlertRecord) {
+// publishBatch resolves one dispatcher batch into records, stamps them
+// with a contiguous run of sequence numbers, buffers them for replay,
+// and offers each to every follower without blocking — one lock round
+// per batch. With no follower only the records the ring keeps are
+// built: a batch longer than the ring would overwrite its own head.
+func (h *alertHub) publishBatch(tenant string, gen uint64, rset *rules.Set, as []ids.Alert) {
 	h.mu.Lock()
-	rec.Seq = h.next
-	h.ring[h.next%alertRingSize] = rec
-	h.next++
-	if h.n < alertRingSize {
-		h.n++
+	first := h.next
+	h.next += uint64(len(as))
+	h.n = min(h.n+len(as), alertRingSize)
+	skip := 0
+	if len(h.subs) == 0 {
+		skip = max(len(as)-alertRingSize, 0)
 	}
-	for ch := range h.subs {
-		select {
-		case ch <- rec:
-		default:
-			h.lost++
+	for i := skip; i < len(as); i++ {
+		seq := first + uint64(i)
+		rec := &h.ring[seq%alertRingSize]
+		*rec = alertRecord(tenant, gen, rset, as[i])
+		rec.Seq = seq
+		for ch := range h.subs {
+			select {
+			case ch <- *rec:
+			default:
+				h.lost++
+			}
 		}
 	}
 	h.mu.Unlock()
@@ -137,26 +153,27 @@ func (s *Server) SubscribeAlerts() (<-chan AlertRecord, func()) {
 	return ch, func() { s.alertHub.unsubscribe(ch) }
 }
 
-// alertRecord resolves a pipeline alert against the generation's
-// engine: rule alerts carry the rule's sid and msg, literal alerts the
-// pattern id.
-func alertRecord(tenant string, gen uint64, eng *ids.Engine, a ids.Alert) AlertRecord {
+// alertRecord resolves a pipeline alert against the generation's rule
+// set (nil for literal databases): rule alerts carry the rule's sid and
+// msg, literal alerts the pattern id.
+func alertRecord(tenant string, gen uint64, rset *rules.Set, a ids.Alert) AlertRecord {
 	rec := AlertRecord{
 		Tenant: tenant, Generation: gen,
 		Rule: a.RuleID, Pattern: a.PatternID, Proto: "tcp",
-		SrcIP: ip4String(a.Flow.SrcIP), SrcPort: a.Flow.SrcPort,
-		DstIP: ip4String(a.Flow.DstIP), DstPort: a.Flow.DstPort,
+		SrcIP: ip4(a.Flow.SrcIP), SrcPort: a.Flow.SrcPort,
+		DstIP: ip4(a.Flow.DstIP), DstPort: a.Flow.DstPort,
 		StreamOff: a.StreamOffset,
 	}
-	if rset := eng.Rules(); rset != nil && a.RuleID >= 0 {
+	if rset != nil && a.RuleID >= 0 {
 		r := &rset.Rules[a.RuleID]
 		rec.SID, rec.Msg = r.SID, r.Msg
 	}
 	return rec
 }
 
-func ip4String(v uint32) string {
-	return fmt.Sprintf("%d.%d.%d.%d", byte(v>>24), byte(v>>16), byte(v>>8), byte(v))
+// ip4 converts a host-order IPv4 address to netip.Addr.
+func ip4(v uint32) netip.Addr {
+	return netip.AddrFrom4([4]byte{byte(v >> 24), byte(v >> 16), byte(v >> 8), byte(v)})
 }
 
 // handleAlerts serves GET /v1/alerts: the buffered recent alerts as

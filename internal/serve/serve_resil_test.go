@@ -20,6 +20,7 @@ import (
 	"testing"
 	"time"
 
+	"vpatch/ids"
 	"vpatch/internal/netsim"
 )
 
@@ -200,12 +201,16 @@ func TestFollowHeartbeatAndDisconnect(t *testing.T) {
 	pubWG.Add(1)
 	go func() {
 		defer pubWG.Done()
+		batch := make([]ids.Alert, 4)
 		for i := 0; ; i++ {
 			select {
 			case <-stop:
 				return
 			default:
-				srv.alertHub.publish(AlertRecord{Tenant: "load", Rule: int32(i)})
+				for j := range batch {
+					batch[j] = ids.Alert{PatternID: int32(i), RuleID: -1, StreamOffset: int64(j)}
+				}
+				srv.alertHub.publishBatch("load", 1, nil, batch)
 				time.Sleep(time.Millisecond)
 			}
 		}

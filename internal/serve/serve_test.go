@@ -13,6 +13,7 @@ import (
 	"net"
 	"net/http"
 	"net/http/httptest"
+	"net/netip"
 	"reflect"
 	"strconv"
 	"strings"
@@ -670,7 +671,7 @@ func TestAlertStream(t *testing.T) {
 		t.Helper()
 		if rec.Tenant != "default" || rec.SID != 1001 || rec.Msg != "admin token" ||
 			rec.Rule != 0 || rec.Pattern != -1 ||
-			rec.SrcIP != "10.0.0.1" || rec.DstPort != 80 {
+			rec.SrcIP != netip.AddrFrom4([4]byte{10, 0, 0, 1}) || rec.DstPort != 80 {
 			t.Fatalf("alert record %+v: wrong identity", rec)
 		}
 	}

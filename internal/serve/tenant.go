@@ -20,6 +20,7 @@ import (
 	"vpatch/internal/metrics"
 	"vpatch/internal/netsim"
 	"vpatch/internal/resil"
+	"vpatch/internal/rules"
 )
 
 // TenantConfig bounds one tenant's pipeline. Zero fields inherit the
@@ -214,7 +215,8 @@ func (t *Tenant) Reload(db []byte) (uint64, error) {
 	gen := t.lastGen.Add(1)
 	g := &generation{gen: gen, t: t, eng: eng, drained: make(chan struct{})}
 	g.refs.Store(1)
-	g.disp = eng.NewDispatcher(t.cfg.Shards, t.cfg.limits(), func(a ids.Alert) { t.onAlert(gen, eng, a) })
+	rset := eng.Rules()
+	g.disp = eng.NewBatchDispatcher(t.cfg.Shards, t.cfg.limits(), func(as []ids.Alert) { t.onAlerts(gen, rset, as) })
 	if t.vbudget.Armed() {
 		// Installed before the generation is published, so no segment
 		// races the shard budget fields.
@@ -281,13 +283,17 @@ func (g *generation) finalize() {
 	})
 }
 
-// onAlert is the tenant's alert sink, called concurrently from the
-// dispatcher's worker goroutines.
-func (t *Tenant) onAlert(gen uint64, eng *ids.Engine, a ids.Alert) {
-	t.alerts.Add(1)
-	t.srv.alertHub.publish(alertRecord(t.name, gen, eng, a))
+// onAlerts is the tenant's alert sink, called concurrently from the
+// dispatcher's worker goroutines with one batch at a time (see
+// ids.Engine.NewBatchDispatcher): one counter add and one hub publish
+// per batch, then Config.OnAlert once per alert.
+func (t *Tenant) onAlerts(gen uint64, rset *rules.Set, as []ids.Alert) {
+	t.alerts.Add(uint64(len(as)))
+	t.srv.alertHub.publishBatch(t.name, gen, rset, as)
 	if fn := t.srv.cfg.OnAlert; fn != nil {
-		fn(t.name, gen, a)
+		for _, a := range as {
+			fn(t.name, gen, a)
+		}
 	}
 }
 
