@@ -11,9 +11,9 @@
 //
 // The initial database loads into the "default" tenant. Further tenants
 // are created over the API (PUT /v1/tenants/{id}) and rule databases
-// hot-swap with zero downtime (POST /v1/tenants/{id}/rules): requests
-// in flight finish on the generation they started with, new requests
-// use the new rules, and no buffered alert is lost across the swap.
+// hot-swap with zero downtime (POST /v1/tenants/{id}/rules): segments
+// queued before the swap are scanned under the old rules, later ones
+// under the new, and live flows keep their reassembly state across it.
 //
 // Rule-conditioned databases (vpatch-compile -rule-semantics, or
 // -rules with -rule-semantics here) make alerts report completed rules
@@ -61,7 +61,7 @@ func main() {
 	dbPath := flag.String("db", "", "initial .vpdb rule database for the default tenant")
 	rulesPath := flag.String("rules", "", "Snort-style rules file to compile for the default tenant (instead of -db)")
 	algoName := flag.String("algo", "vpatch", "matching engine for -rules: vpatch spatch dfc vectordfc ac wumanber ffbf")
-	shards := flag.Int("shards", 2, "default worker shards per tenant generation")
+	shards := flag.Int("shards", 2, "default worker shards per tenant")
 	maxFlows := flag.Int("max-flows", 1<<20, "default per-shard cap on tracked flows (0 = unlimited)")
 	flowTimeout := flag.Duration("flow-timeout", 60*time.Second, "default flow idle eviction timeout on the capture clock (0 = never)")
 	flowPending := flag.Int("flow-pending", 256<<10, "default per-flow out-of-order byte budget (0 = unlimited)")

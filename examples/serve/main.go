@@ -87,8 +87,8 @@ func main() {
 	}
 	fmt.Println("\n-- stream:", post(base+"/v1/stream?flush=1", serve.EncodeSegments(segs)))
 
-	// 4. Zero-downtime hot swap: generation 2 replaces the rules while
-	// the daemon keeps serving; in-flight requests finish on gen 1.
+	// 4. Zero-downtime hot swap: generation 2 replaces the rules under
+	// the tenant's live shards; segments queued before it finish on gen 1.
 	fmt.Println("\n-- load rules v2:", post(base+"/v1/tenants/default/rules",
 		blob("attack-gamma")))
 	fmt.Println("-- scan on v2:", post(base+"/v1/scan?port=80",

@@ -36,11 +36,12 @@ import (
 
 // Dispatcher fans captured segments out to N worker shards by flow-key
 // hash. HandleBatch is the one ingest entry point (amortized channel
-// sends). Close drains the workers and merges their stats.
+// sends); Swap moves the shards onto another engine under live traffic.
+// Close drains the workers and merges their stats.
 type Dispatcher struct {
 	shards []*Shard
 	chans  []chan []netsim.Segment
-	flush  []chan chan struct{}
+	ctl    []chan control
 	wg     sync.WaitGroup
 	obs    *PipelineObserver
 
@@ -60,11 +61,10 @@ type Dispatcher struct {
 	slabMax   int
 
 	// mu serializes HandleBatch calls (so one sender's batches reach a
-	// shard in call order) and guards the control plane (FlushAll vs
-	// Close); closeOnce makes Close safe from any goroutine, any number
-	// of times — the ownership handoff a hot-swapping service needs when
-	// the last releaser of an old engine generation, whoever that is,
-	// retires its dispatcher.
+	// shard in call order) and guards the control plane (FlushAll and
+	// Swap vs Close); closeOnce makes Close safe from any goroutine, any
+	// number of times — a resident service's shutdown races its ingest
+	// connections and scrapes.
 	mu sync.Mutex
 	// acc is HandleBatch's partition scratch: the slab each shard is
 	// being filled with during one call. Every entry is nil again before
@@ -126,19 +126,21 @@ func (e *Engine) NewBatchDispatcher(n int, limits netsim.Limits, emit func([]Ale
 	d := &Dispatcher{
 		shards: make([]*Shard, n),
 		chans:  make([]chan []netsim.Segment, n),
-		flush:  make([]chan chan struct{}, n),
+		ctl:    make([]chan control, n),
 		arena:  arena.Shared(),
 		acc:    make([][]netsim.Segment, n),
 	}
 	d.slabMax = n*(dispatchQueueBatches+2) + 16
 	d.slabs = make(chan []netsim.Segment, d.slabMax)
 	for i := 0; i < n; i++ {
-		// out collects the shard's alerts between deliveries; only this
-		// worker's goroutine touches it.
+		// out collects the shard's alerts between deliveries, and sink is
+		// where they go (Swap rebinds it); only this worker's goroutine
+		// touches either.
 		var out []Alert
+		sink := emit
 		deliver := func() {
 			if len(out) > 0 {
-				emit(out)
+				sink(out)
 				out = out[:0]
 			}
 		}
@@ -146,10 +148,10 @@ func (e *Engine) NewBatchDispatcher(n int, limits netsim.Limits, emit func([]Ale
 		sh.SetLimits(limits)
 		sh.SetArena(d.arena)
 		ch := make(chan []netsim.Segment, dispatchQueueBatches)
-		fch := make(chan chan struct{})
+		cch := make(chan control)
 		d.shards[i] = sh
 		d.chans[i] = ch
-		d.flush[i] = fch
+		d.ctl[i] = cch
 		worker := i
 		d.wg.Add(1)
 		go func() {
@@ -183,17 +185,17 @@ func (e *Engine) NewBatchDispatcher(n int, limits netsim.Limits, emit func([]Ale
 						return
 					}
 					handle(bt)
-				case ack := <-fch:
+				case c := <-cch:
 					// Drain slabs already queued before flushing:
 					// select picks randomly among ready channels, so
-					// without this a flush request could overtake
+					// without this a control request could overtake
 					// segments sent before it and miss their alerts.
 					for drained := false; !drained; {
 						select {
 						case bt, ok := <-ch:
 							if !ok {
 								flush()
-								close(ack)
+								close(c.done)
 								return
 							}
 							handle(bt)
@@ -202,7 +204,12 @@ func (e *Engine) NewBatchDispatcher(n int, limits netsim.Limits, emit func([]Ale
 						}
 					}
 					flush()
-					close(ack)
+					if c.eng != nil {
+						sh.rebind(c.eng, c.sids)
+						deliver() // verifications settled on the old engine
+						sink = c.sink
+					}
+					close(c.done)
 				}
 			}
 		}()
@@ -413,20 +420,56 @@ func (o *PipelineObserver) FlowStats() netsim.Stats {
 // otherwise wait for a shard watermark). The dispatcher itself holds
 // nothing to flush. Safe to call concurrently with HandleBatch (from any
 // goroutine) and with Close; after Close it is a no-op.
-func (d *Dispatcher) FlushAll() {
+func (d *Dispatcher) FlushAll() { d.broadcast(control{}) }
+
+// Swap moves every shard onto engine e — a rule reload under live
+// traffic — and delivers later alerts to emit (same contract as
+// NewBatchDispatcher's sink). It is ordered like FlushAll: each worker
+// first handles the slabs queued before the call and flushes its shard
+// on the old engine, delivering those alerts to the old sink, then
+// rebinds; slabs sent after Swap returns are scanned by e. The flow
+// plane stays: reassemblers, flow tables, tombstones, quarantine, stream
+// offsets, carries and verifier budgets (see Shard.rebind for what each
+// flow keeps). Returns once every worker has rebound; after Close it is
+// a no-op.
+func (d *Dispatcher) Swap(e *Engine, emit func([]Alert)) {
+	if emit == nil {
+		panic("ids: nil alert sink")
+	}
+	c := control{eng: e, sink: emit}
+	if e.rules != nil {
+		c.sids = e.rules.SIDIndex()
+	}
+	d.broadcast(c)
+}
+
+// control is one request on the workers' control channel: flush the
+// shard after the slabs queued before it and, when eng is set, rebind
+// it to eng with alerts going to sink from then on.
+type control struct {
+	eng  *Engine
+	sids map[int64][]int32 // eng's rules by sid (rule engines only)
+	sink func([]Alert)
+	done chan struct{}
+}
+
+// broadcast sends c to every worker and waits until all have carried it
+// out. Holding mu orders it against HandleBatch: every slab sent before
+// is already on the workers' channels, and none is sent until it returns.
+func (d *Dispatcher) broadcast(c control) {
 	d.mu.Lock()
 	defer d.mu.Unlock()
 	if d.closed {
 		return
 	}
-	acks := make([]chan struct{}, len(d.flush))
-	for i, fch := range d.flush {
-		ack := make(chan struct{})
-		acks[i] = ack
-		fch <- ack
+	dones := make([]chan struct{}, len(d.ctl))
+	for i, cch := range d.ctl {
+		c.done = make(chan struct{})
+		dones[i] = c.done
+		cch <- c
 	}
-	for _, ack := range acks {
-		<-ack
+	for _, done := range dones {
+		<-done
 	}
 }
 

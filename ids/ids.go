@@ -235,6 +235,10 @@ type batchEntry struct {
 	base     int64 // stream offset of the buffer's first byte
 }
 
+// maxLen is the longest pattern of the group (at least 1): a flow's
+// carry keeps maxLen-1 stream bytes.
+func (g *group) maxLen() int { return max(g.eng.Set().MaxLen(), 1) }
+
 // protocols that get a dedicated group; anything else uses the generic
 // group alone.
 var groupedProtocols = []vpatch.Protocol{
@@ -416,6 +420,55 @@ func (s *Shard) onFlowClose(k netsim.FlowKey, evicted bool) {
 	}
 	fs.carry = nil
 	delete(s.flows, k)
+}
+
+// rebind moves the shard onto engine e — a rule reload — keeping its
+// flow plane: the reassembler, tombstones and quarantine are untouched,
+// and every live flow keeps its stream position, carry bytes, verifier
+// budget and degraded mark. The caller flushes the shard first, so no
+// job of the old engine is pending. Per flow:
+//   - the group is re-resolved by service port; a flow whose service
+//     has no group under e loses its scan state and stops scanning;
+//   - the carry is trimmed to e's maxLen-1. When e's maxLen is longer,
+//     the one boundary at the swap is covered only to the old length
+//     (the carry regrows from the next payload on);
+//   - rule state is settled on the old engine (suspended verifications
+//     resolve, their alerts go out through the old sink) and restarts
+//     under e with the rules that already alerted carried by sid
+//     (rules.FlowState.Carry). Clause progress does not survive a swap,
+//     and a rule without a sid (SID 0) may alert again.
+func (s *Shard) rebind(e *Engine, sids map[int64][]int32) {
+	c := s.counters
+	if s.obsScan != nil {
+		c = &s.obsScratch
+	}
+	for k, fs := range s.flows {
+		var next *rules.FlowState
+		if fs.rstate != nil {
+			s.ev.FinishFlow(fs.rstate, c, s.ruleEmitter(fs))
+			if e.rules != nil {
+				next = fs.rstate.Carry(s.parent.rules, sids)
+			}
+		} else if e.rules != nil && !fs.degraded {
+			next = rules.NewFlowState(protoForPort(k.DstPort))
+		}
+		g := e.groupFor(k)
+		if g == nil {
+			delete(s.flows, k)
+			continue
+		}
+		fs.g, fs.maxLen, fs.rstate = g, g.maxLen(), next
+		if keep := fs.maxLen - 1; len(fs.carry) > keep {
+			fs.carry = append(fs.carry[:0], fs.carry[len(fs.carry)-keep:]...)
+		}
+	}
+	s.parent = e
+	s.sessions = make(map[*group]*vpatch.Session, len(e.groups))
+	s.pending = make(map[*group]*groupBatch, len(e.groups))
+	s.ev = nil
+	if e.rules != nil {
+		s.ev = rules.NewEval(e.rules)
+	}
 }
 
 // hasJobs reports whether the batch holds an enqueued scan job for fs
@@ -625,14 +678,9 @@ func (s *Shard) onPayload(k netsim.FlowKey, payload []byte) {
 		if g == nil {
 			return // no rules apply to this service at all
 		}
-		maxLen := g.eng.Set().MaxLen()
-		if maxLen < 1 {
-			maxLen = 1
-		}
-		fs = &flowState{key: k, g: g, maxLen: maxLen}
+		fs = &flowState{key: k, g: g, maxLen: g.maxLen(), vbudget: s.vbudget.PerFlow}
 		if s.ev != nil {
 			fs.rstate = rules.NewFlowState(protoForPort(k.DstPort))
-			fs.vbudget = s.vbudget.PerFlow
 		}
 		s.flows[k] = fs
 	}

@@ -66,3 +66,24 @@ func TestVerifierBudgetArmed(t *testing.T) {
 		t.Fatalf("Cost arithmetic wrong: %d", got)
 	}
 }
+
+// TestPoolRefillsUnderFrequentCharges: charges arriving faster than one
+// token's period still see the refill accrue. A pool at 1000 tokens/s
+// with burst 1, charged every 50 µs for 100 ms, owes about 100 grants;
+// a refill that truncates each interval to whole tokens and still
+// restarts the clock grants the burst and nothing more.
+func TestPoolRefillsUnderFrequentCharges(t *testing.T) {
+	p := NewPool(1000, 1)
+	granted := 0
+	start := time.Now()
+	for next := start; time.Since(start) < 100*time.Millisecond; next = next.Add(50 * time.Microsecond) {
+		for time.Now().Before(next) {
+		}
+		if p.TryTake(1) {
+			granted++
+		}
+	}
+	if granted < 50 {
+		t.Fatalf("granted %d charges in 100 ms at 1000/s; want about 100", granted)
+	}
+}

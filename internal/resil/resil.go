@@ -36,12 +36,13 @@ import (
 	"time"
 )
 
-// Pool is a refilling verifier-work budget shared by every flow of one
-// tenant, denominated in modeled cycles (costmodel.VerifierPrice). It
-// is a token bucket: capacity bounds the burst a tenant can spend on
-// verification at once, the rate bounds its sustained spend. Charges
-// come from the dispatcher's shard goroutines concurrently — only on
-// the rule-hit path, never per byte — so a mutex is cheap enough.
+// Pool is a token bucket: capacity bounds the burst a holder can spend
+// at once, the rate bounds its sustained spend. It backs a tenant's
+// verifier-work budget, shared by every flow and denominated in modeled
+// cycles (costmodel.VerifierPrice), and a tenant's ingest byte quota.
+// Charges come concurrently — verifier charges only on the rule-hit
+// path, quota charges once per request or frame — so a mutex is cheap
+// enough.
 type Pool struct {
 	mu     sync.Mutex
 	tokens int64
@@ -71,12 +72,16 @@ func (p *Pool) TryTake(n int64) bool {
 	p.mu.Lock()
 	defer p.mu.Unlock()
 	now := time.Now()
-	if el := now.Sub(p.last); el > 0 {
-		p.tokens += int64(el.Seconds() * float64(p.rate))
-		if p.tokens > p.cap {
-			p.tokens = p.cap
+	// Refill whole tokens, and advance last only by the time they took
+	// to accrue: frequent charges must not each throw the fractional
+	// remainder away, or a pool charged faster than one token's period
+	// never refills.
+	if due := int64(now.Sub(p.last).Seconds() * float64(p.rate)); due > 0 {
+		p.tokens += due
+		p.last = p.last.Add(time.Duration(float64(due) / float64(p.rate) * float64(time.Second)))
+		if p.tokens >= p.cap {
+			p.tokens, p.last = p.cap, now
 		}
-		p.last = now
 	}
 	if p.tokens < n {
 		p.denied++

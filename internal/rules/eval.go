@@ -89,6 +89,25 @@ func NewFlowState(proto patterns.Protocol) *FlowState {
 	return &FlowState{proto: proto, rules: make(map[int32]*ruleState)}
 }
 
+// Carry returns fresh state for fs's flow under another rule set, fs
+// having been evaluated against from: clause progress and suspended
+// verifications index from's rules and are dropped (settle them with
+// FinishFlow first), while every rule that already alerted on the flow
+// stays alerted under the new set, matched by sid through sids (the new
+// set's SIDIndex). A rule without a sid (SID 0) has no identity across
+// sets and is not carried.
+func (fs *FlowState) Carry(from *Set, sids map[int64][]int32) *FlowState {
+	next := NewFlowState(fs.proto)
+	for id, rs := range fs.rules {
+		if sid := from.Rules[id].SID; rs.alerted && sid != 0 {
+			for _, nid := range sids[sid] {
+				next.rules[nid] = &ruleState{alerted: true}
+			}
+		}
+	}
+	return next
+}
+
 // HasPending reports whether any regex verification is suspended
 // waiting for more stream bytes.
 func (fs *FlowState) HasPending() bool { return fs != nil && fs.pendings > 0 }

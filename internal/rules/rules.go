@@ -127,6 +127,18 @@ func (s *Set) HasRegex() bool {
 	return false
 }
 
+// SIDIndex maps every nonzero sid of the set to the rules carrying it:
+// the identity a rule keeps across rule sets (see FlowState.Carry).
+func (s *Set) SIDIndex() map[int64][]int32 {
+	m := make(map[int64][]int32, len(s.Rules))
+	for i := range s.Rules {
+		if sid := s.Rules[i].SID; sid != 0 {
+			m[sid] = append(m[sid], s.Rules[i].ID)
+		}
+	}
+	return m
+}
+
 // parsedClause is the parser's pre-compilation clause form.
 type parsedClause struct {
 	data   []byte

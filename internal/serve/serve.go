@@ -1,9 +1,10 @@
 // Package serve turns the vpatch library stack into a resident
 // multi-tenant scanning daemon: an HTTP/JSON scan API and a raw-TCP
 // segment ingest port in front of per-tenant ids pipelines, with
-// zero-downtime rule reload (atomic generation swap with refcount
-// draining), byte quotas, and a Prometheus-style /metrics surface
-// exported from the library's existing counters.
+// zero-downtime rule reload (the compiled engine swaps under the
+// tenant's live shards, which keep every flow's reassembly state), byte
+// quotas, and a Prometheus-style /metrics surface exported from the
+// library's existing counters.
 //
 // Endpoints:
 //
@@ -167,27 +168,22 @@ func New(cfg Config) *Server {
 	for _, h := range handlerNames {
 		s.httpStats[h] = &handlerStats{codes: make(map[int]uint64)}
 	}
-	// The DRR scheduler's dispatch callback resolves the tenant's
-	// current generation per batch, so long-queued batches still land on
-	// freshly swapped rules, and a batch whose tenant vanished (deleted,
-	// drained, rules never loaded) is dropped with its payloads
-	// released, never leaked.
+	// The DRR scheduler's dispatch callback hands each batch to its
+	// tenant's dispatcher, which scans it with whatever rules are current
+	// when it gets there. A batch whose tenant vanished (deleted, rules
+	// never loaded) is dropped with its payloads released, never leaked;
+	// so is one reaching a drained tenant's closed dispatcher.
 	s.sched = resil.NewScheduler(resil.SchedulerConfig{
 		QuantumBytes: cfg.SchedQuantumBytes,
 		QueueBytes:   cfg.TenantDefaults.IngestQueueBytes,
 		Dispatch: func(tenant string, segs []netsim.Segment) {
-			t := s.Tenant(tenant)
-			if t == nil {
-				releaseSegments(segs)
-				return
+			if t := s.Tenant(tenant); t != nil {
+				if d := t.disp.Load(); d != nil {
+					d.HandleBatch(segs)
+					return
+				}
 			}
-			g := t.acquire()
-			if g == nil {
-				releaseSegments(segs)
-				return
-			}
-			g.disp.HandleBatch(segs)
-			g.release()
+			releaseSegments(segs)
 		},
 	})
 	s.sched.Start()
@@ -292,10 +288,10 @@ func (s *Server) SchedStats(tenant string) resil.QueueStats {
 }
 
 // Drain stops accepting scan/stream/rules requests, retires every
-// tenant (each generation's dispatcher closes, flushing all shards so
-// every buffered alert surfaces), and reports the residual state.
-// Blocks until all in-flight work releases or timeout passes (0 means
-// wait forever). Idempotent in effect; every call re-reports.
+// tenant (its dispatcher closes, flushing all shards so every buffered
+// alert surfaces), and reports the residual state. Blocks until every
+// dispatcher has closed or timeout passes (0 means wait forever).
+// Idempotent in effect; every call re-reports.
 func (s *Server) Drain(timeout time.Duration) DrainReport {
 	s.draining.Store(true)
 	s.drainOnce.Do(func() { close(s.drainCh) })
@@ -318,11 +314,7 @@ func (s *Server) Drain(timeout time.Duration) DrainReport {
 		if t == nil {
 			continue
 		}
-		ok := t.shutdown(deadline)
-		t.obsMu.Lock()
-		st := t.retiredStats
-		residual := t.residualOOO
-		t.obsMu.Unlock()
+		st, ok := t.shutdown(deadline)
 		rep.Tenants[name] = TenantDrain{
 			Drained:      ok,
 			Alerts:       t.alerts.Load(),
@@ -330,7 +322,7 @@ func (s *Server) Drain(timeout time.Duration) DrainReport {
 			FlowsEvicted: st.FlowsEvicted,
 			BytesDropped: st.BytesDropped,
 
-			ResidualPendingBytes: residual,
+			ResidualPendingBytes: st.PendingBytes,
 		}
 		if !ok {
 			rep.Clean = false
@@ -515,16 +507,15 @@ func (s *Server) handleScan(w http.ResponseWriter, r *http.Request) {
 			fmt.Sprintf("scan body exceeds %d bytes", s.cfg.MaxScanBytes))
 		return
 	}
-	if !t.takeQuota(len(body)) {
+	if !t.quota.TryTake(int64(len(body))) {
 		writeErr(w, http.StatusTooManyRequests, "tenant byte quota exhausted")
 		return
 	}
-	g := t.acquire()
+	g := t.cur.Load()
 	if g == nil {
 		writeErr(w, http.StatusConflict, "tenant has no rules loaded")
 		return
 	}
-	defer g.release()
 	resp := scanResponse{Tenant: t.name, Generation: g.gen, Port: port,
 		Bytes: len(body), Matches: []matchOut{}}
 	var c vpatch.Counters
@@ -561,18 +552,17 @@ func (s *Server) handleStream(w http.ResponseWriter, r *http.Request) {
 	// is declared; chunked uploads are charged per frame.
 	charged := false
 	if r.ContentLength > 0 {
-		if !t.takeQuota(int(r.ContentLength)) {
+		if !t.quota.TryTake(r.ContentLength) {
 			writeErr(w, http.StatusTooManyRequests, "tenant byte quota exhausted")
 			return
 		}
 		charged = true
 	}
-	g := t.acquire()
+	g := t.cur.Load()
 	if g == nil {
 		writeErr(w, http.StatusConflict, "tenant has no rules loaded")
 		return
 	}
-	defer g.release()
 	resp := streamResponse{Tenant: t.name, Generation: g.gen}
 	// Frames land in recycled arena chunks and queue on the tenant's
 	// fair-scheduler lane in batches; the DRR rotation hands them to the
@@ -606,7 +596,7 @@ func (s *Server) handleStream(w http.ResponseWriter, r *http.Request) {
 			writeErr(w, http.StatusBadRequest, err.Error())
 			return
 		}
-		if !charged && !t.takeQuota(4+segFixedLen+len(seg.Payload)) {
+		if !charged && !t.quota.TryTake(int64(4+segFixedLen+len(seg.Payload))) {
 			seg.ReleasePayload()
 			writeErr(w, http.StatusTooManyRequests, "tenant byte quota exhausted")
 			return
@@ -622,13 +612,7 @@ func (s *Server) handleStream(w http.ResponseWriter, r *http.Request) {
 	if r.URL.Query().Get("flush") == "1" {
 		flushBatch()
 		s.sched.Flush(t.name)
-		// The scheduler may have landed batches on a newer generation
-		// than the one this request pinned; flush the current one too.
-		if cg := t.acquire(); cg != nil {
-			cg.disp.FlushAll()
-			cg.release()
-		}
-		g.disp.FlushAll()
+		t.disp.Load().FlushAll()
 	}
 	resp.AlertsTotal = t.alerts.Load()
 	writeJSON(w, http.StatusOK, resp)
@@ -676,7 +660,7 @@ func (s *Server) tenantInfoFor(t *Tenant) tenantInfo {
 	gen, rules, algo, age := t.generationInfo()
 	return tenantInfo{
 		Name: t.name, Generation: gen, Rules: rules, Algorithm: algo,
-		ReloadAge: age, Alerts: t.alerts.Load(), Rejected: t.rejected.Load(),
+		ReloadAge: age, Alerts: t.alerts.Load(), Rejected: t.quota.Denied(),
 		Config: t.cfg,
 	}
 }
@@ -730,7 +714,7 @@ func (s *Server) handleTenant(w http.ResponseWriter, r *http.Request, name strin
 		deadline := make(chan struct{})
 		tm := time.AfterFunc(30*time.Second, func() { close(deadline) })
 		defer tm.Stop()
-		ok := t.shutdown(deadline)
+		_, ok := t.shutdown(deadline)
 		writeJSON(w, http.StatusOK, map[string]any{"tenant": name, "drained": ok})
 	default:
 		writeErr(w, http.StatusMethodNotAllowed, "use PUT, GET or DELETE")
@@ -830,7 +814,7 @@ func (s *Server) handleMetrics(w http.ResponseWriter, _ *http.Request) {
 	// Reassembly / flow lifecycle.
 	gauge("vpatch_flows", "Currently tracked flows (including close tombstones).",
 		func(i int) float64 { return float64(flows[i].Flows) })
-	gauge("vpatch_flows_peak", "Peak simultaneously tracked flows (summed across shards and generations).",
+	gauge("vpatch_flows_peak", "Peak simultaneously tracked flows (summed across shards).",
 		func(i int) float64 { return float64(flows[i].PeakFlows) })
 	counter("vpatch_flows_closed_total", "Flows torn down normally (FIN/RST).",
 		func(i int) float64 { return float64(flows[i].FlowsClosed) })
@@ -847,7 +831,7 @@ func (s *Server) handleMetrics(w http.ResponseWriter, _ *http.Request) {
 	counter("vpatch_alerts_total", "Flow alerts delivered.",
 		func(i int) float64 { return float64(rows[i].t.alerts.Load()) })
 	counter("vpatch_quota_rejected_total", "Requests rejected by the tenant byte quota.",
-		func(i int) float64 { return float64(rows[i].t.rejected.Load()) })
+		func(i int) float64 { return float64(rows[i].t.quota.Denied()) })
 	promFamily(&b, "vpatch_rules_generation", "gauge", "Rule database generation (0 = none loaded; increments on every hot swap).")
 	gens := make([]struct {
 		gen   uint64

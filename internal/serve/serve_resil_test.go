@@ -339,9 +339,10 @@ func TestIngestFairnessTwoTenants(t *testing.T) {
 	srv.Drain(10 * time.Second)
 }
 
-// TestReloadDrainShutdownRace: rule reloads and generation swaps racing
-// stream traffic and Drain — no deadlock, no panic, no lost rule
-// semantics for requests that won their acquire. Race-pinned in CI.
+// TestReloadDrainShutdownRace: rule reloads swapping the engine under
+// the tenant's shards while stream traffic and Drain race them — no
+// deadlock, no panic, a clean drain that a second Drain re-reports.
+// Race-pinned in CI.
 func TestReloadDrainShutdownRace(t *testing.T) {
 	srv := New(Config{TenantDefaults: TenantConfig{Shards: 2}})
 	if _, err := srv.CreateTenant(DefaultTenant, TenantConfig{}); err != nil {

@@ -238,8 +238,8 @@ func TestHTTPLifecycle(t *testing.T) {
 		t.Fatalf("tenant detail: %d", resp.StatusCode)
 	}
 	var acme *Tenant
-	if acme = srv.Tenant("acme"); acme.rejected.Load() != 1 {
-		t.Fatalf("quota rejections = %d, want 1", acme.rejected.Load())
+	if acme = srv.Tenant("acme"); acme.quota.Denied() != 1 {
+		t.Fatalf("quota rejections = %d, want 1", acme.quota.Denied())
 	}
 
 	// Tenant names that would break Prometheus labels are rejected.
@@ -306,8 +306,8 @@ func TestHTTPLifecycle(t *testing.T) {
 // TestReloadProperty is the hot-swap acceptance property: under
 // concurrent ingestion with repeated rule reloads, every complete flow
 // carrying a pattern produces exactly one alert — none lost to a swap,
-// none duplicated by the drain of a retired generation — and /metrics
-// stays valid and monotonic throughout.
+// none duplicated by the flush each swap runs on the old rules — and
+// /metrics stays valid and monotonic throughout.
 func TestReloadProperty(t *testing.T) {
 	type flowAlerts struct {
 		sync.Mutex

@@ -4,10 +4,10 @@ package serve
 // for feeding capture pipelines into the daemon without HTTP framing
 // overhead. A connection opens with a hello frame naming the tenant
 // (see wire.go) and then carries segment frames until either side
-// closes. Frames queue on the tenant's fair-scheduler lane; the DRR
-// dispatch callback resolves the tenant's current generation per
-// batch, so a long-lived feed migrates to hot-swapped rules at the
-// next batch boundary. Connection robustness: frames that stall
+// closes. Frames queue on the tenant's fair-scheduler lane and reach the
+// tenant's one dispatcher, so a long-lived feed's flows keep their
+// reassembly state across rule reloads and are scanned by the new rules
+// from the swap on. Connection robustness: frames that stall
 // mid-read are bounded by ingestFrameTimeout, and connections idle
 // past Config.IngestIdleTimeout are torn down (slow-loris defense).
 
@@ -177,9 +177,8 @@ func (s *Server) serveIngestConn(conn net.Conn) {
 					// watermarks.
 					flushBatch()
 					s.sched.Flush(t.name)
-					if g := t.acquire(); g != nil {
-						g.disp.FlushAll()
-						g.release()
+					if d := t.disp.Load(); d != nil {
+						d.FlushAll()
 					}
 				}
 				return
@@ -203,7 +202,7 @@ func (s *Server) serveIngestConn(conn net.Conn) {
 		if chaos.Armed() {
 			chaos.Fire(chaos.IngestFrame, t.name)
 		}
-		if !t.takeQuota(4 + segFixedLen + len(seg.Payload)) {
+		if !t.quota.TryTake(int64(4 + segFixedLen + len(seg.Payload))) {
 			seg.ReleasePayload()
 			continue // over quota: count the rejection, drop the frame
 		}

@@ -1,13 +1,14 @@
 package serve
 
-// Tenant and generation lifecycle: each named tenant owns a compiled
-// rule database, a dispatcher with its own flow limits, byte quotas and
-// isolated counters. Rule reload is zero-downtime — the new database is
-// loaded and validated in the background, then swapped in behind an
-// atomic pointer with epoch/refcount draining: requests that acquired
-// the old generation finish on the old engine (its dispatcher is only
-// closed, flushing every shard, when the last reference releases), and
-// new requests start on the new one.
+// Tenant lifecycle: each named tenant owns one flow plane — a
+// dispatcher with its shards, reassemblers, flow tables, tombstones and
+// observers, created by the tenant's first rule load and closed by its
+// shutdown — plus byte quotas and isolated counters. A rule generation
+// is only the immutable compiled engine: Reload loads and validates the
+// new database outside the locks, swaps the engine under the live
+// shards (ids.Dispatcher.Swap) and publishes it behind an atomic
+// pointer for one-shot scans. Flows in flight keep their reassembly,
+// carry and per-rule dedup across the swap.
 
 import (
 	"fmt"
@@ -27,7 +28,7 @@ import (
 // server's defaults.
 type TenantConfig struct {
 	// Shards is the number of worker goroutines of the tenant's
-	// dispatcher (per generation).
+	// dispatcher.
 	Shards int `json:"shards,omitempty"`
 	// MaxFlows / FlowTimeout / FlowPendingBytes / TotalPendingBytes
 	// feed netsim.Limits, per shard.
@@ -36,8 +37,8 @@ type TenantConfig struct {
 	FlowPendingBytes  int           `json:"flow_pending_bytes,omitempty"`
 	TotalPendingBytes int           `json:"total_pending_bytes,omitempty"`
 	// QuotaBytesPerSec caps the tenant's ingest+scan volume (token
-	// bucket, burst QuotaBurstBytes); requests over quota are rejected
-	// with 429. 0 = unlimited.
+	// bucket, burst QuotaBurstBytes, default one second of quota);
+	// requests over quota are rejected with 429. 0 = unlimited.
 	QuotaBytesPerSec int64 `json:"quota_bytes_per_sec,omitempty"`
 	QuotaBurstBytes  int64 `json:"quota_burst_bytes,omitempty"`
 	// VerifierFlowBudget caps one flow's verifier spend in modeled
@@ -118,68 +119,44 @@ type Tenant struct {
 	reloadMu sync.Mutex
 	shut     bool
 
+	// disp is the tenant's flow plane: set, armed and observed by the
+	// first Reload before it is published, never replaced. cur is the
+	// current rule generation — nil before the first load and after
+	// shutdown.
+	disp     atomic.Pointer[ids.Dispatcher]
 	cur      atomic.Pointer[generation]
-	lastGen  atomic.Uint64
 	swapNano atomic.Int64 // wall clock of the last successful swap
 
-	quota *tokenBucket
+	// quota is the tenant's byte budget (nil = unlimited); its Denied
+	// count is the tenant's 429 total.
+	quota *resil.Pool
 	// vbudget is the tenant's verifier budget (per-flow cap plus shared
-	// cycle pool), installed on every generation's dispatcher; the pool
-	// persists across rule reloads so a hot swap cannot reset an
-	// attacker's spend.
+	// cycle pool), installed once on the dispatcher: flows keep their
+	// spend across rule swaps, and so does the pool.
 	vbudget resil.VerifierBudget
 
-	alerts   atomic.Uint64 // flow alerts delivered
-	rejected atomic.Uint64 // quota rejections (429s)
+	alerts atomic.Uint64 // flow alerts delivered
 
 	// httpScan accumulates one-shot ScanBuffer instrumentation
 	// (request-scoped scratch folded in after each scan).
 	httpScan metrics.Atomic
-
-	// obsMu guards the generation ledger: live generations plus the
-	// merged counters of finalized ones. Scrapes read retired+live
-	// under the mutex, and finalize moves a generation's tallies from
-	// live to retired under the same mutex, so totals never double
-	// count and never go backwards.
-	obsMu        sync.Mutex
-	live         map[*generation]struct{}
-	retiredScan  metrics.Counters
-	retiredStats netsim.Stats // gauges stripped (Flows/PendingBytes = 0)
-	residualOOO  int          // pending bytes left behind by closed generations
 }
 
-// generation is one loaded rule database epoch: engine, dispatcher and
-// observer, reference-counted. refs starts at 1 (the tenant's
-// ownership); every request acquires/releases around its use. When the
-// tenant swaps in a successor it drops the ownership ref, and whoever
-// releases last closes the dispatcher — flushing every shard, so no
-// buffered alert is lost — and folds the final tallies into the
-// tenant's retired totals.
+// generation is one loaded rule database: its number and the immutable
+// compiled engine.
 type generation struct {
-	gen  uint64
-	t    *Tenant
-	eng  *ids.Engine
-	disp *ids.Dispatcher
-	obs  *ids.PipelineObserver
-
-	refs    atomic.Int64
-	fin     sync.Once
-	drained chan struct{}
+	gen uint64
+	eng *ids.Engine
 }
 
 func (s *Server) newTenant(name string, cfg TenantConfig) *Tenant {
-	t := &Tenant{
-		name: name,
-		cfg:  cfg,
-		srv:  s,
-		live: make(map[*generation]struct{}),
-	}
+	t := &Tenant{name: name, cfg: cfg, srv: s}
 	if cfg.QuotaBytesPerSec > 0 {
 		burst := cfg.QuotaBurstBytes
 		if burst <= 0 {
 			burst = cfg.QuotaBytesPerSec
 		}
-		t.quota = newTokenBucket(cfg.QuotaBytesPerSec, burst)
+		t.quota = resil.NewPool(cfg.QuotaBytesPerSec, burst)
 	}
 	if cfg.VerifierFlowBudget > 0 {
 		t.vbudget.PerFlow = cfg.VerifierFlowBudget
@@ -195,10 +172,10 @@ func (s *Server) newTenant(name string, cfg TenantConfig) *Tenant {
 
 // Reload validates db (CRC and pattern-digest checks run inside
 // ids.LoadDB), compiles nothing — the blob holds the precompiled
-// engines — and atomically swaps the new generation in. In-flight
-// requests keep the generation they acquired; its dispatcher drains in
-// the background once the last reference releases. Returns the new
-// generation number.
+// engines — and swaps the new engine in: the first load starts the
+// tenant's dispatcher, later loads rebind its live shards (every segment
+// queued before the swap is scanned, and its alerts reported, under the
+// old generation). Returns the new generation number.
 func (t *Tenant) Reload(db []byte) (uint64, error) {
 	// Load outside the locks: validation and engine reconstruction are
 	// the slow part, and the data path must not stall behind them.
@@ -212,75 +189,25 @@ func (t *Tenant) Reload(db []byte) (uint64, error) {
 	if t.shut {
 		return 0, fmt.Errorf("serve: tenant %q is draining", t.name)
 	}
-	gen := t.lastGen.Add(1)
-	g := &generation{gen: gen, t: t, eng: eng, drained: make(chan struct{})}
-	g.refs.Store(1)
+	gen := uint64(1)
+	if g := t.cur.Load(); g != nil {
+		gen = g.gen + 1
+	}
 	rset := eng.Rules()
-	g.disp = eng.NewBatchDispatcher(t.cfg.Shards, t.cfg.limits(), func(as []ids.Alert) { t.onAlerts(gen, rset, as) })
-	if t.vbudget.Armed() {
-		// Installed before the generation is published, so no segment
-		// races the shard budget fields.
-		g.disp.SetVerifierBudget(t.vbudget)
+	sink := func(as []ids.Alert) { t.onAlerts(gen, rset, as) }
+	if d := t.disp.Load(); d != nil {
+		d.Swap(eng, sink)
+	} else {
+		d = eng.NewBatchDispatcher(t.cfg.Shards, t.cfg.limits(), sink)
+		if t.vbudget.Armed() {
+			d.SetVerifierBudget(t.vbudget)
+		}
+		d.Observe()
+		t.disp.Store(d)
 	}
-	g.obs = g.disp.Observe()
-
-	t.obsMu.Lock()
-	t.live[g] = struct{}{}
-	t.obsMu.Unlock()
-
-	old := t.cur.Swap(g)
+	t.cur.Store(&generation{gen: gen, eng: eng})
 	t.swapNano.Store(time.Now().UnixNano())
-	if old != nil {
-		old.release() // drop ownership; drains when in-flight users finish
-	}
 	return gen, nil
-}
-
-// acquire pins the current generation for one request. Returns nil when
-// the tenant has no rules loaded (or was shut down). Callers must
-// release exactly once.
-func (t *Tenant) acquire() *generation {
-	for {
-		g := t.cur.Load()
-		if g == nil {
-			return nil
-		}
-		g.refs.Add(1)
-		if t.cur.Load() == g {
-			return g
-		}
-		// Lost a race with a swap; this ref may have resurrected a
-		// generation whose drain already began. Put it back and retry.
-		g.release()
-	}
-}
-
-func (g *generation) release() {
-	if g.refs.Add(-1) == 0 {
-		g.finalize()
-	}
-}
-
-// finalize retires the generation: closes the dispatcher (every shard
-// flushes, so all pending alerts surface first) and moves its tallies
-// into the tenant's retired totals. sync.Once absorbs the benign
-// double-trigger race between the owner's release and a late acquirer
-// backing out.
-func (g *generation) finalize() {
-	g.fin.Do(func() {
-		st := g.disp.Close()
-		t := g.t
-		t.obsMu.Lock()
-		c := g.obs.Counters()
-		t.retiredScan.Add(&c)
-		stripped := st
-		stripped.Flows, stripped.PendingBytes = 0, 0
-		t.retiredStats.Add(stripped)
-		t.residualOOO += st.PendingBytes
-		delete(t.live, g)
-		t.obsMu.Unlock()
-		close(g.drained)
-	})
 }
 
 // onAlerts is the tenant's alert sink, called concurrently from the
@@ -297,58 +224,35 @@ func (t *Tenant) onAlerts(gen uint64, rset *rules.Set, as []ids.Alert) {
 	}
 }
 
-// takeQuota charges n bytes against the tenant's budget, counting a
-// rejection when the budget is exhausted.
-func (t *Tenant) takeQuota(n int) bool {
-	if t.quota == nil {
-		return true
-	}
-	if t.quota.take(n) {
-		return true
-	}
-	t.rejected.Add(1)
-	return false
-}
-
-// scanCounters returns the tenant's merged scan counters: finalized
-// generations, live generations' published tallies, and one-shot HTTP
-// scans. Safe to call from any goroutine; consecutive calls never go
-// backwards.
+// scanCounters returns the tenant's merged scan counters: the
+// dispatcher's published tallies plus one-shot HTTP scans. Safe to call
+// from any goroutine; consecutive calls never go backwards.
 func (t *Tenant) scanCounters() metrics.Counters {
-	t.obsMu.Lock()
-	defer t.obsMu.Unlock()
-	total := t.retiredScan
-	for g := range t.live {
-		c := g.obs.Counters()
+	total := t.httpScan.Snapshot()
+	if d := t.disp.Load(); d != nil {
+		c := d.Observe().Counters()
 		total.Add(&c)
 	}
-	h := t.httpScan.Snapshot()
-	total.Add(&h)
 	return total
 }
 
-// lifecycleStats returns the tenant's merged flow-lifecycle stats
-// (gauges reflect live generations only; counters include retired
-// ones).
+// lifecycleStats returns the tenant's flow-lifecycle stats as published
+// by its dispatcher's shards.
 func (t *Tenant) lifecycleStats() netsim.Stats {
-	t.obsMu.Lock()
-	defer t.obsMu.Unlock()
-	st := t.retiredStats
-	for g := range t.live {
-		st.Add(g.obs.FlowStats())
+	if d := t.disp.Load(); d != nil {
+		return d.Observe().FlowStats()
 	}
-	return st
+	return netsim.Stats{}
 }
 
-// generationInfo reports the tenant's current epoch for responses and
-// metrics: generation number, rule count, algorithm, and seconds since
-// the last swap. Generation 0 means no rules loaded.
+// generationInfo reports the tenant's current generation for responses
+// and metrics: generation number, rule count, algorithm, and seconds
+// since the last swap. Generation 0 means no rules loaded.
 func (t *Tenant) generationInfo() (gen uint64, rules int, algo string, age float64) {
-	g := t.acquire()
+	g := t.cur.Load()
 	if g == nil {
 		return 0, 0, "", 0
 	}
-	defer g.release()
 	age = time.Since(time.Unix(0, t.swapNano.Load())).Seconds()
 	n := g.eng.Set().Len()
 	if rset := g.eng.Rules(); rset != nil {
@@ -357,68 +261,28 @@ func (t *Tenant) generationInfo() (gen uint64, rules int, algo string, age float
 	return g.gen, n, g.eng.Algorithm().String(), age
 }
 
-// shutdown retires the tenant: no new acquisitions succeed, and the
-// call blocks until every live generation has drained (all in-flight
-// requests released, every shard flushed) or the deadline passes.
-// Returns true on a complete drain.
-func (t *Tenant) shutdown(deadline <-chan struct{}) bool {
+// shutdown retires the tenant: the generation is unpublished (no new
+// request starts, Reload is refused) and the dispatcher closes — every
+// queued slab handled and every shard flushed, so all buffered alerts
+// surface. It blocks until the close completes or the deadline passes,
+// and returns the flow plane's lifecycle stats (final on a complete
+// close, as published so far otherwise) and whether it completed. A
+// repeated call re-reports.
+func (t *Tenant) shutdown(deadline <-chan struct{}) (netsim.Stats, bool) {
 	t.reloadMu.Lock()
 	t.shut = true
-	old := t.cur.Swap(nil)
+	t.cur.Store(nil)
 	t.reloadMu.Unlock()
-	if old != nil {
-		old.release()
+	d := t.disp.Load()
+	if d == nil {
+		return netsim.Stats{}, true
 	}
-	for {
-		t.obsMu.Lock()
-		var g *generation
-		for lg := range t.live {
-			g = lg
-			break
-		}
-		t.obsMu.Unlock()
-		if g == nil {
-			return true
-		}
-		select {
-		case <-g.drained:
-		case <-deadline:
-			return false
-		}
+	closed := make(chan netsim.Stats, 1)
+	go func() { closed <- d.Close() }()
+	select {
+	case st := <-closed:
+		return st, true
+	case <-deadline:
+		return d.Observe().FlowStats(), false
 	}
-}
-
-// tokenBucket is a classic byte-rate limiter: rate tokens/second refill
-// up to burst; take succeeds when the bucket holds n tokens.
-type tokenBucket struct {
-	mu     sync.Mutex
-	rate   float64
-	burst  float64
-	tokens float64
-	last   time.Time
-}
-
-func newTokenBucket(ratePerSec, burst int64) *tokenBucket {
-	return &tokenBucket{
-		rate:   float64(ratePerSec),
-		burst:  float64(burst),
-		tokens: float64(burst),
-		last:   time.Now(),
-	}
-}
-
-func (b *tokenBucket) take(n int) bool {
-	b.mu.Lock()
-	defer b.mu.Unlock()
-	now := time.Now()
-	b.tokens += now.Sub(b.last).Seconds() * b.rate
-	if b.tokens > b.burst {
-		b.tokens = b.burst
-	}
-	b.last = now
-	if b.tokens < float64(n) {
-		return false
-	}
-	b.tokens -= float64(n)
-	return true
 }
