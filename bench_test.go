@@ -260,8 +260,7 @@ func BenchmarkStreamScanner(b *testing.B) {
 
 // BenchmarkBatchSmallPackets: the small-packet workload (the batch scan
 // path's target): per-packet Session.Scan vs one ScanBatch call per 32
-// packets, at the sizes real NIDS traffic is dominated by. The
-// cmd/vpatch-bench -sizes sweep adds the serial scan's vector coverage.
+// packets, at the sizes real NIDS traffic is dominated by.
 func BenchmarkBatchSmallPackets(b *testing.B) {
 	f := benchFixtures()
 	eng, err := Compile(f.s1web, Options{})

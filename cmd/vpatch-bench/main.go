@@ -5,13 +5,6 @@
 //	vpatch-bench -fig 4a            # one figure
 //	vpatch-bench -all               # every figure
 //	vpatch-bench -fig 4a -size 64   # 64 MB of traffic per dataset
-//	vpatch-bench -sizes 64,256,1514,imix -batch 32
-//	                                # packet-size sweep: serial vs batch
-//	vpatch-bench -accel             # acceleration density sweep
-//	vpatch-bench -rules             # rule-tier overhead sweep:
-//	                                # full semantics vs literal-only
-//	vpatch-bench -flood             # match-flood adversarial sweep:
-//	                                # verifier budgets on vs off
 //	vpatch-bench -kernels           # extract-kernel A/B sweep (all kernels)
 //	vpatch-bench -kernel avx2       # kernel sweep: avx2 vs the swar baseline
 //	vpatch-bench -db web.vpdb      # startup: load vs recompile + scan
@@ -30,19 +23,8 @@
 // engine's Info line, and measures scan throughput over synthesized
 // traffic — the compile-once / load-everywhere payoff in one report.
 //
-// The -sizes mode runs the batch-scanning sweep instead of a figure:
-// packets of each given size (or the IMIX mix) scanned one Scan call
-// per packet versus one ScanBatch call per -batch packets, reporting
-// wall-clock throughput and the serial scan's vector coverage per size.
-//
-// The -accel mode runs the skip-loop acceleration density sweep
-// (0-100% match fraction x packet-to-chunk buffer sizes): accelerated
-// vs plain fused kernels plus the skip ratio per cell — the crossover
-// evidence behind the acceleration layer's governor thresholds.
-//
-// Sweep and startup modes combine: -kernels -sizes 64 -rules in one
-// invocation runs all three and writes one JSON report with every
-// section.
+// The kernel and startup modes combine: -kernels -db web.vpdb in one
+// invocation runs both and writes one JSON report with both sections.
 //
 // The -kernels mode (or -kernel with a specific kernel name and no
 // figure selection) runs the extract-kernel A/B sweep: each kernel's
@@ -55,8 +37,8 @@
 //
 // -json writes every result produced by the run as one machine-readable
 // JSON document ("-" = stdout): per-figure wall-clock and modeled Gbps
-// with full event counters, the batch sweep's rows, and accel-sweep
-// skip ratios. CI records it as the bench-trajectory artifact.
+// with full event counters, the kernel sweep's rows and the -db report.
+// CI records it as the bench-trajectory artifact.
 package main
 
 import (
@@ -64,7 +46,6 @@ import (
 	"flag"
 	"fmt"
 	"os"
-	"strconv"
 	"strings"
 	"time"
 
@@ -84,10 +65,6 @@ type report struct {
 	Kernel      string                       `json:"kernel"`
 	Figures     map[string]figEntry          `json:"figures,omitempty"`
 	KernelSweep []experiments.KernelSweepRow `json:"kernel_sweep,omitempty"`
-	BatchSweep  []experiments.BatchSweepRow  `json:"batch_sweep,omitempty"`
-	AccelSweep  []experiments.AccelSweepRow  `json:"accel_sweep,omitempty"`
-	RuleSweep   []experiments.RuleSweepRow   `json:"rule_sweep,omitempty"`
-	FloodSweep  []experiments.FloodSweepRow  `json:"flood_sweep,omitempty"`
 	DB          *dbReport                    `json:"db,omitempty"`
 }
 
@@ -146,12 +123,7 @@ func main() {
 	seed := flag.Int64("seed", 1, "generator seed")
 	repeats := flag.Int("repeats", 3, "wall-clock timing repeats")
 	csvDir := flag.String("csv", "", "also write each figure as CSV into this directory")
-	sizesFlag := flag.String("sizes", "", "comma-separated packet sizes in bytes (or 'imix'): run the serial-vs-batch packet sweep instead of figures")
-	batchN := flag.Int("batch", 32, "buffers per ScanBatch call in the packet sweep")
 	dbPath := flag.String("db", "", "precompiled .vpdb database: run the load-vs-compile startup benchmark instead of figures")
-	accelSweep := flag.Bool("accel", false, "run the skip-loop acceleration density sweep instead of figures")
-	rulesSweep := flag.Bool("rules", false, "run the rule-tier overhead sweep (full rule semantics vs literal-only at 0-10% anchor-hit rates) instead of figures")
-	floodSweep := flag.Bool("flood", false, "run the match-flood adversarial sweep (verifier budgets on vs off at 0-40% flood-site densities) instead of figures")
 	kernelFlag := flag.String("kernel", "auto", "extract kernel to force (auto, avx2, swar); with no figure selection, runs the kernel sweep for it vs the swar baseline")
 	kernelsMode := flag.Bool("kernels", false, "run the extract-kernel A/B sweep over every kernel available on this host")
 	jsonPath := flag.String("json", "", "write all results of this run as JSON to the given path ('-' = stdout)")
@@ -183,12 +155,10 @@ func main() {
 		Kernel:      resolved.String(),
 	}
 
-	// The sweep and startup modes combine: one invocation may run any
-	// subset of them (e.g. -kernels -sizes ... -rules) and the -json
-	// report carries every section produced.
+	// The kernel and startup modes combine: one invocation may run both
+	// and the -json report carries every section produced.
 	ranMode := false
-	if *kernelsMode || (kern != vpatch.KernelAuto && *fig == "" && !*all &&
-		*sizesFlag == "" && *dbPath == "" && !*accelSweep && !*rulesSweep && !*floodSweep) {
+	if *kernelsMode || (kern != vpatch.KernelAuto && *fig == "" && !*all && *dbPath == "") {
 		kernels := vpatch.AvailableKernels()
 		if !*kernelsMode {
 			kernels = []vpatch.Kernel{resolved}
@@ -198,22 +168,6 @@ func main() {
 	}
 	if *dbPath != "" {
 		runDBBench(cfg, *dbPath, rep)
-		ranMode = true
-	}
-	if *accelSweep {
-		runAccelSweep(cfg, *csvDir, rep)
-		ranMode = true
-	}
-	if *sizesFlag != "" {
-		runBatchSweep(cfg, *sizesFlag, *batchN, *csvDir, rep)
-		ranMode = true
-	}
-	if *rulesSweep {
-		runRuleSweep(cfg, *csvDir, rep)
-		ranMode = true
-	}
-	if *floodSweep {
-		runFloodSweep(cfg, *csvDir, rep)
 		ranMode = true
 	}
 	if ranMode {
@@ -324,22 +278,6 @@ func runKernelSweep(cfg experiments.Config, kernels []vpatch.Kernel, csvDir stri
 	writeCSV(csvDir, func() error { return experiments.WriteKernelSweepCSV(csvDir, "kernelsweep.csv", rows) })
 }
 
-// runAccelSweep runs the acceleration density sweep on the Snort-sized
-// web rule set (the BenchmarkAccel* configuration).
-func runAccelSweep(cfg experiments.Config, csvDir string, rep *report) {
-	fmt.Println("generating rule set (seeded, statistics of Snort v2.9.7)...")
-	set := patterns.GenerateS1(cfg.Seed).WebSubset()
-	fmt.Println("  " + patterns.DescribeSet("S1-web", set))
-	fmt.Println()
-	rows := experiments.AccelSweep(cfg, set,
-		[]float64{0, 0.25, 0.5, 0.75, 1.0},
-		[]int{64, 1514, 64 << 10}, 8)
-	experiments.PrintAccelSweep(os.Stdout,
-		"Accel sweep: skip-loop acceleration vs plain fused kernels (V-PATCH W=8, random traffic + injected matches)", rows)
-	rep.AccelSweep = rows
-	writeCSV(csvDir, func() error { return experiments.WriteAccelSweepCSV(csvDir, "accelsweep.csv", rows) })
-}
-
 // runDBBench is the -db startup benchmark: load the database (timed,
 // repeated), recompile the identical pattern set with the identical
 // engine for comparison, print the engine Info, and measure scan
@@ -403,69 +341,6 @@ func runDBBench(cfg experiments.Config, path string, rep *report) {
 func fatalBench(err error) {
 	fmt.Fprintln(os.Stderr, "vpatch-bench:", err)
 	os.Exit(1)
-}
-
-// runBatchSweep parses the -sizes list and runs the packet-size sweep
-// on the Snort-sized web rule set (the Fig. 4a configuration).
-func runBatchSweep(cfg experiments.Config, sizesFlag string, batch int, csvDir string, rep *report) {
-	var sizes []int
-	for _, tok := range strings.Split(sizesFlag, ",") {
-		tok = strings.TrimSpace(tok)
-		if strings.EqualFold(tok, "imix") {
-			sizes = append(sizes, 0)
-			continue
-		}
-		n, err := strconv.Atoi(tok)
-		if err != nil || n < 1 {
-			fmt.Fprintf(os.Stderr, "bad packet size %q (want bytes or 'imix')\n", tok)
-			os.Exit(2)
-		}
-		sizes = append(sizes, n)
-	}
-	fmt.Println("generating rule set (seeded, statistics of Snort v2.9.7)...")
-	set := patterns.GenerateS1(cfg.Seed).WebSubset()
-	fmt.Println("  " + patterns.DescribeSet("S1-web", set))
-	fmt.Println()
-	rows := experiments.BatchSweep(cfg, set, sizes, batch, 8)
-	experiments.PrintBatchSweep(os.Stdout,
-		fmt.Sprintf("Batch sweep: V-PATCH one Scan per packet vs one ScanBatch per %d packets (W=8), ISCX-day2 traffic", batch), rows)
-	rep.BatchSweep = rows
-	writeCSV(csvDir, func() error { return experiments.WriteBatchSweepCSV(csvDir, "batchsweep.csv", rows) })
-}
-
-// runRuleSweep runs the rule-tier overhead sweep: the full rule
-// semantics pipeline (clause evaluation + anchored lazy-DFA verifier)
-// against the literal-only pipeline over the same prefilter literals,
-// as injected anchor density sweeps from clean traffic to ~10% of
-// bytes. The paper figures stay literal-only; this section is the
-// evidence that verification rides on the prefilter instead of taxing
-// the fast path.
-func runRuleSweep(cfg experiments.Config, csvDir string, rep *report) {
-	rows, err := experiments.RuleSweep(cfg, vpatch.Options{}, nil)
-	if err != nil {
-		fatalBench(err)
-	}
-	experiments.PrintRuleSweep(os.Stdout,
-		"Rule sweep: full rule semantics vs literal-only prefilter (V-PATCH, random traffic + injected anchors)", rows)
-	rep.RuleSweep = rows
-	writeCSV(csvDir, func() error { return experiments.WriteRuleSweepCSV(csvDir, "rulesweep.csv", rows) })
-}
-
-// runFloodSweep runs the match-flood adversarial sweep: the same rule
-// pipeline with verifier budgets disarmed versus armed as injected
-// always-rejecting anchor sites sweep from clean traffic to attack
-// densities. The 0% cell's budgets-on/off ratio is the budget
-// bookkeeping's clean-traffic overhead; the attack cells show the
-// throughput floor the budget defends.
-func runFloodSweep(cfg experiments.Config, csvDir string, rep *report) {
-	rows, err := experiments.FloodSweep(cfg, vpatch.Options{}, nil)
-	if err != nil {
-		fatalBench(err)
-	}
-	experiments.PrintFloodSweep(os.Stdout,
-		"Flood sweep: verifier budgets on vs off under match-flood anchor injection (V-PATCH, random traffic)", rows)
-	rep.FloodSweep = rows
-	writeCSV(csvDir, func() error { return experiments.WriteFloodSweepCSV(csvDir, "floodsweep.csv", rows) })
 }
 
 // writeCSV runs the export when a CSV directory was requested.

@@ -73,8 +73,8 @@ const MaxRareBytes = 2
 
 // MaxWindowDensity is the compile-time break-even: when more than this
 // fraction of 2-byte windows is viable, even the L1-resident bitmap
-// loop cannot beat the probe chain it guards (the experiments package's
-// AccelSweep locates the crossover empirically; see the README's
+// loop cannot beat the probe chain it guards (the BenchmarkAccel*
+// benchmarks locate the crossover empirically; see the README's
 // performance guide) and the table compiles to ModeOff.
 const MaxWindowDensity = 0.35
 

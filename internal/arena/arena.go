@@ -79,9 +79,6 @@ type Buf struct {
 // size class). Callers slice it down to the payload they filled.
 func (b *Buf) Data() []byte { return b.data }
 
-// Cap returns the chunk capacity in bytes.
-func (b *Buf) Cap() int { return len(b.data) }
-
 // Retain adds a reference. It panics if the buffer was already fully
 // released — retaining a dead chunk is always a caller bug.
 func (b *Buf) Retain() {

@@ -14,8 +14,8 @@ func TestClassRounding(t *testing.T) {
 	a := New(Config{})
 	for _, c := range cases {
 		b := a.Rent(c.n)
-		if b.Cap() != c.wantCap {
-			t.Errorf("Rent(%d): cap %d, want %d", c.n, b.Cap(), c.wantCap)
+		if len(b.data) != c.wantCap {
+			t.Errorf("Rent(%d): cap %d, want %d", c.n, len(b.data), c.wantCap)
 		}
 		b.Release()
 	}
@@ -62,8 +62,8 @@ func TestCapOverflow(t *testing.T) {
 	}
 	// Oversized rents always overflow, never pool.
 	big := a.Rent(MaxChunk + 1)
-	if big.Cap() != MaxChunk+1 {
-		t.Fatalf("oversize rent cap = %d", big.Cap())
+	if len(big.data) != MaxChunk+1 {
+		t.Fatalf("oversize rent cap = %d", len(big.data))
 	}
 	big.Release()
 	if st := a.Stats(); st.PooledBytes > 2048 {

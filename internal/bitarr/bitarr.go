@@ -51,22 +51,10 @@ func (b *BitArray) Set(idx uint32) {
 	b.bytes[idx>>3] |= 1 << (idx & 7)
 }
 
-// Clear clears the bit at idx (reduced modulo the capacity).
-func (b *BitArray) Clear(idx uint32) {
-	idx &= b.idxMask
-	b.bytes[idx>>3] &^= 1 << (idx & 7)
-}
-
 // Test reports whether the bit at idx is set (idx reduced modulo capacity).
 func (b *BitArray) Test(idx uint32) bool {
 	idx &= b.idxMask
 	return b.bytes[idx>>3]&(1<<(idx&7)) != 0
-}
-
-// Byte returns the storage byte that holds bits [8*byteIdx, 8*byteIdx+8).
-// This is the unit a (emulated) gather instruction fetches.
-func (b *BitArray) Byte(byteIdx uint32) byte {
-	return b.bytes[byteIdx&(b.idxMask>>3)]
 }
 
 // Bytes exposes the raw backing storage (read-only by convention). It is
@@ -93,13 +81,6 @@ func (b *BitArray) PopCount() int {
 // filtering rate: a fuller filter passes more of the input to verification.
 func (b *BitArray) FillRatio() float64 {
 	return float64(b.PopCount()) / float64(b.Bits())
-}
-
-// Clone returns a deep copy.
-func (b *BitArray) Clone() *BitArray {
-	c := &BitArray{bytes: make([]byte, len(b.bytes)), idxMask: b.idxMask}
-	copy(c.bytes, b.bytes)
-	return c
 }
 
 // Index2 computes the canonical 2-byte window index used by the direct
@@ -198,12 +179,6 @@ func NewMergedFilter(f1, f2 *BitArray) *MergedFilter {
 		m.words[i] = uint16(f1.bytes[i]) | uint16(f2.bytes[i])<<8
 	}
 	return m
-}
-
-// Word returns the interleaved 16-bit word covering bit index idx.
-func (m *MergedFilter) Word(idx uint32) uint16 {
-	idx &= m.idxMask
-	return m.words[idx>>3]
 }
 
 // Words exposes the raw interleaved storage for the vector gather.

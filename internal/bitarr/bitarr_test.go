@@ -53,9 +53,9 @@ func TestSetTestClear(t *testing.T) {
 	if b.Test(4) || b.Test(6) {
 		t.Fatal("Set(5) disturbed neighbours")
 	}
-	b.Clear(5)
+	b.Reset()
 	if b.Test(5) {
-		t.Fatal("Clear(5) not visible")
+		t.Fatal("Reset did not clear bit 5")
 	}
 }
 
@@ -106,28 +106,16 @@ func TestReset(t *testing.T) {
 	}
 }
 
-func TestClone(t *testing.T) {
-	b := New(8)
-	b.Set(17)
-	c := b.Clone()
-	if !c.Test(17) {
-		t.Fatal("clone missing bit 17")
-	}
-	c.Set(18)
-	if b.Test(18) {
-		t.Fatal("clone shares storage with original")
-	}
-}
-
+// The storage byte holding bits [8k, 8k+8) is the unit a gather fetches.
 func TestByteAccess(t *testing.T) {
 	b := New(8)
 	b.Set(8)  // byte 1, bit 0
 	b.Set(15) // byte 1, bit 7
-	if got := b.Byte(1); got != 0x81 {
-		t.Fatalf("Byte(1) = %#x, want 0x81", got)
+	if got := b.Bytes()[1]; got != 0x81 {
+		t.Fatalf("byte 1 = %#x, want 0x81", got)
 	}
-	if got := b.Byte(0); got != 0 {
-		t.Fatalf("Byte(0) = %#x, want 0", got)
+	if got := b.Bytes()[0]; got != 0 {
+		t.Fatalf("byte 0 = %#x, want 0", got)
 	}
 }
 
@@ -258,11 +246,11 @@ func TestMergedFilterWordLayout(t *testing.T) {
 	f1.Set(3)  // byte 0 bit 3 of filter 1
 	f2.Set(10) // byte 1 bit 2 of filter 2
 	m := NewMergedFilter(f1, f2)
-	if w := m.Word(3); w != 1<<3 {
-		t.Fatalf("Word(3) = %#x, want %#x", w, 1<<3)
+	if w := m.words[0]; w != 1<<3 {
+		t.Fatalf("word 0 = %#x, want %#x", w, 1<<3)
 	}
-	if w := m.Word(10); w != 1<<(2+8) {
-		t.Fatalf("Word(10) = %#x, want %#x", w, 1<<(2+8))
+	if w := m.words[1]; w != 1<<(2+8) {
+		t.Fatalf("word 1 = %#x, want %#x", w, 1<<(2+8))
 	}
 }
 

@@ -216,6 +216,40 @@ func TestAccelInstrumentedIdentical(t *testing.T) {
 	}
 }
 
+// TestAccelSkipFracFallsWithDensity is the skip loop's density claim,
+// read from the lane-exact skip counters rather than a clock: on clean
+// random traffic against the 2K web set most bytes are skipped without
+// a probe and real runs are cleared, and injecting matches over the
+// whole buffer lowers the skip fraction, at packet and chunk sizes
+// alike.
+func TestAccelSkipFracFallsWithDensity(t *testing.T) {
+	set := patterns.GenerateS1(1).WebSubset()
+	vp := NewVPatch(set, VOptions{})
+	for _, size := range []int{1514, 64 << 10} {
+		skip := map[float64]float64{}
+		for _, frac := range []float64{0, 1.0} {
+			data := traffic.Random(512<<10, 1)
+			traffic.InjectMatches(data, set, frac, 1+int64(frac*1000))
+			c := metrics.Counters{LaneExact: true}
+			for lo := 0; lo < len(data); lo += size {
+				vp.Scan(data[lo:min(lo+size, len(data))], &c, nil)
+			}
+			skip[frac] = c.SkipFrac()
+			if frac == 0 && c.AccelRuns == 0 {
+				t.Errorf("buf %d: clean traffic cleared no skip runs", size)
+			}
+		}
+		t.Logf("buf %d: skip fraction %.3f clean, %.3f at 100%% density", size, skip[0], skip[1.0])
+		if skip[0] <= 0.5 {
+			t.Errorf("buf %d: clean skip fraction %.3f, want > 0.5", size, skip[0])
+		}
+		if skip[1.0] >= skip[0] {
+			t.Errorf("buf %d: skip fraction did not fall with density (%.3f -> %.3f)",
+				size, skip[0], skip[1.0])
+		}
+	}
+}
+
 // FuzzAccelFused fuzzes the fidelity property on arbitrary bytes: the
 // accelerated fused path must equal the ForceEngine reference for every
 // input and for both window and index-byte skip modes.

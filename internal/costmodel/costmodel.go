@@ -34,8 +34,6 @@ package costmodel
 import (
 	"fmt"
 	"math"
-	"sort"
-	"strings"
 
 	"vpatch/internal/metrics"
 )
@@ -360,25 +358,4 @@ func (p *Platform) VerifierPrice() VerifierPrice {
 // Cost prices a batch of verifier work in modeled cycles.
 func (v VerifierPrice) Cost(runs, states, hits uint64) int64 {
 	return int64(runs)*v.PerRun + int64(states)*v.PerState + int64(hits)*v.PerHit
-}
-
-// BreakdownString formats the component cycles largest-first.
-func (r Result) BreakdownString() string {
-	type kv struct {
-		k string
-		v float64
-	}
-	var items []kv
-	for k, v := range r.Breakdown {
-		items = append(items, kv{k, v})
-	}
-	sort.Slice(items, func(i, j int) bool { return items[i].v > items[j].v })
-	var b strings.Builder
-	for i, it := range items {
-		if i > 0 {
-			b.WriteString(" ")
-		}
-		fmt.Fprintf(&b, "%s=%.2g", it.k, it.v)
-	}
-	return b.String()
 }

@@ -2,7 +2,6 @@ package costmodel
 
 import (
 	"math"
-	"strings"
 	"testing"
 
 	"vpatch/internal/metrics"
@@ -187,14 +186,6 @@ func TestBreakdownSumsToTotal(t *testing.T) {
 	}
 	if diff := sum - r.Cycles; diff > 1e-9 || diff < -1e-9 {
 		t.Fatalf("breakdown sum %.2f != total %.2f", sum, r.Cycles)
-	}
-}
-
-func TestBreakdownStringOrdered(t *testing.T) {
-	r := Result{Breakdown: map[string]float64{"small": 1, "big": 100}}
-	s := r.BreakdownString()
-	if !strings.HasPrefix(s, "big=") {
-		t.Fatalf("breakdown not sorted: %q", s)
 	}
 }
 

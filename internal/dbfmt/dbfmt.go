@@ -192,9 +192,6 @@ func (e *Encoder) U16(v uint16) { e.buf = binary.LittleEndian.AppendUint16(e.buf
 // U32 appends a little-endian uint32.
 func (e *Encoder) U32(v uint32) { e.buf = binary.LittleEndian.AppendUint32(e.buf, v) }
 
-// U64 appends a little-endian uint64.
-func (e *Encoder) U64(v uint64) { e.buf = binary.LittleEndian.AppendUint64(e.buf, v) }
-
 // Uvarint appends an unsigned varint (lengths, counts).
 func (e *Encoder) Uvarint(v uint64) { e.buf = binary.AppendUvarint(e.buf, v) }
 
@@ -305,14 +302,6 @@ func (d *Decoder) U16() uint16 {
 func (d *Decoder) U32() uint32 {
 	if b := d.take(4); b != nil {
 		return binary.LittleEndian.Uint32(b)
-	}
-	return 0
-}
-
-// U64 reads a little-endian uint64.
-func (d *Decoder) U64() uint64 {
-	if b := d.take(8); b != nil {
-		return binary.LittleEndian.Uint64(b)
 	}
 	return 0
 }

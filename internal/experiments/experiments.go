@@ -90,7 +90,7 @@ type Algo struct {
 // the skip-loop acceleration layer: the paper's algorithms pay a probe
 // per position, and both the wall-clock and the modeled bars are meant
 // to reproduce that design. The acceleration layer has its own
-// experiment (AccelSweep) and benchmarks (BenchmarkAccel*).
+// benchmarks (BenchmarkAccel*) and skip-ratio test in internal/core.
 func BuildAlgos(set *patterns.Set, width int) []Algo {
 	if width == 0 {
 		width = 8

@@ -87,7 +87,7 @@ func TestSegmentOwnership(t *testing.T) {
 	}
 
 	seg.SetOwned(b)
-	if !seg.Owned() || seg.OwnedBuf() != b {
+	if !seg.Owned() || seg.own != b {
 		t.Fatal("SetOwned did not register the chunk")
 	}
 	seg.ReleasePayload()

@@ -140,9 +140,6 @@ func (s *Segment) SetOwned(b *arena.Buf) { s.own = b }
 // buffer transfers with the segment.
 func (s *Segment) Owned() bool { return s.own != nil }
 
-// OwnedBuf returns the arena chunk backing Payload, or nil.
-func (s *Segment) OwnedBuf() *arena.Buf { return s.own }
-
 // ReleasePayload drops the segment's payload reference: for owned
 // segments the arena chunk is released (and Payload nilled — the bytes
 // may be recycled immediately); for unowned segments it is a no-op.

@@ -117,16 +117,6 @@ func (s *Set) Postings(lit int32) []Posting {
 	return s.post[lit]
 }
 
-// HasRegex reports whether any rule carries a regex tail.
-func (s *Set) HasRegex() bool {
-	for i := range s.Rules {
-		if s.Rules[i].Regex != nil {
-			return true
-		}
-	}
-	return false
-}
-
 // SIDIndex maps every nonzero sid of the set to the rules carrying it:
 // the identity a rule keeps across rule sets (see FlowState.Carry).
 func (s *Set) SIDIndex() map[int64][]int32 {

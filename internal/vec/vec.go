@@ -62,15 +62,14 @@ func (m Mask) ForEach(fn func(lane int)) {
 // Engine executes vector operations at a fixed register width.
 // The zero value is not usable; construct with New.
 type Engine struct {
-	w        int
-	laneMask Mask // (1<<w)-1
+	w int
 }
 
 // New returns an Engine with w lanes. w must be one of SupportedWidths.
 func New(w int) *Engine {
 	for _, s := range SupportedWidths {
 		if w == s {
-			return &Engine{w: w, laneMask: Mask(1<<w - 1)}
+			return &Engine{w: w}
 		}
 	}
 	panic(fmt.Sprintf("vec: unsupported width %d (want one of %v)", w, SupportedWidths))
@@ -78,9 +77,6 @@ func New(w int) *Engine {
 
 // Width returns the number of lanes.
 func (e *Engine) Width() int { return e.w }
-
-// LaneMask returns the all-lanes-active mask.
-func (e *Engine) LaneMask() Mask { return e.laneMask }
 
 // Broadcast returns a register with every lane equal to v
 // (the _mm256_set1_epi32 idiom).
@@ -92,20 +88,9 @@ func (e *Engine) Broadcast(v uint32) U32 {
 	return r
 }
 
-// Iota returns {base, base+1, ..., base+W-1}: the lane-position register
-// used to translate lane numbers back into input offsets.
-func (e *Engine) Iota(base uint32) U32 {
-	var r U32
-	for i := 0; i < e.w; i++ {
-		r[i] = base + uint32(i)
-	}
-	return r
-}
-
 // LoadBytes fills a raw byte register from input[base:]. It is the
 // "fill register with raw input" step (Algorithm 2, line 7). The caller
-// must guarantee base+4*W+<shuffle reach> stays in bounds; WindowSpan
-// gives the exact requirement for the window loads below.
+// must guarantee base+4*W+<shuffle reach> stays in bounds.
 func (e *Engine) LoadBytes(input []byte, base int) Bytes {
 	var r Bytes
 	copy(r[:], input[base:])
@@ -164,10 +149,6 @@ func (e *Engine) ToU32(r Bytes) U32 {
 	}
 	return out
 }
-
-// WindowSpan returns how many input bytes an iteration starting at base
-// consumes: W windows of up to 4 bytes each need W+3 bytes.
-func (e *Engine) WindowSpan() int { return e.w + 3 }
 
 // Windows2 is the fused load+shuffle producing W 2-byte sliding windows
 // starting at input[base]. Semantically identical to
@@ -241,29 +222,11 @@ func (e *Engine) AddConst(v U32, c uint32) U32 {
 	return r
 }
 
-// And returns a & b per lane.
-func (e *Engine) And(a, b U32) U32 {
-	var r U32
-	for i := 0; i < e.w; i++ {
-		r[i] = a[i] & b[i]
-	}
-	return r
-}
-
 // MulConst returns v * c per lane (the multiplicative hash step).
 func (e *Engine) MulConst(v U32, c uint32) U32 {
 	var r U32
 	for i := 0; i < e.w; i++ {
 		r[i] = v[i] * c
-	}
-	return r
-}
-
-// ShiftRightVar returns v[i] >> k[i] per lane (variable shift, AVX2 vpsrlvd).
-func (e *Engine) ShiftRightVar(v, k U32) U32 {
-	var r U32
-	for i := 0; i < e.w; i++ {
-		r[i] = v[i] >> (k[i] & 31)
 	}
 	return r
 }
@@ -275,18 +238,6 @@ func (e *Engine) TestBit(word, pos U32) Mask {
 	var m Mask
 	for i := 0; i < e.w; i++ {
 		m |= Mask((word[i]>>(pos[i]&15))&1) << i
-	}
-	return m
-}
-
-// MovemaskNonzero returns the mask of lanes whose value is non-zero
-// (vpcmpeqd against zero + movemask, inverted).
-func (e *Engine) MovemaskNonzero(v U32) Mask {
-	var m Mask
-	for i := 0; i < e.w; i++ {
-		if v[i] != 0 {
-			m |= 1 << i
-		}
 	}
 	return m
 }

@@ -16,9 +16,6 @@ func TestNewWidths(t *testing.T) {
 		if e.Width() != w {
 			t.Errorf("New(%d).Width() = %d", w, e.Width())
 		}
-		if e.LaneMask().Count() != w {
-			t.Errorf("New(%d).LaneMask().Count() = %d", w, e.LaneMask().Count())
-		}
 	}
 }
 
@@ -60,16 +57,22 @@ func TestMaskBasics(t *testing.T) {
 	}
 }
 
-func TestBroadcastAndIota(t *testing.T) {
+// lanes returns {base, base+1, ..., base+W-1}, a register of lane
+// positions for the gather and arithmetic tests.
+func lanes(e *Engine, base uint32) U32 {
+	var r U32
+	for i := 0; i < e.Width(); i++ {
+		r[i] = base + uint32(i)
+	}
+	return r
+}
+
+func TestBroadcast(t *testing.T) {
 	for _, e := range engines() {
 		b := e.Broadcast(0xDEAD)
-		io := e.Iota(100)
 		for i := 0; i < e.Width(); i++ {
 			if b[i] != 0xDEAD {
 				t.Fatalf("W=%d lane %d: broadcast %#x", e.Width(), i, b[i])
-			}
-			if io[i] != uint32(100+i) {
-				t.Fatalf("W=%d lane %d: iota %d", e.Width(), i, io[i])
 			}
 		}
 	}
@@ -167,7 +170,7 @@ func TestGatherU8(t *testing.T) {
 		table[i] = byte(255 - i)
 	}
 	for _, e := range engines() {
-		idx := e.Iota(10)
+		idx := lanes(e, 10)
 		r := e.GatherU8(table, idx)
 		for i := 0; i < e.Width(); i++ {
 			if r[i] != uint32(table[10+i]) {
@@ -183,7 +186,7 @@ func TestGatherU16(t *testing.T) {
 		table[i] = uint16(i * 3)
 	}
 	for _, e := range engines() {
-		idx := e.Iota(7)
+		idx := lanes(e, 7)
 		r := e.GatherU16(table, idx)
 		for i := 0; i < e.Width(); i++ {
 			if r[i] != uint32(table[7+i]) {
@@ -195,7 +198,7 @@ func TestGatherU16(t *testing.T) {
 
 func TestArithmeticOps(t *testing.T) {
 	e := New(8)
-	v := e.Iota(1) // 1..8
+	v := lanes(e, 1) // 1..8
 	shifted := e.ShiftRightConst(v, 1)
 	anded := e.AndConst(v, 1)
 	mul := e.MulConst(v, 10)
@@ -215,31 +218,10 @@ func TestArithmeticOps(t *testing.T) {
 
 func TestAddConst(t *testing.T) {
 	e := New(8)
-	r := e.AddConst(e.Iota(0), 8)
+	r := e.AddConst(lanes(e, 0), 8)
 	for i := 0; i < 8; i++ {
 		if r[i] != uint32(i+8) {
 			t.Fatalf("lane %d: %d", i, r[i])
-		}
-	}
-}
-
-func TestAndAndShiftVar(t *testing.T) {
-	e := New(4)
-	a := U32{0b1100, 0b1010, 0xFF, 0}
-	b := U32{0b1010, 0b1010, 0x0F, 0xFFFF}
-	r := e.And(a, b)
-	want := U32{0b1000, 0b1010, 0x0F, 0}
-	for i := 0; i < 4; i++ {
-		if r[i] != want[i] {
-			t.Fatalf("And lane %d: %#x want %#x", i, r[i], want[i])
-		}
-	}
-	k := U32{0, 1, 4, 35} // 35 wraps to 3 (x86 variable shifts use the low bits)
-	s := e.ShiftRightVar(U32{8, 8, 32, 32}, k)
-	wantS := U32{8, 4, 2, 4}
-	for i := 0; i < 4; i++ {
-		if s[i] != wantS[i] {
-			t.Fatalf("ShiftRightVar lane %d: %d want %d", i, s[i], wantS[i])
 		}
 	}
 }
@@ -262,15 +244,6 @@ func TestTestBitHighPlane(t *testing.T) {
 	m := e.TestBit(words, pos)
 	if m != 0b1011 {
 		t.Fatalf("high-plane mask = %04b, want 1011", m)
-	}
-}
-
-func TestMovemaskNonzero(t *testing.T) {
-	e := New(8)
-	v := U32{0, 1, 0, 2, 0, 0, 7, 0}
-	m := e.MovemaskNonzero(v)
-	if m != 0b01001010 {
-		t.Fatalf("mask = %08b", m)
 	}
 }
 
@@ -297,11 +270,21 @@ func TestCompressStoreAppends(t *testing.T) {
 	}
 }
 
+// W 4-byte windows span exactly W+3 input bytes: Windows4 reads a
+// buffer of that length and no byte past it.
 func TestWindowSpan(t *testing.T) {
 	for _, e := range engines() {
-		if e.WindowSpan() != e.Width()+3 {
-			t.Fatalf("W=%d span %d", e.Width(), e.WindowSpan())
-		}
+		span := e.Width() + 3
+		input := make([]byte, span)
+		e.Windows4(input, 0)
+		func() {
+			defer func() {
+				if recover() == nil {
+					t.Fatalf("W=%d: Windows4 on %d bytes did not panic", e.Width(), span-1)
+				}
+			}()
+			e.Windows4(input[:span-1], 0)
+		}()
 	}
 }
 
@@ -313,7 +296,7 @@ func TestWindows4Property(t *testing.T) {
 		rng := rand.New(rand.NewSource(seed))
 		input := make([]byte, 64)
 		rng.Read(input)
-		base := int(rng.Int31n(int32(len(input) - e.WindowSpan())))
+		base := int(rng.Int31n(int32(len(input) - (e.Width() + 3))))
 		r := e.Windows4(input, base)
 		for i := 0; i < e.Width(); i++ {
 			p := input[base+i:]
@@ -358,7 +341,7 @@ func TestCompressStoreProperty(t *testing.T) {
 func BenchmarkGatherU16W8(b *testing.B) {
 	e := New(8)
 	table := make([]uint16, 8192)
-	idx := e.Iota(0)
+	idx := lanes(e, 0)
 	b.ResetTimer()
 	var sink U32
 	for i := 0; i < b.N; i++ {
