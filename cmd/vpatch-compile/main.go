@@ -107,7 +107,7 @@ func compileEngine(set *vpatch.PatternSet, opt vpatch.Options, outPath string) {
 // database.
 func compileIDS(set *vpatch.PatternSet, opt vpatch.Options, outPath string) {
 	t0 := time.Now()
-	engine, err := ids.NewEngine(set, opt, func(ids.Alert) {})
+	engine, err := ids.NewEngine(set, opt, nil)
 	if err != nil {
 		fatal(err)
 	}
@@ -134,7 +134,7 @@ func compileIDS(set *vpatch.PatternSet, opt vpatch.Options, outPath string) {
 	fmt.Printf("wrote    %s (%d bytes)\n", outPath, len(blob))
 
 	t0 = time.Now()
-	if _, err := ids.LoadDB(blob, func(ids.Alert) {}); err != nil {
+	if _, err := ids.LoadDB(blob, nil); err != nil {
 		fatal(fmt.Errorf("verification reload failed: %w", err))
 	}
 	fmt.Printf("verified reload in %s (compile was %.1fx slower)\n",
@@ -155,7 +155,7 @@ func compileRuleIDS(rulesPath string, opt vpatch.Options, window int, outPath st
 	if err != nil {
 		fatal(err)
 	}
-	engine, err := ids.NewRuleEngine(rset, opt, func(ids.Alert) {})
+	engine, err := ids.NewRuleEngine(rset, opt, nil)
 	if err != nil {
 		fatal(err)
 	}
@@ -188,7 +188,7 @@ func compileRuleIDS(rulesPath string, opt vpatch.Options, window int, outPath st
 	fmt.Printf("wrote    %s (%d bytes)\n", outPath, len(blob))
 
 	t0 = time.Now()
-	reloaded, err := ids.LoadDB(blob, func(ids.Alert) {})
+	reloaded, err := ids.LoadDB(blob, nil)
 	if err != nil {
 		fatal(fmt.Errorf("verification reload failed: %w", err))
 	}

@@ -21,11 +21,13 @@
 //
 // -shards N hash-partitions flows across N worker goroutines (each with
 // its own reassembler and scan sessions over the shared compiled
-// groups); per-shard lifecycle stats are merged at exit. -max-flows,
-// -flow-timeout, -flow-pending and -total-pending bound the pipeline's
-// memory per shard — flows idle past the timeout (on the capture clock)
-// or beyond the cap are evicted, over-budget out-of-order bytes are
-// dropped, and the counts are reported.
+// groups); per-shard lifecycle stats are merged at exit. Every -shards
+// value runs the same dispatcher pipeline: -shards 1 is one worker
+// goroutine fed by the capture loop. -max-flows, -flow-timeout,
+// -flow-pending and -total-pending bound the pipeline's memory per
+// shard — flows idle past the timeout (on the capture clock) or beyond
+// the cap are evicted, over-budget out-of-order bytes are dropped, and
+// the counts are reported.
 //
 // -verifier-flow-budget arms the match-flood defense: each flow gets a
 // lifetime verifier budget in modeled cycles, and a flow that spends it
@@ -144,9 +146,9 @@ func main() {
 		defer alertW.Flush()
 	}
 
-	// The emit path must be safe for concurrent use: with -shards > 1
-	// every worker goroutine reports through it. engine is assigned
-	// before any segment is fed, so the rule lookup below is safe.
+	// The emit path must be safe for concurrent use: every worker
+	// goroutine reports through it. engine is assigned before any
+	// segment is fed, so the rule lookup below is safe.
 	var engine *ids.Engine
 	var mu sync.Mutex
 	perRule := map[int32]int{}
@@ -185,7 +187,7 @@ func main() {
 		if err != nil {
 			fatal(err)
 		}
-		engine, err = ids.ReadDB(df, emit)
+		engine, err = ids.ReadDB(df, nil)
 		df.Close()
 		if err != nil {
 			fatal(err)
@@ -208,7 +210,7 @@ func main() {
 			if err != nil {
 				fatal(err)
 			}
-			engine, err = ids.NewRuleEngine(rset, opt, emit)
+			engine, err = ids.NewRuleEngine(rset, opt, nil)
 			if err != nil {
 				fatal(err)
 			}
@@ -218,7 +220,7 @@ func main() {
 			if err != nil {
 				fatal(err)
 			}
-			engine, err = ids.NewEngine(set, opt, emit)
+			engine, err = ids.NewEngine(set, opt, nil)
 			if err != nil {
 				fatal(err)
 			}
@@ -227,7 +229,7 @@ func main() {
 	set := engine.Set()
 
 	// The match-flood defense is opt-in for offline analysis: armed, it
-	// also instruments counters so the degradation figures are real.
+	// also observes counters so the degradation figures are real.
 	var vbudget resil.VerifierBudget
 	if *verifierBudget > 0 {
 		vbudget = resil.VerifierBudget{PerFlow: *verifierBudget, Price: resil.DefaultPrice()}
@@ -237,69 +239,42 @@ func main() {
 	for _, s := range segs {
 		bytes += len(s.Payload)
 	}
-	// SIGINT/SIGTERM stop ingestion at the next segment boundary; the
+	// SIGINT/SIGTERM stop ingestion at the next batch boundary; the
 	// pipeline then drains normally so every buffered alert surfaces and
 	// the final stats are real.
 	sigc := make(chan os.Signal, 1)
 	signal.Notify(sigc, syscall.SIGINT, syscall.SIGTERM)
 	var gotSig os.Signal
 	fed := 0
-	var stats netsim.Stats
-	var counters vpatch.Counters
 	start := time.Now()
-	if *shards > 1 {
-		d := engine.NewDispatcher(*shards, limits, emit)
-		// ReadPcap gives every segment its own payload buffer that stays
-		// valid for the run, so the dispatcher may take them by reference
-		// instead of defensively copying into arena chunks.
-		d.SetZeroCopy(true)
-		if vbudget.Armed() {
-			d.SetVerifierBudget(vbudget)
+	d := engine.NewDispatcher(*shards, limits, emit)
+	// ReadPcap gives every segment its own payload buffer that stays
+	// valid for the run, so the dispatcher may take them by reference
+	// instead of defensively copying into arena chunks.
+	d.SetZeroCopy(true)
+	if vbudget.Armed() {
+		d.SetVerifierBudget(vbudget)
+	}
+	var obs *ids.PipelineObserver
+	if *showMetrics || vbudget.Armed() {
+		obs = d.Observe()
+	}
+	// Batched handoff: slab-sized chunks amortize the per-segment
+	// channel operations, checking for signals at chunk boundaries.
+	for lo := 0; lo < len(segs) && gotSig == nil; lo += ids.DefaultDispatchBatch {
+		select {
+		case gotSig = <-sigc:
+			continue
+		default:
 		}
-		var perShard []*vpatch.Counters
-		if *showMetrics || vbudget.Armed() {
-			perShard = d.InstrumentCounters()
-		}
-		// Batched handoff: slab-sized chunks amortize the per-segment
-		// channel operations, checking for signals at chunk boundaries.
-		for lo := 0; lo < len(segs) && gotSig == nil; lo += ids.DefaultDispatchBatch {
-			select {
-			case gotSig = <-sigc:
-				continue
-			default:
-			}
-			hi := lo + ids.DefaultDispatchBatch
-			if hi > len(segs) {
-				hi = len(segs)
-			}
-			d.HandleBatch(segs[lo:hi])
-			fed += hi - lo
-		}
-		stats = d.Close() // drains workers, flushes every shard, merges stats
-		for _, c := range perShard {
-			counters.Add(c)
-		}
-	} else {
-		engine.SetLimits(limits)
-		if vbudget.Armed() {
-			engine.SetVerifierBudget(vbudget)
-		}
-		if *showMetrics || vbudget.Armed() {
-			engine.SetCounters(&counters)
-		}
-		for _, s := range segs {
-			select {
-			case gotSig = <-sigc:
-			default:
-			}
-			if gotSig != nil {
-				break
-			}
-			engine.HandleSegment(s)
-			fed++
-		}
-		engine.Flush() // drain partial per-group batches
-		stats = engine.Stats()
+		hi := min(lo+ids.DefaultDispatchBatch, len(segs))
+		d.HandleBatch(segs[lo:hi])
+		fed += hi - lo
+	}
+	stats := d.Close() // drains workers, flushes every shard, merges stats
+	var counters vpatch.Counters
+	if obs != nil {
+		counters = obs.Counters()
 	}
 	signal.Stop(sigc)
 	elapsed := time.Since(start)

@@ -106,10 +106,10 @@ func main() {
 			QuotaBurstBytes:      *quotaBurst,
 			VerifierFlowBudget:   *verifierBudget,
 			VerifierBudgetPerSec: *verifierBudgetPS,
-			IngestQueueBytes:     *queueBytes,
 		},
 		IngestIdleTimeout: *ingestIdle,
 		SchedQuantumBytes: *quantumBytes,
+		IngestQueueBytes:  *queueBytes,
 	})
 	def, err := srv.CreateTenant(serve.DefaultTenant, serve.TenantConfig{})
 	if err != nil {
@@ -235,7 +235,7 @@ func loadRuleBlob(dbPath, rulesPath, algoName string, ruleSem bool) ([]byte, err
 		if err != nil {
 			return nil, err
 		}
-		eng, err = ids.NewRuleEngine(rset, opt, func(ids.Alert) {})
+		eng, err = ids.NewRuleEngine(rset, opt, nil)
 		if err != nil {
 			return nil, err
 		}
@@ -244,7 +244,7 @@ func loadRuleBlob(dbPath, rulesPath, algoName string, ruleSem bool) ([]byte, err
 		if err != nil {
 			return nil, err
 		}
-		eng, err = ids.NewEngine(set, opt, func(ids.Alert) {})
+		eng, err = ids.NewEngine(set, opt, nil)
 		if err != nil {
 			return nil, err
 		}

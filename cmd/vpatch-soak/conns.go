@@ -46,7 +46,7 @@ func runConnSoak(duration time.Duration, conns int, maxGrowth float64) {
 		"attack-sig-001", "malware-beacon", "exploit-shellcode",
 		"/etc/passwd", "cmd.exe /c", "union select",
 	)
-	eng, err := ids.NewEngine(set, vpatch.Options{}, func(ids.Alert) {})
+	eng, err := ids.NewEngine(set, vpatch.Options{}, nil)
 	if err != nil {
 		fatal(err)
 	}
@@ -61,10 +61,10 @@ func runConnSoak(duration time.Duration, conns int, maxGrowth float64) {
 	// flows' tombstones pile up and read as a leak.
 	srv := serve.New(serve.Config{
 		TenantDefaults: serve.TenantConfig{
-			Shards:           runtime.GOMAXPROCS(0),
-			IngestQueueBytes: 64 << 20,
-			FlowTimeout:      10 * time.Second,
+			Shards:      runtime.GOMAXPROCS(0),
+			FlowTimeout: 10 * time.Second,
 		},
+		IngestQueueBytes: 64 << 20,
 	})
 	tn, err := srv.CreateTenant(serve.DefaultTenant, serve.TenantConfig{})
 	if err != nil {

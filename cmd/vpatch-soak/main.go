@@ -75,7 +75,7 @@ func main() {
 	)
 	var alerts atomic.Uint64
 	emit := func(ids.Alert) { alerts.Add(1) }
-	eng, err := ids.NewEngine(set, vpatch.Options{}, emit)
+	eng, err := ids.NewEngine(set, vpatch.Options{}, nil)
 	if err != nil {
 		fatal(err)
 	}

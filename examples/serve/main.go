@@ -23,13 +23,15 @@ import (
 )
 
 // blob compiles a pattern list into the serialized .vpdb database the
-// daemon hot-loads. In production this is `vpatch-compile -ids`.
+// daemon hot-loads; the engine is compiled state only (nil alert sink:
+// no default shard), since the daemon scans with its own dispatchers.
+// In production this is `vpatch-compile -ids`.
 func blob(pats ...string) []byte {
 	set := vpatch.NewPatternSet()
 	for _, p := range pats {
 		set.Add([]byte(p), false, vpatch.ProtoHTTP)
 	}
-	eng, err := ids.NewEngine(set, vpatch.Options{}, func(ids.Alert) {})
+	eng, err := ids.NewEngine(set, vpatch.Options{}, nil)
 	if err != nil {
 		log.Fatal(err)
 	}

@@ -19,10 +19,6 @@ import (
 	"vpatch/internal/rules"
 )
 
-// dbProtocols is the deterministic group order of the database file:
-// the generic group first, then the dedicated protocol groups.
-var dbProtocols = append([]vpatch.Protocol{vpatch.ProtoGeneric}, groupedProtocols...)
-
 // SerializeDB flattens the engine's compiled rule groups into one
 // database blob.
 func (e *Engine) SerializeDB() ([]byte, error) {
@@ -38,7 +34,7 @@ func (e *Engine) SerializeDB() ([]byte, error) {
 	}
 	h := dbfmt.Header{Kind: dbfmt.KindIDS, Digest: e.set.Digest()}
 	first := true
-	for _, proto := range dbProtocols {
+	for _, proto := range allProtocols {
 		g := e.groups[proto]
 		if g == nil {
 			continue
@@ -73,15 +69,12 @@ func (e *Engine) WriteDB(w io.Writer) (int64, error) {
 	return int64(n), err
 }
 
-// LoadDB restores an Engine from a rule-group database blob, attaching
-// a default shard that delivers alerts to emit (must be non-nil). The
-// loaded engine is ready to HandleSegment immediately — no rule
-// compilation happens. Like NewEngine's result, the compiled groups
-// are immutable and shared: call NewShard per worker goroutine.
+// LoadDB restores an Engine from a rule-group database blob — no rule
+// compilation happens. Like NewEngine, a non-nil emit attaches a
+// default shard (the engine is then ready to HandleSegment) and a nil
+// emit builds none; either way the compiled groups are immutable and
+// shared: call NewShard per worker goroutine, or NewDispatcher.
 func LoadDB(data []byte, emit func(Alert)) (*Engine, error) {
-	if emit == nil {
-		return nil, fmt.Errorf("ids: nil alert sink")
-	}
 	h, secs, err := dbfmt.Decode(data)
 	if err != nil {
 		return nil, fmt.Errorf("ids: %w", err)
@@ -146,12 +139,11 @@ func LoadDB(data []byte, emit func(Alert)) (*Engine, error) {
 		}
 		e.groups[proto] = &group{eng: eng, origID: origID}
 	}
-	e.def = e.NewShard(emit)
-	return e, nil
+	return e.withDefaultShard(emit), nil
 }
 
 // ReadDB reads a complete rule-group database from r and restores the
-// Engine (see LoadDB).
+// Engine, with a default shard only when emit is non-nil (see LoadDB).
 func ReadDB(r io.Reader, emit func(Alert)) (*Engine, error) {
 	data, err := io.ReadAll(r)
 	if err != nil {

@@ -341,27 +341,6 @@ func (d *Dispatcher) HandleBatch(segs []netsim.Segment) {
 	}
 }
 
-// Shards returns the number of worker shards.
-func (d *Dispatcher) Shards() int { return len(d.shards) }
-
-// Arena returns the arena backing the dispatcher's ingest path.
-func (d *Dispatcher) Arena() *arena.Arena { return d.arena }
-
-// InstrumentCounters attaches a fresh scan-counter set to every worker
-// shard and returns them, index-aligned with the shards. It must be
-// called before the first HandleBatch (the first slab's channel send
-// publishes the counters to its worker); read or merge the counters
-// only after Close. Counters do not change the scan path (see
-// Shard.SetCounters).
-func (d *Dispatcher) InstrumentCounters() []*vpatch.Counters {
-	cs := make([]*vpatch.Counters, len(d.shards))
-	for i, sh := range d.shards {
-		cs[i] = &vpatch.Counters{}
-		sh.SetCounters(cs[i])
-	}
-	return cs
-}
-
 // PipelineObserver aggregates race-safe views over a dispatcher's
 // worker shards: scan counters folded in at batch flushes and
 // flow-lifecycle stats published at flushes and segment intervals.
@@ -375,9 +354,10 @@ type PipelineObserver struct {
 }
 
 // Observe attaches (or returns the already-attached) observer for this
-// dispatcher. Like InstrumentCounters it must be called before the
-// first HandleBatch, so the attachment is published to the workers by
-// the first slab send.
+// dispatcher — the dispatcher's one instrumentation path. It must be
+// called before the first HandleBatch, so the attachment is published
+// to the workers by the first slab send. Counters never change the
+// scan path; after Close the observer reports the final tallies.
 func (d *Dispatcher) Observe() *PipelineObserver {
 	if d.obs == nil {
 		o := &PipelineObserver{

@@ -14,11 +14,15 @@
 // group subsets.
 //
 // Rule groups are compiled exactly once, into immutable vpatch.Engines.
-// The Engine type wraps one single-goroutine Shard for the common case;
-// multi-core deployments call NewShard once per worker goroutine — every
-// shard shares the compiled groups (the expensive state) and owns only
-// its flow table, reassembler and scan sessions, so adding a worker
-// costs scratch buffers, not a recompilation of the rule set.
+// An Engine holds that compiled state; the scan state lives in Shards —
+// NewShard once per worker goroutine, or a Dispatcher that runs N of
+// them. Every shard shares the compiled groups (the expensive state)
+// and owns only its flow table, reassembler and scan sessions, so
+// adding a worker costs scratch buffers, not a recompilation of the
+// rule set. Only an engine built with a non-nil alert sink carries one
+// Shard of its own, driven through the Engine's HandleSegment/Flush,
+// for single-goroutine callers; built with a nil sink it is compiled
+// state alone.
 //
 // Scanning is batched: reassembled payloads accumulate per protocol
 // group and flush through vpatch.Session.ScanBatch once a group reaches
@@ -76,11 +80,12 @@ type Alert struct {
 	RuleID int32
 }
 
-// Engine holds the compiled per-protocol rule groups — immutable and
-// shared — plus a default Shard so single-goroutine callers can feed it
-// segments directly. The compiled groups may serve any number of
-// Shards; Engine's own HandleSegment is single-goroutine (it drives the
-// default shard).
+// Engine holds the compiled per-protocol rule groups (and, for rule
+// engines, the rule set) — immutable and shared by any number of
+// Shards. An engine built with a non-nil alert sink also owns a default
+// Shard that its HandleSegment/Flush/SetLimits/SetVerifierBudget/Stats
+// drive (single-goroutine); built with a nil sink it has none, and
+// those methods panic.
 type Engine struct {
 	set    *vpatch.PatternSet
 	groups map[vpatch.Protocol]*group
@@ -90,8 +95,12 @@ type Engine struct {
 	// (see NewRuleEngine).
 	rules *rules.Set
 
-	def *Shard
+	def *Shard // nil when built without an alert sink
 }
+
+// errNoDefaultShard is the panic value of a default-shard method called
+// on an engine built with a nil alert sink.
+const errNoDefaultShard = "ids: engine built with a nil alert sink has no default shard; use NewShard or a dispatcher"
 
 // group is one compiled rule group: the protocol's own rules plus the
 // generic rules, with the subset->original pattern ID mapping. The
@@ -133,14 +142,12 @@ type Shard struct {
 	pending       map[*group]*groupBatch
 	maxBatchBufs  int
 	maxBatchBytes int
-	// counters, when set, instruments every batch scan (see
-	// SetCounters).
-	counters *vpatch.Counters
 
-	// Observer publication (see SetObserver): scans run against
-	// obsScratch, which is folded into obsScan at every flush; flow
-	// lifecycle stats are published into obsFlow at flushes and every
-	// obsPublishEvery segments.
+	// Observer publication (see SetObserver), the shard's one
+	// instrumentation path: scans count into obsScratch, which is folded
+	// into obsScan at every flush (an unobserved shard scans with nil
+	// counters); flow lifecycle stats are published into obsFlow at
+	// flushes and every obsPublishEvery segments.
 	obsScan      *metrics.Atomic
 	obsFlow      *netsim.AtomicStats
 	obsScratch   vpatch.Counters
@@ -245,24 +252,29 @@ var groupedProtocols = []vpatch.Protocol{
 	vpatch.ProtoHTTP, vpatch.ProtoDNS, vpatch.ProtoFTP, vpatch.ProtoSMTP,
 }
 
+// allProtocols is the deterministic group order — the generic group
+// (flows of unclassified services) first, then the dedicated protocol
+// groups — used to compile groups and to lay them out in a database.
+var allProtocols = append([]vpatch.Protocol{vpatch.ProtoGeneric}, groupedProtocols...)
+
 // NewEngine compiles one matcher per protocol group from set, using opt
-// for every group, and attaches a default shard delivering alerts to
-// emit (must be non-nil).
+// for every group. A non-nil emit attaches a default shard delivering
+// alerts to it; with a nil emit the engine is compiled state only, for
+// callers that run their own shards (NewShard, NewDispatcher).
 func NewEngine(set *vpatch.PatternSet, opt vpatch.Options, emit func(Alert)) (*Engine, error) {
-	if emit == nil {
-		return nil, fmt.Errorf("ids: nil alert sink")
-	}
+	return compileEngine(set, nil, opt, emit)
+}
+
+// compileEngine compiles set's protocol groups under opt, layering rset
+// (nil for literal engines) over them, and attaches a default shard
+// when emit is non-nil.
+func compileEngine(set *vpatch.PatternSet, rset *rules.Set, opt vpatch.Options, emit func(Alert)) (*Engine, error) {
 	e := &Engine{
 		set:    set,
 		groups: make(map[vpatch.Protocol]*group),
+		rules:  rset,
 	}
-	// Generic-only group handles flows of unclassified services.
-	if g, err := buildGroup(set, vpatch.ProtoGeneric, opt); err != nil {
-		return nil, err
-	} else if g != nil {
-		e.groups[vpatch.ProtoGeneric] = g
-	}
-	for _, proto := range groupedProtocols {
+	for _, proto := range allProtocols {
 		g, err := buildGroup(set, proto, opt)
 		if err != nil {
 			return nil, err
@@ -271,8 +283,23 @@ func NewEngine(set *vpatch.PatternSet, opt vpatch.Options, emit func(Alert)) (*E
 			e.groups[proto] = g
 		}
 	}
-	e.def = e.NewShard(emit)
-	return e, nil
+	return e.withDefaultShard(emit), nil
+}
+
+// withDefaultShard attaches the default shard when emit is non-nil.
+func (e *Engine) withDefaultShard(emit func(Alert)) *Engine {
+	if emit != nil {
+		e.def = e.NewShard(emit)
+	}
+	return e
+}
+
+// shard returns the default shard, panicking when the engine has none.
+func (e *Engine) shard() *Shard {
+	if e.def == nil {
+		panic(errNoDefaultShard)
+	}
+	return e.def
 }
 
 // buildGroup compiles the subset applicable to proto (its own rules +
@@ -356,26 +383,40 @@ func (s *Shard) SetVerifierBudget(b resil.VerifierBudget) { s.vbudget = b }
 
 // SetVerifierBudget arms the default shard's match-flood defense (see
 // Shard.SetVerifierBudget).
-func (e *Engine) SetVerifierBudget(b resil.VerifierBudget) { e.def.SetVerifierBudget(b) }
+func (e *Engine) SetVerifierBudget(b resil.VerifierBudget) { e.shard().SetVerifierBudget(b) }
 
-// SetCounters attaches scan instrumentation to the shard: every batch
-// scan accumulates into c (bytes scanned, candidates, verification
-// work, matches, skip tallies, per-round time). Counters never change
-// which kernels run; they cost a few clock reads per batch flush. Pass
-// nil to detach. The counters follow the shard's single-goroutine rule.
-func (s *Shard) SetCounters(c *vpatch.Counters) { s.counters = c }
-
-// SetObserver attaches race-safe publication sinks to the shard, the
-// mechanism resident services use to scrape a running pipeline: scan
-// counters accumulate privately and are folded into scan (atomically)
-// at every batch flush; flow-lifecycle stats are stored into flow at
-// flushes and every few dozen segments. Either sink may be nil.
-// Readers call scan.Snapshot / flow.Load from any goroutine at any
-// time. SetObserver follows the shard's single-goroutine rule (attach
-// before the shard starts handling segments).
+// SetObserver attaches race-safe publication sinks to the shard — its
+// one instrumentation path, and the mechanism resident services use to
+// scrape a running pipeline: scan counters (bytes scanned, candidates,
+// verification work, matches, skip tallies, per-round time) accumulate
+// privately and are folded into scan (atomically) at every batch flush;
+// flow-lifecycle stats are stored into flow at flushes and every few
+// dozen segments. Either sink may be nil. Counters never change which
+// kernels run; they cost a few clock reads per batch flush. Readers
+// call scan.Snapshot / flow.Load from any goroutine at any time; after
+// Flush the snapshot holds the shard's final tallies. SetObserver
+// follows the shard's single-goroutine rule (attach before the shard
+// starts handling segments).
 func (s *Shard) SetObserver(scan *metrics.Atomic, flow *netsim.AtomicStats) {
 	s.obsScan = scan
 	s.obsFlow = flow
+}
+
+// counters returns the target the shard's scans count into: the
+// observer's private scratch, or nil on an unobserved shard.
+func (s *Shard) counters() *vpatch.Counters {
+	if s.obsScan != nil {
+		return &s.obsScratch
+	}
+	return nil
+}
+
+// publishCounters folds the scratch counts into the observer.
+func (s *Shard) publishCounters() {
+	if s.obsScan != nil {
+		s.obsScan.AddCounters(&s.obsScratch)
+		s.obsScratch.Reset()
+	}
 }
 
 // publishFlowStats stores the reassembler's current lifecycle stats
@@ -411,11 +452,7 @@ func (s *Shard) onFlowClose(k netsim.FlowKey, evicted bool) {
 	if fs.rstate != nil {
 		// The stream has ended: settle suspended regex verifications so
 		// an accepted anchor queued behind a now-unresolvable one fires.
-		c := s.counters
-		if s.obsScan != nil {
-			c = &s.obsScratch
-		}
-		s.ev.FinishFlow(fs.rstate, c, s.ruleEmitter(fs))
+		s.ev.FinishFlow(fs.rstate, s.counters(), s.ruleEmitter(fs))
 		fs.rstate = nil
 	}
 	fs.carry = nil
@@ -438,10 +475,7 @@ func (s *Shard) onFlowClose(k netsim.FlowKey, evicted bool) {
 //     (rules.FlowState.Carry). Clause progress does not survive a swap,
 //     and a rule without a sid (SID 0) may alert again.
 func (s *Shard) rebind(e *Engine, sids map[int64][]int32) {
-	c := s.counters
-	if s.obsScan != nil {
-		c = &s.obsScratch
-	}
+	c := s.counters()
 	for k, fs := range s.flows {
 		var next *rules.FlowState
 		if fs.rstate != nil {
@@ -547,28 +581,18 @@ func (e *Engine) ScanBuffer(port uint16, data []byte, c *vpatch.Counters, emit f
 // HandleSegment feeds one captured segment through the default shard.
 // Single-goroutine; multi-core callers use NewShard and feed each shard
 // its flow partition.
-func (e *Engine) HandleSegment(seg netsim.Segment) { e.def.HandleSegment(seg) }
+func (e *Engine) HandleSegment(seg netsim.Segment) { e.shard().HandleSegment(seg) }
 
 // Flush drains the default shard's pending batches (see Shard.Flush).
-func (e *Engine) Flush() { e.def.Flush() }
-
-// Flows returns the number of flows tracked by the default shard.
-func (e *Engine) Flows() int { return e.def.Flows() }
-
-// PendingBytes reports buffered out-of-order bytes in the default shard.
-func (e *Engine) PendingBytes() int { return e.def.PendingBytes() }
+func (e *Engine) Flush() { e.shard().Flush() }
 
 // SetLimits arms the default shard's flow-lifecycle bounds (see
 // Shard.SetLimits).
-func (e *Engine) SetLimits(l netsim.Limits) { e.def.SetLimits(l) }
-
-// SetCounters instruments the default shard's scans (see
-// Shard.SetCounters).
-func (e *Engine) SetCounters(c *vpatch.Counters) { e.def.SetCounters(c) }
+func (e *Engine) SetLimits(l netsim.Limits) { e.shard().SetLimits(l) }
 
 // Stats reports the default shard's flow-lifecycle counters (see
 // Shard.Stats).
-func (e *Engine) Stats() netsim.Stats { return e.def.Stats() }
+func (e *Engine) Stats() netsim.Stats { return e.shard().Stats() }
 
 // HandleSegment feeds one captured segment through reassembly and
 // matching. Segments may arrive reordered or duplicated. Handing a
@@ -631,10 +655,7 @@ func (s *Shard) handleSegmentSafe(seg netsim.Segment) {
 // under a nested recover — the flow's reassembly state may be the
 // corrupted party — with a map-drop fallback.
 func (s *Shard) recoverSegmentPanic(k netsim.FlowKey) {
-	c := s.counters
-	if s.obsScan != nil {
-		c = &s.obsScratch
-	}
+	c := s.counters()
 	if c != nil {
 		c.PanicsRecovered++
 	}
@@ -721,12 +742,9 @@ func (s *Shard) flushGroup(g *group, pb *groupBatch) {
 		return
 	}
 	// With an observer attached, scans instrument a private scratch
-	// that is folded into the atomic sink (and any SetCounters target)
-	// after the batch — the hot loops never touch an atomic.
-	c := s.counters
-	if s.obsScan != nil {
-		c = &s.obsScratch
-	}
+	// that is folded into the atomic sink after the batch — the hot
+	// loops never touch an atomic.
+	c := s.counters()
 	if pb.onMatch == nil {
 		set := g.eng.Set()
 		switch {
@@ -780,11 +798,7 @@ func (s *Shard) flushGroup(g *group, pb *groupBatch) {
 	pb.meta = pb.meta[:0]
 	pb.bytes = 0
 	if s.obsScan != nil {
-		if s.counters != nil {
-			s.counters.Add(&s.obsScratch)
-		}
-		s.obsScan.AddCounters(&s.obsScratch)
-		s.obsScratch.Reset()
+		s.publishCounters()
 		s.publishFlowStats()
 	}
 }
@@ -800,13 +814,7 @@ func (s *Shard) Flush() {
 	// recoveries, budget exhaustions on job-less teardown paths), and
 	// publish final lifecycle gauges even when no batch held jobs, so
 	// eviction- or teardown-only activity reaches scrapers too.
-	if s.obsScan != nil {
-		if s.counters != nil {
-			s.counters.Add(&s.obsScratch)
-		}
-		s.obsScan.AddCounters(&s.obsScratch)
-		s.obsScratch.Reset()
-	}
+	s.publishCounters()
 	s.publishFlowStats()
 }
 
@@ -815,6 +823,3 @@ func (s *Shard) Flush() {
 // traffic this tracks live connections; Stats().Flows additionally
 // counts closed flows awaiting tombstone expiry in the reassembler.
 func (s *Shard) Flows() int { return len(s.flows) }
-
-// PendingBytes reports buffered out-of-order bytes (diagnostic).
-func (s *Shard) PendingBytes() int { return s.reasm.PendingBytes() }

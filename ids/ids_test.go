@@ -1,6 +1,7 @@
 package ids
 
 import (
+	"fmt"
 	"sort"
 	"sync"
 	"testing"
@@ -8,6 +9,7 @@ import (
 	"vpatch"
 	"vpatch/internal/netsim"
 	"vpatch/internal/patterns"
+	"vpatch/internal/resil"
 	"vpatch/internal/traffic"
 )
 
@@ -39,9 +41,80 @@ func collect(t *testing.T, set *vpatch.PatternSet, segs []netsim.Segment) []Aler
 	return alerts
 }
 
-func TestNewEngineRejectsNilSink(t *testing.T) {
-	if _, err := NewEngine(mixedRuleSet(), vpatch.Options{}, nil); err == nil {
-		t.Fatal("nil sink accepted")
+// TestNilSinkEngineHasNoDefaultShard: NewEngine, NewRuleEngine and
+// LoadDB with a nil sink build compiled state only. Dispatchers over
+// such an engine deliver exactly the alerts of one over a sink-built
+// engine, and every default-shard method panics with the contract's
+// message instead of reaching a shard that does not exist.
+func TestNilSinkEngineHasNoDefaultShard(t *testing.T) {
+	rset := evasiveRules(t)
+	segs := evasiveSegs(rset)
+	sink := func(Alert) {}
+	lit, err := NewEngine(rset.Lits, vpatch.Options{}, sink)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ruled, err := NewRuleEngine(rset, vpatch.Options{}, sink)
+	if err != nil {
+		t.Fatal(err)
+	}
+	blob, err := ruled.SerializeDB()
+	if err != nil {
+		t.Fatal(err)
+	}
+	cases := []struct {
+		name string
+		ref  *Engine
+		mk   func() (*Engine, error)
+	}{
+		{"NewEngine", lit, func() (*Engine, error) { return NewEngine(rset.Lits, vpatch.Options{}, nil) }},
+		{"NewRuleEngine", ruled, func() (*Engine, error) { return NewRuleEngine(rset, vpatch.Options{}, nil) }},
+		{"LoadDB", ruled, func() (*Engine, error) { return LoadDB(blob, nil) }},
+	}
+	dispatch := func(e *Engine) []Alert {
+		var mu sync.Mutex
+		var out []Alert
+		d := e.NewBatchDispatcher(2, netsim.Limits{}, func(as []Alert) {
+			mu.Lock()
+			out = append(out, as...)
+			mu.Unlock()
+		})
+		d.HandleBatch(segs)
+		d.Close()
+		sortAlerts(out)
+		return out
+	}
+	for _, tc := range cases {
+		e, err := tc.mk()
+		if err != nil {
+			t.Fatalf("%s: %v", tc.name, err)
+		}
+		if e.def != nil {
+			t.Fatalf("%s: nil sink built a default shard", tc.name)
+		}
+		got, want := dispatch(e), dispatch(tc.ref)
+		if len(want) == 0 {
+			t.Fatalf("%s: test needs alerts", tc.name)
+		}
+		if fmt.Sprint(got) != fmt.Sprint(want) {
+			t.Fatalf("%s: nil-sink dispatcher alerts differ:\n got  %v\n want %v", tc.name, got, want)
+		}
+		for method, call := range map[string]func(){
+			"HandleSegment":     func() { e.HandleSegment(segs[0]) },
+			"Flush":             e.Flush,
+			"SetLimits":         func() { e.SetLimits(netsim.Limits{}) },
+			"SetVerifierBudget": func() { e.SetVerifierBudget(resil.VerifierBudget{}) },
+			"Stats":             func() { e.Stats() },
+		} {
+			func() {
+				defer func() {
+					if r := recover(); r != errNoDefaultShard {
+						t.Errorf("%s: %s panicked with %v, want %q", tc.name, method, r, errNoDefaultShard)
+					}
+				}()
+				call()
+			}()
+		}
 	}
 }
 
@@ -182,12 +255,12 @@ func TestGroupSizesAndDiagnostics(t *testing.T) {
 	if sizes[vpatch.ProtoHTTP] != 2 || sizes[vpatch.ProtoDNS] != 2 || sizes[vpatch.ProtoGeneric] != 1 {
 		t.Fatalf("group sizes %v", sizes)
 	}
-	if e.Flows() != 0 || e.PendingBytes() != 0 {
+	if e.def.Flows() != 0 || e.Stats().PendingBytes != 0 {
 		t.Fatal("fresh engine has state")
 	}
 	e.HandleSegment(netsim.Segment{Flow: key(1, 80), Seq: 0, Payload: []byte("x")})
-	if e.Flows() != 1 {
-		t.Fatalf("Flows = %d", e.Flows())
+	if e.def.Flows() != 1 {
+		t.Fatalf("Flows = %d", e.def.Flows())
 	}
 }
 

@@ -256,10 +256,10 @@ func TestDispatcherPartitionsAndMerges(t *testing.T) {
 		got = append(got, a)
 		mu.Unlock()
 	})
-	if d.Shards() != 4 {
-		t.Fatalf("Shards() = %d", d.Shards())
+	if len(d.shards) != 4 {
+		t.Fatalf("%d shards, want 4", len(d.shards))
 	}
-	perShard := d.InstrumentCounters()
+	obs := d.Observe()
 	for i := range segs {
 		d.HandleBatch(segs[i : i+1])
 	}
@@ -284,14 +284,11 @@ func TestDispatcherPartitionsAndMerges(t *testing.T) {
 		t.Fatalf("merged stats missed teardowns: %+v", st)
 	}
 
-	// Scan instrumentation: per-shard counters merge with the
-	// lifecycle stats into one figure set. Matches counts raw engine
+	// Scan instrumentation: the observer's merged counters fold with
+	// the lifecycle stats into one figure set. Matches counts raw engine
 	// hits (>= alerts: carry-prefix suppression happens after
 	// counting).
-	var c vpatch.Counters
-	for _, pc := range perShard {
-		c.Add(pc)
-	}
+	c := obs.Counters()
 	st.MergeInto(&c)
 	totalPayload := 0
 	for _, data := range flows {
@@ -374,7 +371,7 @@ func BenchmarkFlowChurn(b *testing.B) {
 				Payload: buf[:half], TsMicros: ts + 1})
 			ts += 2
 			if f&0xFFFF == 0 {
-				if got := e.Flows(); got > flowCap {
+				if got := e.def.Flows(); got > flowCap {
 					b.Fatalf("flow %d: %d tracked flows exceed cap %d", f, got, flowCap)
 				}
 			}

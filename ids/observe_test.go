@@ -10,7 +10,9 @@ import (
 	"testing"
 
 	"vpatch"
+	"vpatch/internal/metrics"
 	"vpatch/internal/netsim"
+	"vpatch/internal/rules"
 	"vpatch/internal/traffic"
 )
 
@@ -240,16 +242,19 @@ func TestDispatcherFlushAll(t *testing.T) {
 	}
 }
 
-// TestObserverDoesNotChangeScans: a dispatcher with Observe() attached
-// — the way every vpatch-serve tenant runs — must produce the same
-// alerts as one without, and publish the same BytesScanned, Matches and
-// RuleAlerts an InstrumentCounters-only dispatcher tallies, on the
-// adversarial corpus's attack shapes under evasive delivery. Attaching
-// the observer used to reroute every scan through the lane emulation.
-func TestObserverDoesNotChangeScans(t *testing.T) {
-	rset := parseRules(t, 0,
+// evasiveRules is the rule pair the observer and pipeline-equivalence
+// tests run: a clause-chained probe and an anchored pcre tail.
+func evasiveRules(t *testing.T) *rules.Set {
+	return parseRules(t, 0,
 		`alert tcp any any -> any 80 (msg:"probe"; content:"GET /"; depth:16; content:"admin"; nocase; distance:0; within:64; sid:1;)`,
 		`alert tcp any any -> any 80 (msg:"tok"; content:"token="; pcre:"/[0-9a-f]{8}/"; sid:2;)`)
+}
+
+// evasiveSegs cuts the adversarial corpus's attack shapes for rset —
+// a matching request, anchor floods, near misses and random bytes —
+// into evasively delivered segments (traffic.Evasive) over 15 HTTP
+// flows.
+func evasiveSegs(rset *rules.Set) []netsim.Segment {
 	payloads := [][]byte{
 		[]byte("GET /admin HTTP/1.1 token=deadbeef trailer"),
 		traffic.FloodAnchors([]byte("token="), []byte("zzzzzzzz"), 12, 3),
@@ -270,12 +275,42 @@ func TestObserverDoesNotChangeScans(t *testing.T) {
 			}
 		}
 	}
+	return segs
+}
 
+// observeDefault attaches a scan observer to e's default shard.
+func observeDefault(e *Engine) *metrics.Atomic {
+	var a metrics.Atomic
+	e.def.SetObserver(&a, nil)
+	return &a
+}
+
+// driveDefault feeds segs through e's default shard, observed, and
+// returns the shard's final scan counters.
+func driveDefault(e *Engine, segs []netsim.Segment) vpatch.Counters {
+	obs := observeDefault(e)
+	for _, s := range segs {
+		e.HandleSegment(s)
+	}
+	e.Flush()
+	return obs.Snapshot()
+}
+
+// TestObserverDoesNotChangeScans: a dispatcher with Observe() attached
+// — the way every vpatch-serve tenant runs — must produce the same
+// alerts as one without, and publish the same BytesScanned, Matches and
+// RuleAlerts an observed default shard tallies over the same segments,
+// on the adversarial corpus's attack shapes under evasive delivery.
+// Attaching the observer used to reroute every scan through the lane
+// emulation.
+func TestObserverDoesNotChangeScans(t *testing.T) {
+	rset := evasiveRules(t)
+	segs := evasiveSegs(rset)
 	e, err := NewRuleEngine(rset, vpatch.Options{}, func(Alert) {})
 	if err != nil {
 		t.Fatal(err)
 	}
-	run := func(attach func(d *Dispatcher) func() vpatch.Counters) ([]Alert, vpatch.Counters) {
+	run := func(observe bool) ([]Alert, vpatch.Counters) {
 		var mu sync.Mutex
 		var alerts []Alert
 		d := e.NewDispatcher(2, netsim.Limits{}, func(a Alert) {
@@ -283,25 +318,21 @@ func TestObserverDoesNotChangeScans(t *testing.T) {
 			alerts = append(alerts, a)
 			mu.Unlock()
 		})
-		counters := attach(d)
+		var obs *PipelineObserver
+		if observe {
+			obs = d.Observe()
+		}
 		d.HandleBatch(segs)
 		d.Close()
 		sortAlerts(alerts)
-		return alerts, counters()
-	}
-	bare, _ := run(func(*Dispatcher) func() vpatch.Counters {
-		return func() vpatch.Counters { return vpatch.Counters{} }
-	})
-	observed, oc := run(func(d *Dispatcher) func() vpatch.Counters { return d.Observe().Counters })
-	_, ic := run(func(d *Dispatcher) func() vpatch.Counters {
-		per := d.InstrumentCounters()
-		return func() (sum vpatch.Counters) {
-			for _, c := range per {
-				sum.Add(c)
-			}
-			return sum
+		if obs == nil {
+			return alerts, vpatch.Counters{}
 		}
-	})
+		return alerts, obs.Counters()
+	}
+	bare, _ := run(false)
+	observed, oc := run(true)
+	ic := driveDefault(e, segs)
 
 	if len(bare) == 0 {
 		t.Fatal("test needs alerts")
@@ -314,7 +345,7 @@ func TestObserverDoesNotChangeScans(t *testing.T) {
 			oc.BytesScanned, oc.Matches, oc.RuleAlerts, len(bare))
 	}
 	if oc.BytesScanned != ic.BytesScanned || oc.Matches != ic.Matches || oc.RuleAlerts != ic.RuleAlerts {
-		t.Fatalf("observer and plain counters disagree: bytes %d/%d, matches %d/%d, rule alerts %d/%d",
+		t.Fatalf("dispatcher and default-shard counters disagree: bytes %d/%d, matches %d/%d, rule alerts %d/%d",
 			oc.BytesScanned, ic.BytesScanned, oc.Matches, ic.Matches, oc.RuleAlerts, ic.RuleAlerts)
 	}
 	// The production path: no emulation-only counter moves, and the three
@@ -324,5 +355,58 @@ func TestObserverDoesNotChangeScans(t *testing.T) {
 	}
 	if oc.FilteringNs <= 0 || oc.VerifyNs <= 0 || oc.OtherNs <= 0 {
 		t.Fatalf("round clocks: filter %d, verify %d, other %d", oc.FilteringNs, oc.VerifyNs, oc.OtherNs)
+	}
+}
+
+// TestSingleShardDispatcherMatchesDefaultShard: a one-worker dispatcher
+// is the default shard behind a channel — the same alert sequence
+// (unsorted: one worker delivers in handling order) and the same scan
+// counters, timers aside, on literal and rule engines under evasive
+// delivery. vpatch-ids runs every -shards value, 1 included, through
+// the dispatcher on the strength of this.
+func TestSingleShardDispatcherMatchesDefaultShard(t *testing.T) {
+	rset := evasiveRules(t)
+	segs := evasiveSegs(rset)
+	build := map[string]func(emit func(Alert)) (*Engine, error){
+		"literal": func(emit func(Alert)) (*Engine, error) {
+			return NewEngine(rset.Lits, vpatch.Options{}, emit)
+		},
+		"rules": func(emit func(Alert)) (*Engine, error) {
+			return NewRuleEngine(rset, vpatch.Options{}, emit)
+		},
+	}
+	untimed := func(c vpatch.Counters) vpatch.Counters {
+		c.FilteringNs, c.VerifyNs, c.OtherNs = 0, 0, 0
+		return c
+	}
+	for name, mk := range build {
+		var want []Alert
+		def, err := mk(func(a Alert) { want = append(want, a) })
+		if err != nil {
+			t.Fatal(err)
+		}
+		wantC := driveDefault(def, segs)
+
+		e, err := mk(nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		var got []Alert
+		d := e.NewDispatcher(1, netsim.Limits{}, func(a Alert) { got = append(got, a) })
+		obs := d.Observe()
+		d.HandleBatch(segs)
+		d.Close()
+		gotC := obs.Counters()
+
+		if len(want) == 0 {
+			t.Fatalf("%s: test needs alerts", name)
+		}
+		if fmt.Sprint(got) != fmt.Sprint(want) {
+			t.Fatalf("%s: 1-shard dispatcher alert sequence differs from the default shard's:\n got  %v\n want %v",
+				name, got, want)
+		}
+		if untimed(gotC) != untimed(wantC) {
+			t.Fatalf("%s: counters differ:\n dispatcher    %s\n default shard %s", name, &gotC, &wantC)
+		}
 	}
 }

@@ -37,8 +37,7 @@ func TestVerifierBudgetDegradesFlow(t *testing.T) {
 	price := resil.DefaultPrice()
 	// Budget covers only a handful of runs.
 	e.SetVerifierBudget(resil.VerifierBudget{PerFlow: 3 * price.PerRun, Price: price})
-	var c vpatch.Counters
-	e.SetCounters(&c)
+	obs := observeDefault(e)
 
 	k := key(1, 80)
 	seq := uint32(0)
@@ -50,6 +49,7 @@ func TestVerifierBudgetDegradesFlow(t *testing.T) {
 
 	// Phase 1: flood anchors until the budget trips.
 	feed(floodPayload(50))
+	c := obs.Snapshot()
 	if c.DegradedFlows != 1 || c.VerifierBudgetExhausted != 1 {
 		t.Fatalf("degraded=%d exhausted=%d after flood; want 1/1 (counters: %v)",
 			c.DegradedFlows, c.VerifierBudgetExhausted, c.String())
@@ -60,7 +60,7 @@ func TestVerifierBudgetDegradesFlow(t *testing.T) {
 	// and buy zero further verifier runs.
 	pre := len(alerts)
 	feed([]byte("x token=deadbeef y token=deadbeef z"))
-	if c.VerifierRuns != runsAfterFlood {
+	if c := obs.Snapshot(); c.VerifierRuns != runsAfterFlood {
 		t.Fatalf("degraded flow still ran the verifier: %d -> %d runs",
 			runsAfterFlood, c.VerifierRuns)
 	}
@@ -107,14 +107,13 @@ func TestVerifierBudgetTenantPool(t *testing.T) {
 	// A pool worth a few runs total, refilling too slowly to matter.
 	pool := resil.NewPool(1, 4*price.PerRun)
 	e.SetVerifierBudget(resil.VerifierBudget{Pool: pool, Price: price})
-	var c vpatch.Counters
-	e.SetCounters(&c)
+	obs := observeDefault(e)
 
 	for f := 0; f < 8; f++ {
 		e.HandleSegment(netsim.Segment{Flow: key(f, 80), Payload: floodPayload(20)})
 		e.Flush()
 	}
-	if c.DegradedFlows == 0 {
+	if c := obs.Snapshot(); c.DegradedFlows == 0 {
 		t.Fatalf("tenant pool never degraded a flow: %s", c.String())
 	}
 	if pool.Denied() == 0 {

@@ -25,35 +25,13 @@ import (
 // NewRuleEngine compiles a rule-conditioned engine from a parsed rule
 // set: rset's literal set becomes the per-protocol prefilter groups,
 // and every shard layers the clause/regex evaluator on top. Alerts are
-// rule completions (Alert.RuleID); emit must be non-nil.
+// rule completions (Alert.RuleID). As with NewEngine, a non-nil emit
+// attaches a default shard and a nil emit builds none.
 func NewRuleEngine(rset *rules.Set, opt vpatch.Options, emit func(Alert)) (*Engine, error) {
-	if emit == nil {
-		return nil, fmt.Errorf("ids: nil alert sink")
-	}
 	if rset == nil || len(rset.Rules) == 0 {
 		return nil, fmt.Errorf("ids: empty rule set")
 	}
-	e := &Engine{
-		set:    rset.Lits,
-		groups: make(map[vpatch.Protocol]*group),
-		rules:  rset,
-	}
-	if g, err := buildGroup(e.set, vpatch.ProtoGeneric, opt); err != nil {
-		return nil, err
-	} else if g != nil {
-		e.groups[vpatch.ProtoGeneric] = g
-	}
-	for _, proto := range groupedProtocols {
-		g, err := buildGroup(e.set, proto, opt)
-		if err != nil {
-			return nil, err
-		}
-		if g != nil {
-			e.groups[proto] = g
-		}
-	}
-	e.def = e.NewShard(emit)
-	return e, nil
+	return compileEngine(rset.Lits, rset, opt, emit)
 }
 
 // Rules returns the engine's rule set, or nil for literal engines.

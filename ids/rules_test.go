@@ -195,8 +195,7 @@ func TestRuleVerifierAnchorGating(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	var c vpatch.Counters
-	e.SetCounters(&c)
+	obs := observeDefault(e)
 
 	flows := map[netsim.FlowKey][]byte{
 		key(1, 80): bytes.Repeat([]byte("plain lowercase traffic without anchors "), 50),
@@ -205,7 +204,7 @@ func TestRuleVerifierAnchorGating(t *testing.T) {
 		e.HandleSegment(s)
 	}
 	e.Flush()
-	if len(alerts) != 0 || c.VerifierRuns != 0 || c.VerifierStates != 0 {
+	if c := obs.Snapshot(); len(alerts) != 0 || c.VerifierRuns != 0 || c.VerifierStates != 0 {
 		t.Fatalf("verifier ran without anchors: alerts %v, counters %+v", alerts, c)
 	}
 
@@ -217,7 +216,7 @@ func TestRuleVerifierAnchorGating(t *testing.T) {
 	if len(alerts) != 1 || alerts[0].RuleID != 0 {
 		t.Fatalf("want one rule alert, got %+v", alerts)
 	}
-	if c.VerifierRuns != 1 || c.RuleAlerts != 1 {
+	if c := obs.Snapshot(); c.VerifierRuns != 1 || c.RuleAlerts != 1 {
 		t.Fatalf("counters after anchored hit: %+v", c)
 	}
 }

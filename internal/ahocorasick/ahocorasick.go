@@ -224,9 +224,6 @@ func (m *Matcher) ScanScratch(_ engine.Scratch, input []byte, c *metrics.Counter
 // States returns the number of automaton states.
 func (m *Matcher) States() int { return m.states }
 
-// FullMatrix reports whether the dense representation is in use.
-func (m *Matcher) FullMatrix() bool { return m.full }
-
 // MemoryFootprint estimates resident bytes of the transition structure —
 // the quantity that decides which cache level serves the per-byte access.
 func (m *Matcher) MemoryFootprint() int {

@@ -22,7 +22,7 @@ func checkAgainstNaive(t *testing.T, set *patterns.Set, input []byte, opt Option
 	want := patterns.FindAllNaive(set, input)
 	if !patterns.EqualMatches(got, want) {
 		t.Fatalf("AC (full=%v folded=%v) disagrees with naive: got %d matches, want %d",
-			m.FullMatrix(), m.folded, len(got), len(want))
+			m.full, m.folded, len(got), len(want))
 	}
 }
 
@@ -109,8 +109,8 @@ func TestSparseEqualsFull(t *testing.T) {
 	input := traffic.Synthesize(traffic.ISCXDay2, 64<<10, 5, set)
 	full := Build(set, Options{})
 	sparse := Build(set, Options{MaxMatrixBytes: -1})
-	if !full.FullMatrix() || sparse.FullMatrix() {
-		t.Fatalf("representations: full=%v sparse=%v", full.FullMatrix(), sparse.FullMatrix())
+	if !full.full || sparse.full {
+		t.Fatalf("representations: full=%v sparse=%v", full.full, sparse.full)
 	}
 	a := scan(full, input)
 	b := scan(sparse, input)
@@ -123,7 +123,7 @@ func TestSparseFallbackOnBudget(t *testing.T) {
 	set := patterns.FromStrings("abcdefgh", "ijklmnop")
 	// 17 states * 1 KB > 4 KB budget.
 	m := Build(set, Options{MaxMatrixBytes: 4 << 10})
-	if m.FullMatrix() {
+	if m.full {
 		t.Fatal("small budget did not force sparse representation")
 	}
 	checkAgainstNaive(t, set, []byte("xxabcdefghxxijklmnop"), Options{MaxMatrixBytes: 4 << 10})
@@ -230,7 +230,7 @@ func TestBandedEqualsFull(t *testing.T) {
 	input := traffic.Synthesize(traffic.ISCXDay6, 64<<10, 3, set)
 	full := Build(set, Options{})
 	banded := Build(set, Options{Banded: true})
-	if !banded.banded || banded.FullMatrix() {
+	if !banded.banded || banded.full {
 		t.Fatal("Banded option ignored")
 	}
 	a := scan(full, input)

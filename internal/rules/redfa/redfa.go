@@ -96,12 +96,6 @@ func (p *Prog) Source() string { return p.src }
 // Flags returns the flag string the program was compiled with.
 func (p *Prog) Flags() string { return p.flags }
 
-// NumStates returns the NFA state count (sizing diagnostics).
-func (p *Prog) NumStates() int { return len(p.states) }
-
-// NumClasses returns the byte-equivalence class count.
-func (p *Prog) NumClasses() int { return p.numClasses }
-
 // buildClasses computes byte equivalence classes from arc boundaries:
 // bytes b and b+1 fall into different classes iff some arc starts at
 // b+1 or ends at b.

@@ -83,6 +83,9 @@ type Config struct {
 	// SchedQuantumBytes is the deficit-round-robin byte quantum per
 	// tenant visit on the shared ingest scheduler (default 256 KiB).
 	SchedQuantumBytes int
+	// IngestQueueBytes bounds each tenant's lane on the shared ingest
+	// scheduler — one bound for every lane (default 4 MiB).
+	IngestQueueBytes int
 }
 
 // Server is the resident scanning daemon. Create with New, expose with
@@ -175,7 +178,7 @@ func New(cfg Config) *Server {
 	// so is one reaching a drained tenant's closed dispatcher.
 	s.sched = resil.NewScheduler(resil.SchedulerConfig{
 		QuantumBytes: cfg.SchedQuantumBytes,
-		QueueBytes:   cfg.TenantDefaults.IngestQueueBytes,
+		QueueBytes:   cfg.IngestQueueBytes,
 		Dispatch: func(tenant string, segs []netsim.Segment) {
 			if t := s.Tenant(tenant); t != nil {
 				if d := t.disp.Load(); d != nil {

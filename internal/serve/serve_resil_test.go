@@ -241,8 +241,9 @@ func TestFollowHeartbeatAndDisconnect(t *testing.T) {
 // end-to-end wiring check.
 func TestIngestFairnessTwoTenants(t *testing.T) {
 	srv := New(Config{
-		TenantDefaults:    TenantConfig{Shards: 2, IngestQueueBytes: 256 << 10},
+		TenantDefaults:    TenantConfig{Shards: 2},
 		SchedQuantumBytes: 32 << 10,
+		IngestQueueBytes:  256 << 10,
 	})
 	for _, name := range []string{"victim", "attacker"} {
 		if _, err := srv.CreateTenant(name, TenantConfig{}); err != nil {

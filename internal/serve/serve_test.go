@@ -24,6 +24,7 @@ import (
 
 	"vpatch"
 	"vpatch/ids"
+	"vpatch/internal/arena"
 	"vpatch/internal/netsim"
 )
 
@@ -75,42 +76,59 @@ func TestWireRoundTrip(t *testing.T) {
 			Seq: 0xFFFFFFF0, Flags: netsim.FlagFIN, Payload: nil},
 		{Flow: netsim.FlowKey{DstPort: 53}, Flags: netsim.FlagRST, Payload: bytes.Repeat([]byte{0xAB}, 1500)},
 	}
+	a := arena.New(arena.Config{})
+	read := func(r io.Reader) (netsim.Segment, error) { return ReadSegmentArena(r, a) }
 	r := bytes.NewReader(EncodeSegments(segs))
+	var decoded []netsim.Segment
 	for i, want := range segs {
-		got, err := ReadSegment(r)
+		got, err := read(r)
 		if err != nil {
 			t.Fatalf("segment %d: %v", i, err)
 		}
+		if !got.Owned() {
+			t.Fatalf("segment %d does not own its arena chunk", i)
+		}
+		decoded = append(decoded, got)
+		got.SetOwned(nil) // compare the fields, not the chunk handle
 		if len(want.Payload) == 0 {
-			want.Payload, got.Payload = nil, got.Payload[:0]
 			if len(got.Payload) != 0 {
 				t.Fatalf("segment %d: unexpected payload", i)
 			}
-			got.Payload = nil
+			want.Payload, got.Payload = nil, nil
 		}
 		if !reflect.DeepEqual(got, want) {
 			t.Fatalf("segment %d round-trip:\n got %+v\nwant %+v", i, got, want)
 		}
 	}
-	if _, err := ReadSegment(r); err != io.EOF {
+	if _, err := read(r); err != io.EOF {
 		t.Fatalf("want clean EOF at frame boundary, got %v", err)
+	}
+	if n := a.Stats().InUse; n != int64(len(segs)) {
+		t.Fatalf("%d chunks in use for %d decoded segments", n, len(segs))
+	}
+	for i := range decoded {
+		decoded[i].ReleasePayload()
 	}
 
 	// Mid-frame truncation is an error, not EOF.
 	enc := EncodeSegments(segs[:1])
-	if _, err := ReadSegment(bytes.NewReader(enc[:len(enc)-3])); err == nil || err == io.EOF {
+	if _, err := read(bytes.NewReader(enc[:len(enc)-3])); err == nil || err == io.EOF {
 		t.Fatalf("truncated frame: want a real error, got %v", err)
 	}
 	// A frame shorter than its fixed header is rejected.
 	var bad [4]byte
 	bad[3] = segFixedLen - 1
-	if _, err := ReadSegment(bytes.NewReader(bad[:])); err == nil {
+	if _, err := read(bytes.NewReader(bad[:])); err == nil {
 		t.Fatal("undersized frame accepted")
 	}
 	// A corrupt length prefix cannot demand a giant allocation.
 	huge := []byte{0x7F, 0xFF, 0xFF, 0xFF}
-	if _, err := ReadSegment(bytes.NewReader(huge)); err == nil {
+	if _, err := read(bytes.NewReader(huge)); err == nil {
 		t.Fatal("oversized frame accepted")
+	}
+	// Released segments and every error path leave no chunk rented.
+	if n := a.Stats().InUse; n != 0 {
+		t.Fatalf("%d arena chunks still in use after release and errors", n)
 	}
 }
 

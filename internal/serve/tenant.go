@@ -51,11 +51,6 @@ type TenantConfig struct {
 	// burst = 2x rate). 0 inherits; negative disables.
 	VerifierBudgetPerSec int64 `json:"verifier_budget_per_sec,omitempty"`
 	VerifierBudgetBurst  int64 `json:"verifier_budget_burst,omitempty"`
-	// IngestQueueBytes bounds the tenant's lane on the fair ingest
-	// scheduler. Effective only through the server's TenantDefaults
-	// (the scheduler applies one bound to every lane); 0 = resil
-	// default (4 MiB).
-	IngestQueueBytes int `json:"ingest_queue_bytes,omitempty"`
 }
 
 func (c TenantConfig) withDefaults(d TenantConfig) TenantConfig {
@@ -88,9 +83,6 @@ func (c TenantConfig) withDefaults(d TenantConfig) TenantConfig {
 	}
 	if c.VerifierBudgetBurst == 0 {
 		c.VerifierBudgetBurst = d.VerifierBudgetBurst
-	}
-	if c.IngestQueueBytes == 0 {
-		c.IngestQueueBytes = d.IngestQueueBytes
 	}
 	return c
 }
@@ -179,7 +171,7 @@ func (s *Server) newTenant(name string, cfg TenantConfig) *Tenant {
 func (t *Tenant) Reload(db []byte) (uint64, error) {
 	// Load outside the locks: validation and engine reconstruction are
 	// the slow part, and the data path must not stall behind them.
-	eng, err := ids.LoadDB(db, func(ids.Alert) {})
+	eng, err := ids.LoadDB(db, nil)
 	if err != nil {
 		return 0, err
 	}

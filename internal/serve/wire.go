@@ -63,38 +63,12 @@ func EncodeSegments(segs []netsim.Segment) []byte {
 	return out
 }
 
-// ReadSegment reads one frame from r. The returned segment's payload
-// is freshly allocated, so it may be handed to a dispatcher by
-// reference. Returns io.EOF cleanly at a frame boundary.
-func ReadSegment(r io.Reader) (netsim.Segment, error) {
-	var pre [4]byte
-	if _, err := io.ReadFull(r, pre[:]); err != nil {
-		if err == io.EOF {
-			return netsim.Segment{}, io.EOF
-		}
-		return netsim.Segment{}, fmt.Errorf("serve: frame length: %w", err)
-	}
-	be := binary.BigEndian
-	frameLen := be.Uint32(pre[:])
-	if frameLen < segFixedLen {
-		return netsim.Segment{}, fmt.Errorf("serve: frame of %d bytes is shorter than the %d-byte header", frameLen, segFixedLen)
-	}
-	if frameLen > segFixedLen+MaxSegmentBytes {
-		return netsim.Segment{}, fmt.Errorf("serve: frame payload of %d bytes exceeds the %d-byte cap", frameLen-segFixedLen, MaxSegmentBytes)
-	}
-	buf := make([]byte, frameLen)
-	if _, err := io.ReadFull(r, buf); err != nil {
-		return netsim.Segment{}, fmt.Errorf("serve: frame body: %w", err)
-	}
-	return parseFrame(buf), nil
-}
-
-// ReadSegmentArena reads one frame like ReadSegment, but the frame
-// lands in a chunk rented from a: the returned segment owns the chunk
-// (Segment.Owned) and whoever consumes it releases it back to the
-// pool, so a resident ingest loop reads frames without allocating.
-// Callers that drop a segment without dispatching it must call
-// ReleasePayload themselves.
+// ReadSegmentArena reads one frame from r into a chunk rented from a:
+// the returned segment owns the chunk (Segment.Owned) and whoever
+// consumes it releases it back to the pool, so a resident ingest loop
+// reads frames without allocating. Callers that drop a segment without
+// dispatching it must call ReleasePayload themselves. Returns io.EOF
+// cleanly at a frame boundary; on any error no chunk stays rented.
 func ReadSegmentArena(r io.Reader, a *arena.Arena) (netsim.Segment, error) {
 	var pre [4]byte
 	if _, err := io.ReadFull(r, pre[:]); err != nil {

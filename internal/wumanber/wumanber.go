@@ -123,10 +123,6 @@ func (m *Matcher) ScanScratch(_ engine.Scratch, input []byte, c *metrics.Counter
 	m.Scan(input, c, emit)
 }
 
-// WindowLen returns m, the effective window (minimum block-capable
-// pattern length). It bounds the maximum skip distance m-1.
-func (m *Matcher) WindowLen() int { return m.m }
-
 // MemoryFootprint estimates the table bytes (shift + bucket headers).
 func (m *Matcher) MemoryFootprint() int {
 	sz := len(m.shift) * 2

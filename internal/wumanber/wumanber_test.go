@@ -43,8 +43,8 @@ func TestOnlyOneBytePatterns(t *testing.T) {
 	set := patterns.NewSet()
 	set.Add([]byte{'q'}, false, patterns.ProtoGeneric)
 	m := Build(set)
-	if m.WindowLen() != 0 {
-		t.Fatalf("window len %d for len-1-only set", m.WindowLen())
+	if m.m != 0 {
+		t.Fatalf("window len %d for len-1-only set", m.m)
 	}
 	checkAgainstNaive(t, set, []byte("qqabcq"))
 }
@@ -55,8 +55,8 @@ func TestOverlapping(t *testing.T) {
 
 func TestWindowIsMinLength(t *testing.T) {
 	m := Build(patterns.FromStrings("abc", "abcdefgh"))
-	if m.WindowLen() != 3 {
-		t.Fatalf("WindowLen = %d, want 3", m.WindowLen())
+	if m.m != 3 {
+		t.Fatalf("WindowLen = %d, want 3", m.m)
 	}
 }
 
