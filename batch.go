@@ -9,13 +9,12 @@ import (
 // overwhelmingly small packets, and scanning them one Scan call at a
 // time leaves per-call setup and too-short filtering rounds dominating
 // (the small-input weakness the paper's Fig. 5b exposes). ScanBatch
-// hands the engine a whole batch: V-PATCH runs its fused kernel buffer
-// by buffer with one call, one emit adapter and filtering/verification
-// rounds that span the batch's buffers. Every other algorithm — and a
-// V-PATCH scan that asks for lane-exact accounting (Counters.LaneExact)
-// — scans the batch through an equivalent per-buffer loop. Per-buffer
-// match semantics are identical to Scan on that buffer alone, for every
-// algorithm.
+// hands the engine a whole batch: S-PATCH and V-PATCH scan it with one
+// call, one emit adapter and filtering/verification rounds that span the
+// batch's buffers, lane-exact accounting (Counters.LaneExact) included.
+// The other five algorithms scan the batch through an equivalent
+// per-buffer loop. Per-buffer match semantics are identical to Scan on
+// that buffer alone, for every algorithm.
 
 // BatchEmitFunc receives matches during a batch scan: buf is the index
 // within the batch of the buffer the match occurred in, and the match's

@@ -193,3 +193,34 @@ func TestFindAllBatchConvenience(t *testing.T) {
 		t.Fatalf("empty batch returned %v", out)
 	}
 }
+
+// TestScanZeroAlloc: a steady-state Session scan of S-PATCH or V-PATCH,
+// serial or batch, with or without plain counters, allocates nothing —
+// a serial scan is a batch of one held in the session's scratch, and
+// both algorithms batch natively.
+func TestScanZeroAlloc(t *testing.T) {
+	set := patterns.GenerateS1(7).Subset(150, 3)
+	bufs := traffic.FixedPackets(traffic.ISCXDay2, 512, 3, 5, set)
+	matches := 0
+	emit := func(Match) { matches++ }
+	emitBatch := func(int, Match) { matches++ }
+	for _, alg := range []Algorithm{AlgoVPatch, AlgoSPatch} {
+		eng, err := Compile(set, Options{Algorithm: alg})
+		if err != nil {
+			t.Fatalf("%v: %v", alg, err)
+		}
+		s := eng.NewSession()
+		var plain Counters
+		for name, c := range map[string]*Counters{"nil": nil, "plain": &plain} {
+			if n := testing.AllocsPerRun(50, func() { s.Scan(bufs[0], c, emit) }); n != 0 {
+				t.Errorf("%v: Scan with %s counters: %v allocs/run", alg, name, n)
+			}
+			if n := testing.AllocsPerRun(50, func() { s.ScanBatch(bufs, c, emitBatch) }); n != 0 {
+				t.Errorf("%v: ScanBatch with %s counters: %v allocs/run", alg, name, n)
+			}
+		}
+	}
+	if matches == 0 {
+		t.Fatal("test needs matches")
+	}
+}

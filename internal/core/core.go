@@ -18,7 +18,10 @@
 //
 // S-PATCH executes the filtering round with scalar probes; V-PATCH (in
 // vpatch.go) executes it W positions at a time with gathers on the merged
-// filter.
+// filter. That is the only difference, so the scan loop (batch.go), the
+// fused kernels (fused.go) and the scan entry points live on common once;
+// each algorithm adds its constructor, its probe chain and its lane-exact
+// rendition of the filtering round.
 //
 // Compiled state (filters, verification tables) is immutable after
 // construction; the candidate arrays are per-scan working memory held in
@@ -41,8 +44,8 @@ import (
 const DefaultChunkSize = 64 << 10
 
 // Scratch is the mutable working memory of one S-PATCH/V-PATCH scan:
-// the candidate arrays of the filtering round (reset per chunk, reused
-// across chunks and scans) plus the no-store sink of the filtering-only
+// the candidate arrays of the filtering round (reset per round, reused
+// across rounds and scans) plus the no-store sink of the filtering-only
 // measurement mode. A Scratch belongs to exactly one goroutine at a
 // time; the compiled matcher it is used with is never written during a
 // scan.
@@ -50,9 +53,8 @@ type Scratch struct {
 	aShort []int32
 	aLong  []int32
 
-	// units records, for the batch scan, which buffer each filtered
-	// unit of the current round belongs to and where its candidates end
-	// in aShort/aLong (batch.go scanBatch).
+	// units records which buffer each filtered unit of the current round
+	// belongs to and where its candidates end in aShort/aLong (batch.go).
 	units []batchUnit
 
 	// sink absorbs filter masks in no-store mode (Fig. 6's
@@ -65,10 +67,17 @@ type Scratch struct {
 	// the watermark. Scratch-resident so the hot path never pays the
 	// stack-array zeroing a local would cost on every call.
 	aq [accel.QueueLen]int32
+
+	// buf is the buffer of the unit being verified, the batch emit
+	// adapter's argument; one holds a serial scan's input, because a
+	// serial scan is a batch of one buffer and this keeps that batch off
+	// the heap.
+	buf int
+	one [1][]byte
 }
 
-// batchUnit is one filtered unit of a batch round: a whole
-// buffer, or one chunk of a buffer larger than a chunk.
+// batchUnit is one filtered unit of a round: a whole buffer, or one
+// chunk of a buffer larger than a chunk.
 type batchUnit struct {
 	buf, endShort, endLong int32
 }
@@ -110,6 +119,21 @@ type common struct {
 	kern   vec.KernelID
 	kblock int
 	klook  int
+
+	// exactRange is the algorithm's lane-exact filtering rendition
+	// (S-PATCH's per-position scalar chain, V-PATCH's explicit vector
+	// engine), wired by newSPatch/newVPatch; pinExact makes every scan
+	// take it (V-PATCH's reference rendition and the ablations the fused
+	// kernels do not express). See filterRange.
+	exactRange func(scr *Scratch, input []byte, start, end int, c *metrics.Counters, stores bool)
+	pinExact   bool
+
+	// scr backs the scratch-less Scan/ScanBatch/FilterOnly convenience
+	// methods, which therefore remain single-goroutine (use the Scratch
+	// methods with per-goroutine scratches for concurrent scans).
+	// Allocated lazily so engines scanned only through sessions never
+	// pay for it.
+	scr *Scratch
 }
 
 func newCommon(set *patterns.Set, filter3Log2Bits uint, chunkSize int, kern vec.KernelID) common {
@@ -166,21 +190,52 @@ func (m *common) scalarFilterPos(scr *Scratch, input []byte, i, n int, c *metric
 	}
 }
 
-// verifyCandidates replays the candidate arrays against the compact hash
-// tables (Algorithm 1, lines 15-20).
-func (m *common) verifyCandidates(scr *Scratch, input []byte, c *metrics.Counters, emit patterns.EmitFunc) {
-	for _, pos := range scr.aShort {
-		m.verifier.VerifyShortAt(input, int(pos), c, emit)
+// filterRange runs the filtering round over positions [start, end) of
+// input, appending candidates to scr. Production scans, with or without
+// counters, take the fused kernels (fused.go); the algorithm's
+// lane-exact rendition runs when the caller asks for exact probe
+// accounting (Counters.LaneExact) or the matcher pins it. Attaching
+// plain counters never selects it. Candidate output is bit-identical
+// either way (tested).
+func (m *common) filterRange(scr *Scratch, input []byte, start, end int, c *metrics.Counters, stores bool) {
+	if m.pinExact || (c != nil && c.LaneExact) {
+		m.exactRange(scr, input, start, end, c, stores)
+		return
 	}
-	for _, pos := range scr.aLong {
-		m.verifier.VerifyLongAt(input, int(pos), c, emit)
-	}
+	m.fusedRange(scr, input, start, end, c, stores)
 }
 
-// recordCandidates accumulates per-chunk candidate counts.
-func (m *common) recordCandidates(scr *Scratch, c *metrics.Counters) {
+// filterOnly runs only the filtering rounds over the whole input and
+// returns copies of the accumulated candidate positions; with
+// stores=false the store step is suppressed and only counts are
+// returned (Fig. 6's filtering-only measurements).
+func (m *common) filterOnly(input []byte, c *metrics.Counters, stores bool) (short, long []int32) {
 	if c != nil {
-		c.ShortCandidates += uint64(len(scr.aShort))
-		c.LongCandidates += uint64(len(scr.aLong))
+		c.BytesScanned += uint64(len(input))
 	}
+	scr := m.builtinScratch()
+	n := len(input)
+	for start := 0; start < n; start += m.chunk {
+		end := start + m.chunk
+		if end > n {
+			end = n
+		}
+		scr.aShort = scr.aShort[:0]
+		scr.aLong = scr.aLong[:0]
+		var sw metrics.Stopwatch
+		if c != nil {
+			sw = metrics.Start()
+		}
+		m.filterRange(scr, input, start, end, c, stores)
+		if c != nil {
+			c.FilteringNs += sw.Stop()
+			c.ShortCandidates += uint64(len(scr.aShort))
+			c.LongCandidates += uint64(len(scr.aLong))
+		}
+		if stores {
+			short = append(short, scr.aShort...)
+			long = append(long, scr.aLong...)
+		}
+	}
+	return short, long
 }

@@ -57,9 +57,11 @@ type bufMatch struct {
 // it they read what the instrumented scans of the commit before this
 // split read (the golden values below were recorded there, when plain
 // counters selected the emulation; vpatch/batch's were re-recorded when
-// the lane-per-packet batch round was deleted and a lane-exact batch
-// became the serial lane-exact scan per buffer, which the end of the test
-// checks directly).
+// the lane-per-packet batch round was deleted). Both algorithms now run
+// one scan loop whose lane-exact batch rounds span buffers yet filter
+// each buffer's chunks exactly as a serial scan of that buffer does, so
+// the batch goldens equal the per-buffer serial counts, which the end of
+// the test checks directly.
 func TestCountersNeverChooseRendition(t *testing.T) {
 	set := patterns.GenerateS1(7).Subset(300, 2)
 	serial := traffic.Synthesize(traffic.ISCXDay2, 150<<10, 5, set) // three chunks

@@ -63,8 +63,7 @@ func DecodeSPatch(d *dbfmt.Decoder, set *patterns.Set) (*SPatch, error) {
 	if err := d.Finish(); err != nil {
 		return nil, err
 	}
-	c.split = true
-	return &SPatch{common: c}, nil
+	return newSPatch(c), nil
 }
 
 // EncodeCompiled appends V-PATCH's compiled state (engine.DBCodec).
@@ -94,7 +93,7 @@ func DecodeVPatch(d *dbfmt.Decoder, set *patterns.Set) (*VPatch, error) {
 		return nil, err
 	}
 	opt.Width = w
-	return &VPatch{common: c, eng: vec.New(w), opt: opt}, nil
+	return newVPatch(c, opt), nil
 }
 
 // MemoryFootprint reports resident bytes of the compiled state: the

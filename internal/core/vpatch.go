@@ -2,7 +2,6 @@ package core
 
 import (
 	"vpatch/internal/bitarr"
-	"vpatch/internal/engine"
 	"vpatch/internal/metrics"
 	"vpatch/internal/patterns"
 	"vpatch/internal/vec"
@@ -33,15 +32,7 @@ type VPatch struct {
 	common
 	eng *vec.Engine
 	opt VOptions
-
-	// scr backs the scratch-less Scan/FilterOnly convenience methods
-	// (single-goroutine; use ScanScratch for concurrent scans).
-	// Allocated lazily so engines scanned only through sessions never
-	// pay for it.
-	scr *Scratch
 }
-
-var _ engine.Engine = (*VPatch)(nil)
 
 // VOptions configures V-PATCH construction. The zero value is the
 // paper's configuration at AVX2 width.
@@ -93,128 +84,45 @@ func NewVPatch(set *patterns.Set, opt VOptions) *VPatch {
 	if opt.Width == 0 {
 		opt.Width = 8
 	}
-	m := &VPatch{
-		common: newCommon(set, opt.Filter3Log2Bits, opt.ChunkSize, opt.ForceKernel),
-		eng:    vec.New(opt.Width),
-		opt:    opt,
-	}
+	m := newVPatch(newCommon(set, opt.Filter3Log2Bits, opt.ChunkSize, opt.ForceKernel), opt)
 	m.noAccel = opt.NoAccel
 	return m
 }
 
-// builtinScratch lazily allocates the scratch behind the scratch-less
-// convenience methods.
-func (m *VPatch) builtinScratch() *Scratch {
-	if m.scr == nil {
-		m.scr = NewScratch()
-	}
-	return m.scr
+// newVPatch makes compiled state c a V-PATCH matcher: the merged probe
+// chain in the fused kernels and the explicit vector engine as the
+// lane-exact rendition, which every scan takes when opt pins the
+// reference rendition (ForceEngine) or an ablation the fused kernels do
+// not express. NewVPatch and DecodeVPatch both construct through it.
+func newVPatch(c common, opt VOptions) *VPatch {
+	m := &VPatch{common: c, eng: vec.New(opt.Width), opt: opt}
+	m.exactRange = m.vectorRange
+	m.pinExact = opt.ForceEngine || opt.NoFilterMerge || opt.BranchyFilter3
+	return m
 }
 
 // Width returns the vector width in lanes.
 func (m *VPatch) Width() int { return m.eng.Width() }
-
-// NewScratch allocates per-goroutine scan state (engine.Engine).
-func (m *VPatch) NewScratch() engine.Scratch { return NewScratch() }
-
-// ScanScratch scans input using scr as working memory. Calls with
-// distinct scratches may run concurrently (engine.Engine).
-func (m *VPatch) ScanScratch(scr engine.Scratch, input []byte, c *metrics.Counters, emit patterns.EmitFunc) {
-	m.scan(scr.(*Scratch), input, c, emit)
-}
-
-// Scan reports every occurrence of every pattern in input. c and emit may
-// be nil. Scan uses the matcher's built-in scratch and therefore must not
-// be called from multiple goroutines at once; use ScanScratch for that.
-func (m *VPatch) Scan(input []byte, c *metrics.Counters, emit patterns.EmitFunc) {
-	m.scan(m.builtinScratch(), input, c, emit)
-}
-
-// laneExact reports whether a scan must run the explicit vector engine:
-// the caller asked for lane-exact accounting (Counters.LaneExact), or
-// the matcher was built as the reference rendition or with an ablation
-// the fused kernels do not express. Attaching plain counters never
-// selects it.
-func (m *VPatch) laneExact(c *metrics.Counters) bool {
-	return m.opt.ForceEngine || m.opt.NoFilterMerge || m.opt.BranchyFilter3 || (c != nil && c.LaneExact)
-}
-
-func (m *VPatch) scan(scr *Scratch, input []byte, c *metrics.Counters, emit patterns.EmitFunc) {
-	var sw metrics.Stopwatch
-	if c != nil {
-		c.BytesScanned += uint64(len(input))
-		sw = metrics.Start()
-	}
-	n := len(input)
-	for start := 0; start < n; start += m.chunk {
-		end := start + m.chunk
-		if end > n {
-			end = n
-		}
-		m.filterChunk(scr, input, start, end, c, true)
-		if c != nil {
-			c.FilteringNs += sw.Lap()
-		}
-		m.verifyCandidates(scr, input, c, emit)
-		if c != nil {
-			c.VerifyNs += sw.Lap()
-		}
-	}
-}
 
 // FilterOnly runs only the filtering rounds. With stores=true candidate
 // positions are accumulated and returned (Fig. 6 "V-PATCH-filtering+
 // stores"); with stores=false the store step is suppressed and only
 // counts are returned (Fig. 6 "V-PATCH-filtering").
 func (m *VPatch) FilterOnly(input []byte, c *metrics.Counters, stores bool) (short, long []int32) {
-	if c != nil {
-		c.BytesScanned += uint64(len(input))
-	}
-	scr := m.builtinScratch()
-	n := len(input)
-	for start := 0; start < n; start += m.chunk {
-		end := start + m.chunk
-		if end > n {
-			end = n
-		}
-		var sw metrics.Stopwatch
-		if c != nil {
-			sw = metrics.Start()
-		}
-		m.filterChunk(scr, input, start, end, c, stores)
-		if c != nil {
-			c.FilteringNs += sw.Stop()
-		}
-		if stores {
-			short = append(short, scr.aShort...)
-			long = append(long, scr.aLong...)
-		}
-	}
-	return short, long
+	return m.filterOnly(input, c, stores)
 }
 
-// filterChunk runs the vectorized filtering round over positions
-// [start, end). Reads may extend up to 3 bytes past end (within input)
-// because 4-byte windows straddle the chunk boundary, exactly like the
-// scalar algorithm.
-//
-// Production scans, with or without counters, take the fused kernel
-// (fused.go): the same merged-word + speculative filter-3 computation
-// with the skip-loop acceleration layer in front. Lane-exact runs (see
-// laneExact) execute the explicit vector engine; unless ForceEngine pins
-// the paper-faithful reference rendition, they skip ahead of each vector
-// block with the same acceleration table, counting
-// SkippedBytes/AccelChances/AccelRuns per skip invocation for the
-// density story and the cost model. Candidate output is bit-identical on
-// every path (tested).
-func (m *VPatch) filterChunk(scr *Scratch, input []byte, start, end int, c *metrics.Counters, stores bool) {
-	scr.aShort = scr.aShort[:0]
-	scr.aLong = scr.aLong[:0]
-	if !m.laneExact(c) {
-		m.fusedRange(scr, input, start, end, c, stores)
-		m.recordCandidates(scr, c)
-		return
-	}
+// vectorRange is V-PATCH's lane-exact filtering rendition over positions
+// [start, end): the explicit vector engine, W positions per block.
+// Reads may extend up to 3 bytes past end (within input) because 4-byte
+// windows straddle the chunk boundary, exactly like the scalar
+// algorithm. Unless ForceEngine pins the paper-faithful reference
+// rendition, it skips ahead of each vector block with the fused
+// kernels' acceleration table, counting SkippedBytes/AccelChances/
+// AccelRuns per skip invocation for the density story and the cost
+// model. Candidate output is bit-identical to the fused kernels'
+// (tested).
+func (m *VPatch) vectorRange(scr *Scratch, input []byte, start, end int, c *metrics.Counters, stores bool) {
 	n := len(input)
 	w := m.eng.Width()
 
@@ -264,7 +172,6 @@ func (m *VPatch) filterChunk(scr *Scratch, input []byte, start, end int, c *metr
 	for ; i < end; i++ {
 		m.scalarFilterPos(scr, input, i, n, c)
 	}
-	m.recordCandidates(scr, c)
 }
 
 // filterBlock filters the W positions base..base+W-1 (Algorithm 2 body).

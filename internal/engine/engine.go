@@ -84,11 +84,11 @@ type KernelReporter interface {
 type BatchEmitFunc func(buf int, m patterns.Match)
 
 // BatchEngine is implemented by engines with a native
-// many-buffers-per-call scan path — for V-PATCH, filtering and
-// verification rounds that span the batch's buffers up to a cache-sized
-// chunk, so a batch of small inputs pays one round of each instead of
-// one per buffer. Engines without a native path are driven through the
-// ScanBatch fallback instead.
+// many-buffers-per-call scan path — for S-PATCH and V-PATCH, filtering
+// and verification rounds that span the batch's buffers up to a
+// cache-sized chunk, so a batch of small inputs pays one round of each
+// instead of one per buffer. Engines without a native path are driven
+// through the ScanBatch fallback instead.
 type BatchEngine interface {
 	Engine
 	// ScanBatchScratch scans every buffer of inputs using scr as working

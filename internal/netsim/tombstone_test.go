@@ -241,7 +241,7 @@ func TestTombSetAgainstModel(t *testing.T) {
 			if rng.Intn(100) < pushBias || len(order) == 0 {
 				k := tflow(nextKey)
 				nextKey++
-				ts := uint64(step)<<31 | uint64(rng.Intn(1<<31)) // exercises both halves of the split time
+				ts := uint64(step)<<31 | uint64(rng.Int63n(1<<31)) // exercises both halves of the split time
 				s.push(k, ts)
 				model[k] = ts
 				order = append(order, k)

@@ -25,7 +25,7 @@ const (
 )
 
 // ServicePorts is the single port→protocol classification table shared
-// by rule parsing (protoFromHeader buckets rules by their header ports)
+// by rule parsing (ProtoFromHeader buckets rules by their header ports)
 // and flow routing (ids classifies flows by destination port). Keeping
 // one table guarantees a rule written for a port always lands in the
 // group its flows are scanned against — the two sides cannot drift.

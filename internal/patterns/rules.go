@@ -67,14 +67,17 @@ func ParseRules(r io.Reader, opt ParseOptions) (*Set, error) {
 	sc := bufio.NewScanner(r)
 	sc.Buffer(nil, 1<<20) // lines up to 1 MiB; the buffer grows to what the input needs
 	lineNo := 0
+	var opts []Option // reused across lines
+	var contents []ruleContent
 	for sc.Scan() {
 		lineNo++
 		line := strings.TrimSpace(sc.Text())
 		if line == "" || strings.HasPrefix(line, "#") {
 			continue
 		}
-		proto := protoFromHeader(line)
-		contents, err := parseContents(line)
+		proto := ProtoFromHeader(line)
+		var err error
+		contents, err = parseContents(line, &opts, contents[:0])
 		if err != nil {
 			return nil, fmt.Errorf("rules: line %d: %w", lineNo, err)
 		}
@@ -106,14 +109,14 @@ type ruleContent struct {
 	nocase bool
 }
 
-// protoFromHeader guesses the traffic class from the port fields of the
+// ProtoFromHeader guesses the traffic class from the port fields of the
 // rule header, classifying every numeric port through the shared
 // ServicePorts table (the same table ids uses to route flows, so the
 // two sides cannot drift). The $HTTP_PORTS variable and an "http"
 // protocol token keep their HTTP meaning; when several ports classify
 // differently, HTTP wins over DNS over FTP over SMTP (the old switch
-// order).
-func protoFromHeader(line string) Protocol {
+// order). Both rule parsers classify through it.
+func ProtoFromHeader(line string) Protocol {
 	paren := strings.IndexByte(line, '(')
 	header := line
 	if paren >= 0 {
@@ -155,76 +158,124 @@ func protoFromHeader(line string) Protocol {
 	return best
 }
 
-// parseContents extracts all content:"..." options (with their nocase
-// modifiers) from one rule line.
-func parseContents(line string) ([]ruleContent, error) {
-	var out []ruleContent
-	rest := line
-	for {
-		i := strings.Index(rest, "content:")
-		if i < 0 {
-			break
-		}
-		rest = rest[i+len("content:"):]
-		rest = strings.TrimLeft(rest, " \t")
-		// Optional negation "!" — negated contents are not prefilter
-		// patterns; skip the whole option.
-		negated := false
-		if strings.HasPrefix(rest, "!") {
-			negated = true
-			rest = strings.TrimLeft(rest[1:], " \t")
-		}
-		if !strings.HasPrefix(rest, "\"") {
-			return nil, fmt.Errorf("content option without quoted string")
-		}
-		data, consumed, err := decodeContent(rest[1:])
-		if err != nil {
-			return nil, err
-		}
-		rest = rest[1+consumed:]
-		nocase := nocaseFollows(rest)
-		if !negated && len(data) > 0 {
-			out = append(out, ruleContent{data: data, nocase: nocase})
+// parseContents appends one rule line's prefilter contents (with their
+// nocase modifiers) to out. Negated and empty contents are skipped, and
+// a nocase after a skipped content modifies nothing. A line without an
+// option body has no contents; one whose body is not closed is read to
+// its end. opts is the option-token scratch, reused across lines.
+func parseContents(line string, opts *[]Option, out []ruleContent) ([]ruleContent, error) {
+	open := strings.IndexByte(line, '(')
+	if open < 0 {
+		return out, nil
+	}
+	body := line[open+1:]
+	if end := strings.LastIndexByte(body, ')'); end >= 0 {
+		body = body[:end]
+	}
+	var err error
+	if *opts, err = SplitOptions(*opts, body); err != nil {
+		return nil, err
+	}
+	last := -1 // index in out of the content a nocase modifies
+	for _, o := range *opts {
+		switch o.Key {
+		case "content":
+			v := o.Val
+			negated := strings.HasPrefix(v, "!")
+			if negated {
+				v = strings.TrimLeft(v[1:], " \t")
+			}
+			if !strings.HasPrefix(v, `"`) {
+				return nil, fmt.Errorf("content option without quoted string")
+			}
+			data, _, err := DecodeContent(v[1:])
+			if err != nil {
+				return nil, err
+			}
+			last = -1
+			// Negated contents are not prefilter patterns.
+			if !negated && len(data) > 0 {
+				last = len(out)
+				out = append(out, ruleContent{data: data})
+			}
+		case "nocase":
+			if last >= 0 {
+				out[last].nocase = true
+			}
 		}
 	}
 	return out, nil
 }
 
-// nocaseFollows reports whether a nocase modifier appears among the
-// option tokens before the next content option (or end of rule).
-func nocaseFollows(rest string) bool {
-	end := strings.Index(rest, "content:")
-	if end < 0 {
-		end = len(rest)
-	}
-	seg := rest[:end]
-	for _, tok := range strings.Split(seg, ";") {
-		if strings.TrimSpace(tok) == "nocase" {
-			return true
+// Option is one semicolon-separated rule option: Key is the token before
+// its first colon outside quotes, Val the rest (empty for a flag such as
+// nocase). Both are trimmed slices of the option body.
+type Option struct {
+	Key, Val string
+}
+
+// SplitOptions splits a rule's option body (the text between its
+// parentheses) on semicolons outside quoted strings, then each token at
+// its first colon outside quotes, appending the options to dst[:0] so a
+// caller parsing many lines reuses one slice. Both rule parsers walk
+// these tokens, so option syntax inside a quoted value (a msg mentioning
+// content: or nocase) is never read as an option.
+func SplitOptions(dst []Option, body string) ([]Option, error) {
+	out := dst[:0]
+	inQuote := false
+	start := 0
+	for i := 0; i < len(body); i++ {
+		switch body[i] {
+		case '"':
+			inQuote = !inQuote
+		case '\\':
+			if inQuote {
+				i++ // the escaped byte cannot close the quote
+			}
+		case ';':
+			if !inQuote {
+				out = appendOption(out, body[start:i])
+				start = i + 1
+			}
 		}
 	}
-	return false
+	if inQuote {
+		return nil, fmt.Errorf("unterminated quoted string in options")
+	}
+	return appendOption(out, body[start:]), nil
+}
+
+// appendOption parses one semicolon-delimited token (blank ones are
+// skipped) into key and value at its first colon outside quotes.
+func appendOption(out []Option, tok string) []Option {
+	t := strings.TrimSpace(tok)
+	if t == "" {
+		return out
+	}
+	q := false
+	for i := 0; i < len(t); i++ {
+		switch t[i] {
+		case '"':
+			q = !q
+		case '\\':
+			if q {
+				i++
+			}
+		case ':':
+			if !q {
+				return append(out, Option{Key: strings.TrimSpace(t[:i]), Val: strings.TrimSpace(t[i+1:])})
+			}
+		}
+	}
+	return append(out, Option{Key: t})
 }
 
 // DecodeContent decodes a Snort content body starting just after the
 // opening quote (escapes and |HH| hex blocks), returning the decoded
-// bytes and the input bytes consumed including the closing quote. It
-// is exported for the rule-semantics parser (internal/rules), which
-// shares content syntax with this literal-only parser byte for byte.
+// bytes and the input bytes consumed including the closing quote. Both
+// rule parsers decode contents through it, so they share content syntax
+// byte for byte.
 func DecodeContent(s string) (data []byte, consumed int, err error) {
-	return decodeContent(s)
-}
-
-// ProtoFromHeader classifies one rule line's traffic class from its
-// header ports (see protoFromHeader); exported for internal/rules.
-func ProtoFromHeader(line string) Protocol {
-	return protoFromHeader(line)
-}
-
-// decodeContent decodes a Snort content body starting just after the
-// opening quote. It returns the decoded bytes and the number of input
-// bytes consumed including the closing quote.
-func decodeContent(s string) (data []byte, consumed int, err error) {
 	var out []byte
 	i := 0
 	for i < len(s) {

@@ -24,6 +24,11 @@ func TestParseSimpleContent(t *testing.T) {
 	if string(p.Data) != "GET /admin" || p.Nocase || p.Proto != ProtoHTTP {
 		t.Fatalf("pattern %+v", p)
 	}
+	// Option syntax inside a quoted value is not an option.
+	s = parse(t, `alert tcp any any -> any 80 (msg:"uses content: trick"; content:"real"; sid:1;)`, ParseOptions{})
+	if s.Len() != 1 || string(s.Pattern(0).Data) != "real" {
+		t.Fatalf("content: inside msg: %d patterns", s.Len())
+	}
 }
 
 func TestParseNocase(t *testing.T) {
@@ -47,6 +52,11 @@ func TestParseNocaseBindsToPrecedingContentOnly(t *testing.T) {
 	}
 	if s.Pattern(1).Nocase {
 		t.Fatal("second content should be case-sensitive")
+	}
+	// A nocase inside a quoted msg is not a modifier.
+	s = parse(t, `alert tcp any any -> any 80 (content:"abc"; msg:"x; nocase; y"; sid:2;)`, ParseOptions{})
+	if s.Len() != 1 || s.Pattern(0).Nocase {
+		t.Fatal("nocase inside msg applied to the content")
 	}
 }
 
@@ -120,7 +130,7 @@ func TestParseProtocolGuess(t *testing.T) {
 func TestProtoFromHeaderMatchesServicePorts(t *testing.T) {
 	for port, want := range ServicePorts {
 		line := fmt.Sprintf(`alert tcp any any -> any %d (content:"drift"; sid:1;)`, port)
-		if got := protoFromHeader(line); got != want {
+		if got := ProtoFromHeader(line); got != want {
 			t.Errorf("port %d: parser says %v, ServicePorts says %v", port, got, want)
 		}
 		if got := ProtoForPort(port); got != want {
@@ -128,7 +138,7 @@ func TestProtoFromHeaderMatchesServicePorts(t *testing.T) {
 		}
 	}
 	// Mixed ports pick the higher-priority class (HTTP > DNS > FTP > SMTP).
-	if got := protoFromHeader(`alert udp any 53 -> any 443 (content:"x"; sid:1;)`); got != ProtoHTTP {
+	if got := ProtoFromHeader(`alert udp any 53 -> any 443 (content:"x"; sid:1;)`); got != ProtoHTTP {
 		t.Errorf("mixed 53/443 header classified %v, want HTTP priority", got)
 	}
 	if got := ProtoForPort(60000); got != ProtoGeneric {

@@ -53,13 +53,14 @@ func ParseRules(r io.Reader, opt ParseOptions) (*Set, error) {
 	sc := bufio.NewScanner(r)
 	sc.Buffer(nil, 1<<20) // lines up to 1 MiB; the buffer grows to what the input needs
 	lineNo := 0
+	var opts []patterns.Option // reused across lines
 	for sc.Scan() {
 		lineNo++
 		line := strings.TrimSpace(sc.Text())
 		if line == "" || strings.HasPrefix(line, "#") {
 			continue
 		}
-		pr, err := parseRuleLine(line)
+		pr, err := parseRuleLine(line, &opts)
 		if err != nil {
 			return nil, fmt.Errorf("rules: line %d: %w", lineNo, err)
 		}
@@ -76,21 +77,22 @@ func ParseRuleString(line string) (*Set, error) {
 	return ParseRules(strings.NewReader(line), ParseOptions{})
 }
 
-// parseRuleLine parses one rule into its pre-compilation form.
-func parseRuleLine(line string) (parsedRule, error) {
+// parseRuleLine parses one rule into its pre-compilation form; opts is
+// the option-token scratch, reused across lines.
+func parseRuleLine(line string, opts *[]patterns.Option) (parsedRule, error) {
 	pr := parsedRule{proto: patterns.ProtoFromHeader(line)}
 	open := strings.IndexByte(line, '(')
 	close_ := strings.LastIndexByte(line, ')')
 	if open < 0 || close_ < open {
 		return pr, fmt.Errorf("rule has no (options) body")
 	}
-	opts, err := splitOptions(line[open+1 : close_])
-	if err != nil {
+	var err error
+	if *opts, err = patterns.SplitOptions(*opts, line[open+1:close_]); err != nil {
 		return pr, err
 	}
 	sawPCRE := false
-	for _, o := range opts {
-		key, val := o.key, o.val
+	for _, o := range *opts {
+		key, val := o.Key, o.Val
 		switch key {
 		case "content":
 			pc, err := parseContentOption(val)
@@ -222,64 +224,6 @@ func parseContentOption(val string) (parsedClause, error) {
 	}
 	pc.data = data
 	return pc, nil
-}
-
-// option is one semicolon-separated rule option.
-type option struct {
-	key, val string
-}
-
-// splitOptions splits a rule's option body on semicolons outside
-// quoted strings, then each token at its first colon outside quotes.
-// Keys and values are slices of body.
-func splitOptions(body string) ([]option, error) {
-	var out []option
-	inQuote := false
-	start := 0
-	for i := 0; i < len(body); i++ {
-		switch body[i] {
-		case '"':
-			inQuote = !inQuote
-		case '\\':
-			if inQuote {
-				i++ // the escaped byte cannot close the quote
-			}
-		case ';':
-			if !inQuote {
-				out = appendOption(out, body[start:i])
-				start = i + 1
-			}
-		}
-	}
-	if inQuote {
-		return nil, fmt.Errorf("unterminated quoted string in options")
-	}
-	return appendOption(out, body[start:]), nil
-}
-
-// appendOption parses one semicolon-delimited token (blank ones are
-// skipped) into key and value at its first colon outside quotes.
-func appendOption(out []option, tok string) []option {
-	t := strings.TrimSpace(tok)
-	if t == "" {
-		return out
-	}
-	q := false
-	for i := 0; i < len(t); i++ {
-		switch t[i] {
-		case '"':
-			q = !q
-		case '\\':
-			if q {
-				i++
-			}
-		case ':':
-			if !q {
-				return append(out, option{key: strings.TrimSpace(t[:i]), val: strings.TrimSpace(t[i+1:])})
-			}
-		}
-	}
-	return append(out, option{key: t})
 }
 
 // unquote strips the surrounding quotes of an option value and

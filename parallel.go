@@ -17,8 +17,7 @@ import (
 // of blocks and scans it through its Session's ScanBatch. Pulling
 // batches from a queue — rather than pre-splitting the input into one
 // contiguous shard per worker — load-balances skew (a worker stuck in a
-// match-dense region simply pulls fewer batches) and gives the batch
-// scan path its lane-refill benefit on the final sub-block tails.
+// match-dense region simply pulls fewer batches).
 
 const (
 	// parallelBlockBytes is the work-queue granularity: large enough
@@ -31,7 +30,7 @@ const (
 	// parallelBufferPull is how many whole buffers FindAllBatchParallel
 	// workers pull per round-trip: buffers are typically small (packets,
 	// requests), so pulls are sized like a ScanBatch batch — enough to
-	// fill every vector lane and amortize per-call setup.
+	// amortize per-call setup and share filtering rounds.
 	parallelBufferPull = 32
 )
 

@@ -41,10 +41,10 @@
 // For the dominant NIDS workload — many small buffers (packets, HTTP
 // requests, reassembled payload pieces) — scan batches instead of
 // buffers: Session.ScanBatch / Engine.FindAllBatch hand the engine many
-// buffers per call, and V-PATCH walks a different buffer in every
-// vector lane (refilling drained lanes from the pending queue), so lane
-// occupancy no longer collapses on small inputs. See the README's batch
-// scanning section for when to batch and how to tune watermarks.
+// buffers per call, and S-PATCH and V-PATCH run filtering and
+// verification rounds that span the batch's buffers up to a cache-sized
+// chunk, so a batch of packets pays one round of each instead of one per
+// packet. See the README's batch scanning section for when to batch.
 //
 // Production rule sets are compiled offline: Engine.Serialize/WriteTo
 // flatten the compiled state into a versioned, checksummed database
