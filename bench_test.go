@@ -15,6 +15,7 @@ import (
 	"testing"
 
 	"vpatch/internal/core"
+	"vpatch/internal/engine"
 	"vpatch/internal/patterns"
 	"vpatch/internal/traffic"
 )
@@ -329,21 +330,21 @@ func BenchmarkAccelClean(b *testing.B) {
 }
 
 // BenchmarkAccelScan is the full-scan (filter + verify) view of the
-// same comparison, for S-PATCH, V-PATCH and DFC.
+// same comparison, for S-PATCH and V-PATCH.
 func BenchmarkAccelScan(b *testing.B) {
 	f := benchFixtures()
 	data := traffic.Random(benchBytes, 1)
-	for _, alg := range []Algorithm{AlgoVPatch, AlgoSPatch, AlgoDFC} {
-		on, err := Compile(f.s1web, Options{Algorithm: alg})
-		if err != nil {
-			b.Fatal(err)
-		}
-		off, err := Compile(f.s1web, Options{Algorithm: alg, NoAccel: true})
-		if err != nil {
-			b.Fatal(err)
-		}
-		b.Run(alg.String()+"/accel", func(b *testing.B) { benchScan(b, on.NewSession(), data) })
-		b.Run(alg.String()+"/plain", func(b *testing.B) { benchScan(b, off.NewSession(), data) })
+	for _, v := range []struct {
+		alg     Algorithm
+		on, off engine.Engine
+	}{
+		{AlgoVPatch, core.NewVPatch(f.s1web, core.VOptions{}), core.NewVPatch(f.s1web, core.VOptions{NoAccel: true})},
+		{AlgoSPatch, core.NewSPatch(f.s1web, core.Options{}), core.NewSPatch(f.s1web, core.Options{NoAccel: true})},
+	} {
+		on := &Engine{alg: v.alg, set: f.s1web, eng: v.on}
+		off := &Engine{alg: v.alg, set: f.s1web, eng: v.off}
+		b.Run(v.alg.String()+"/accel", func(b *testing.B) { benchScan(b, on.NewSession(), data) })
+		b.Run(v.alg.String()+"/plain", func(b *testing.B) { benchScan(b, off.NewSession(), data) })
 	}
 }
 

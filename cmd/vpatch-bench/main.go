@@ -6,7 +6,6 @@
 //	vpatch-bench -all               # every figure
 //	vpatch-bench -fig 4a -size 64   # 64 MB of traffic per dataset
 //	vpatch-bench -kernels           # extract-kernel A/B sweep (all kernels)
-//	vpatch-bench -kernel avx2       # kernel sweep: avx2 vs the swar baseline
 //	vpatch-bench -db web.vpdb      # startup: load vs recompile + scan
 //	vpatch-bench -all -json bench.json
 //	                                # machine-readable results
@@ -26,14 +25,14 @@
 // The kernel and startup modes combine: -kernels -db web.vpdb in one
 // invocation runs both and writes one JSON report with both sections.
 //
-// The -kernels mode (or -kernel with a specific kernel name and no
-// figure selection) runs the extract-kernel A/B sweep: each kernel's
-// filtering-round and full-scan throughput over clean-random and
-// ISCX-like traffic, with speedups against the always-included SWAR
-// reference kernel — the way to re-measure AVX2 against SWAR on a host.
-// -kernel also records the selected kernel in the -json report for
-// every mode; the paper figures themselves stay pinned to the
-// unaccelerated reference rendition and report kernel "reference".
+// The -kernels mode runs the extract-kernel A/B sweep over every kernel
+// this host can run: each kernel's filtering-round and full-scan
+// throughput over clean-random and ISCX-like traffic, with speedups
+// against the SWAR reference kernel — the way to re-measure AVX2
+// against SWAR on a host. The -json report records the kernel Compile
+// dispatches to on the host; the paper figures themselves stay pinned
+// to the unaccelerated reference rendition and report kernel
+// "reference".
 //
 // -json writes every result produced by the run as one machine-readable
 // JSON document ("-" = stdout): per-figure wall-clock and modeled Gbps
@@ -54,6 +53,7 @@ import (
 	"vpatch/internal/experiments"
 	"vpatch/internal/patterns"
 	"vpatch/internal/traffic"
+	"vpatch/internal/vec"
 )
 
 // report accumulates everything the run produced for -json output.
@@ -124,23 +124,9 @@ func main() {
 	repeats := flag.Int("repeats", 3, "wall-clock timing repeats")
 	csvDir := flag.String("csv", "", "also write each figure as CSV into this directory")
 	dbPath := flag.String("db", "", "precompiled .vpdb database: run the load-vs-compile startup benchmark instead of figures")
-	kernelFlag := flag.String("kernel", "auto", "extract kernel to force (auto, avx2, swar); with no figure selection, runs the kernel sweep for it vs the swar baseline")
 	kernelsMode := flag.Bool("kernels", false, "run the extract-kernel A/B sweep over every kernel available on this host")
 	jsonPath := flag.String("json", "", "write all results of this run as JSON to the given path ('-' = stdout)")
 	flag.Parse()
-
-	kern, err := vpatch.ParseKernel(*kernelFlag)
-	if err != nil {
-		fatalBench(err)
-	}
-	if !vpatch.KernelAvailable(kern) {
-		fatalBench(fmt.Errorf("kernel %s is not available on this host (have %v)",
-			kern, vpatch.AvailableKernels()))
-	}
-	resolved := kern
-	if resolved == vpatch.KernelAuto {
-		resolved = vpatch.ActiveKernel()
-	}
 
 	cfg := experiments.Config{
 		TrafficBytes: *sizeMB << 20,
@@ -152,18 +138,14 @@ func main() {
 		Seed:        *seed,
 		TrafficMB:   *sizeMB,
 		Repeats:     *repeats,
-		Kernel:      resolved.String(),
+		Kernel:      vpatch.ActiveKernel().String(),
 	}
 
 	// The kernel and startup modes combine: one invocation may run both
 	// and the -json report carries every section produced.
 	ranMode := false
-	if *kernelsMode || (kern != vpatch.KernelAuto && *fig == "" && !*all && *dbPath == "") {
-		kernels := vpatch.AvailableKernels()
-		if !*kernelsMode {
-			kernels = []vpatch.Kernel{resolved}
-		}
-		runKernelSweep(cfg, kernels, *csvDir, rep)
+	if *kernelsMode {
+		runKernelSweep(cfg, *csvDir, rep)
 		ranMode = true
 	}
 	if *dbPath != "" {
@@ -263,15 +245,15 @@ func main() {
 	rep.write(*jsonPath)
 }
 
-// runKernelSweep runs the extract-kernel A/B sweep on the Snort-sized
-// web rule set (clean-random + ISCX-like traffic, SWAR baseline always
-// included).
-func runKernelSweep(cfg experiments.Config, kernels []vpatch.Kernel, csvDir string, rep *report) {
+// runKernelSweep runs the extract-kernel A/B sweep over every kernel
+// this host can run, on the Snort-sized web rule set (clean-random +
+// ISCX-like traffic, SWAR baseline first).
+func runKernelSweep(cfg experiments.Config, csvDir string, rep *report) {
 	fmt.Println("generating rule set (seeded, statistics of Snort v2.9.7)...")
 	set := patterns.GenerateS1(cfg.Seed).WebSubset()
 	fmt.Println("  " + patterns.DescribeSet("S1-web", set))
 	fmt.Println()
-	rows := experiments.KernelSweep(cfg, set, 8, kernels)
+	rows := experiments.KernelSweep(cfg, set, 8, vec.Kernels())
 	experiments.PrintKernelSweep(os.Stdout,
 		"Kernel sweep: extract-kernel filtering-round and full-scan throughput (V-PATCH W=8)", rows)
 	rep.KernelSweep = rows

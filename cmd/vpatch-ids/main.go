@@ -53,6 +53,7 @@ import (
 	"encoding/json"
 	"flag"
 	"fmt"
+	"io"
 	"net/netip"
 	"os"
 	"os/signal"
@@ -131,7 +132,12 @@ func main() {
 			err, len(segs))
 	}
 
-	var alertW *bufio.Writer
+	p := pipeline{shards: *shards, limits: limits, observe: *showMetrics}
+	// The match-flood defense is opt-in for offline analysis: armed, it
+	// also observes counters so the degradation figures are real.
+	if *verifierBudget > 0 {
+		p.budget = resil.VerifierBudget{PerFlow: *verifierBudget, Price: resil.DefaultPrice()}
+	}
 	if *alertsOut != "" {
 		out := os.Stdout
 		if *alertsOut != "-" {
@@ -142,45 +148,12 @@ func main() {
 			defer f.Close()
 			out = f
 		}
-		alertW = bufio.NewWriter(out)
+		alertW := bufio.NewWriter(out)
 		defer alertW.Flush()
+		p.alerts = alertW
 	}
 
-	// The emit path must be safe for concurrent use: every worker
-	// goroutine reports through it. engine is assigned before any
-	// segment is fed, so the rule lookup below is safe.
 	var engine *ids.Engine
-	var mu sync.Mutex
-	perRule := map[int32]int{}
-	perFlow := map[netsim.FlowKey]int{}
-	total := 0
-	emit := func(a ids.Alert) {
-		mu.Lock()
-		total++
-		if a.RuleID >= 0 {
-			perRule[a.RuleID]++
-		} else {
-			perRule[a.PatternID]++
-		}
-		perFlow[a.Flow]++
-		if alertW != nil {
-			rec := alertRec{
-				Rule: a.RuleID, Pattern: a.PatternID, Proto: "tcp",
-				SrcIP: ip4(a.Flow.SrcIP), SrcPort: a.Flow.SrcPort,
-				DstIP: ip4(a.Flow.DstIP), DstPort: a.Flow.DstPort,
-				StreamOff: a.StreamOffset,
-			}
-			if rset := engine.Rules(); rset != nil && a.RuleID >= 0 {
-				r := &rset.Rules[a.RuleID]
-				rec.SID, rec.Msg = r.SID, r.Msg
-			}
-			if b, err := json.Marshal(rec); err == nil {
-				alertW.Write(b)
-				alertW.WriteByte('\n')
-			}
-		}
-		mu.Unlock()
-	}
 	if *dbPath != "" {
 		start := time.Now()
 		df, err := os.Open(*dbPath)
@@ -203,99 +176,45 @@ func main() {
 		if err != nil {
 			fatal(err)
 		}
-		opt := vpatch.Options{Algorithm: alg}
-		if *ruleSem {
-			rset, err := vpatch.ParseRuleSet(rf, vpatch.RuleParseOptions{})
-			rf.Close()
-			if err != nil {
-				fatal(err)
-			}
-			engine, err = ids.NewRuleEngine(rset, opt, nil)
-			if err != nil {
-				fatal(err)
-			}
-		} else {
-			set, err := patterns.ParseRules(rf, patterns.ParseOptions{})
-			rf.Close()
-			if err != nil {
-				fatal(err)
-			}
-			engine, err = ids.NewEngine(set, opt, nil)
-			if err != nil {
-				fatal(err)
-			}
+		engine, err = compileRules(rf, alg, *ruleSem)
+		rf.Close()
+		if err != nil {
+			fatal(err)
 		}
 	}
 	set := engine.Set()
 
-	// The match-flood defense is opt-in for offline analysis: armed, it
-	// also observes counters so the degradation figures are real.
-	var vbudget resil.VerifierBudget
-	if *verifierBudget > 0 {
-		vbudget = resil.VerifierBudget{PerFlow: *verifierBudget, Price: resil.DefaultPrice()}
+	// SIGINT/SIGTERM stop ingestion at the next batch boundary; the
+	// pipeline then drains normally so every buffered alert surfaces and
+	// the final stats are real.
+	sigc := make(chan os.Signal, 1)
+	signal.Notify(sigc, syscall.SIGINT, syscall.SIGTERM)
+	p.stop = sigc
+	res := p.run(engine, segs)
+	signal.Stop(sigc)
+	stats, counters, gotSig := res.stats, res.counters, res.stopped
+	if gotSig != nil {
+		fmt.Fprintf(os.Stderr, "vpatch-ids: %v after %d/%d segments; draining and reporting\n",
+			gotSig, res.fed, len(segs))
 	}
 
 	bytes := 0
 	for _, s := range segs {
 		bytes += len(s.Payload)
 	}
-	// SIGINT/SIGTERM stop ingestion at the next batch boundary; the
-	// pipeline then drains normally so every buffered alert surfaces and
-	// the final stats are real.
-	sigc := make(chan os.Signal, 1)
-	signal.Notify(sigc, syscall.SIGINT, syscall.SIGTERM)
-	var gotSig os.Signal
-	fed := 0
-	start := time.Now()
-	d := engine.NewDispatcher(*shards, limits, emit)
-	// ReadPcap gives every segment its own payload buffer that stays
-	// valid for the run, so the dispatcher may take them by reference
-	// instead of defensively copying into arena chunks.
-	d.SetZeroCopy(true)
-	if vbudget.Armed() {
-		d.SetVerifierBudget(vbudget)
-	}
-	var obs *ids.PipelineObserver
-	if *showMetrics || vbudget.Armed() {
-		obs = d.Observe()
-	}
-	// Batched handoff: slab-sized chunks amortize the per-segment
-	// channel operations, checking for signals at chunk boundaries.
-	for lo := 0; lo < len(segs) && gotSig == nil; lo += ids.DefaultDispatchBatch {
-		select {
-		case gotSig = <-sigc:
-			continue
-		default:
-		}
-		hi := min(lo+ids.DefaultDispatchBatch, len(segs))
-		d.HandleBatch(segs[lo:hi])
-		fed += hi - lo
-	}
-	stats := d.Close() // drains workers, flushes every shard, merges stats
-	var counters vpatch.Counters
-	if obs != nil {
-		counters = obs.Counters()
-	}
-	signal.Stop(sigc)
-	elapsed := time.Since(start)
-	if gotSig != nil {
-		fmt.Fprintf(os.Stderr, "vpatch-ids: %v after %d/%d segments; draining and reporting\n",
-			gotSig, fed, len(segs))
-	}
-
 	fmt.Printf("capture: %d segments, %d payload bytes\n", len(segs), bytes)
 	fmt.Printf("engine:  %s over %d rules in %d groups, %d shard(s)\n",
 		engine.Algorithm(), set.Len(), len(engine.GroupSizes()), *shards)
 	fmt.Printf("flows:   %d peak, %d closed, %d evicted, %d bytes dropped\n",
 		stats.PeakFlows, stats.FlowsClosed, stats.FlowsEvicted, stats.BytesDropped)
-	if vbudget.Armed() {
+	if p.budget.Armed() {
 		fmt.Printf("overload: %d flows degraded to literal-only, %d budget denials, %d panics recovered, %d flows quarantined\n",
 			counters.DegradedFlows, counters.VerifierBudgetExhausted,
 			counters.PanicsRecovered, counters.FlowsQuarantined)
 	}
 	fmt.Printf("result:  %d alerts in %s (%.3f Gbps)\n",
-		total, elapsed.Round(time.Millisecond),
-		float64(bytes)*8/float64(elapsed.Nanoseconds()))
+		res.total, res.elapsed.Round(time.Millisecond),
+		float64(bytes)*8/float64(res.elapsed.Nanoseconds()))
 	if stats.PendingBytes > 0 {
 		fmt.Printf("warning: %d bytes stuck in reassembly (packet loss?)\n", stats.PendingBytes)
 	}
@@ -311,7 +230,7 @@ func main() {
 		n  int
 	}
 	var rules []rc
-	for id, n := range perRule {
+	for id, n := range res.perRule {
 		rules = append(rules, rc{id, n})
 	}
 	sort.Slice(rules, func(i, j int) bool { return rules[i].n > rules[j].n })
@@ -343,6 +262,113 @@ func main() {
 	if truncated {
 		os.Exit(3) // results above cover only the readable prefix
 	}
+}
+
+// compileRules compiles a Snort-style rule stream into an IDS engine
+// with no default shard: literal alerts, or completed-rule alerts when
+// ruleSem is set.
+func compileRules(r io.Reader, alg vpatch.Algorithm, ruleSem bool) (*ids.Engine, error) {
+	opt := vpatch.Options{Algorithm: alg}
+	if ruleSem {
+		rset, err := vpatch.ParseRuleSet(r, vpatch.RuleParseOptions{})
+		if err != nil {
+			return nil, err
+		}
+		return ids.NewRuleEngine(rset, opt, nil)
+	}
+	set, err := patterns.ParseRules(r, patterns.ParseOptions{})
+	if err != nil {
+		return nil, err
+	}
+	return ids.NewEngine(set, opt, nil)
+}
+
+// pipeline is one offline run's configuration.
+type pipeline struct {
+	shards  int
+	limits  netsim.Limits
+	budget  resil.VerifierBudget // armed: flows degrade past it, counters observed
+	observe bool                 // collect the matcher counters
+	alerts  io.Writer            // one JSON line per alert; nil writes none
+	stop    <-chan os.Signal     // ends ingestion at a batch boundary; nil never does
+}
+
+// result is what a pipeline run reports.
+type result struct {
+	total    int
+	perRule  map[int32]int // alerts per rule, or per pattern for literal alerts
+	fed      int           // segments handed to the dispatcher
+	stopped  os.Signal     // the signal that ended ingestion early, if any
+	stats    netsim.Stats
+	counters vpatch.Counters
+	elapsed  time.Duration
+}
+
+// run feeds segs through an engine dispatcher of p.shards workers, in
+// slab-sized batches, then drains it. Each alert is tallied and, when
+// p.alerts is set, written as one alertRec JSON line.
+func (p pipeline) run(engine *ids.Engine, segs []netsim.Segment) result {
+	res := result{perRule: map[int32]int{}}
+	rset := engine.Rules()
+	// Every worker goroutine reports through emit.
+	var mu sync.Mutex
+	emit := func(a ids.Alert) {
+		mu.Lock()
+		defer mu.Unlock()
+		res.total++
+		if a.RuleID >= 0 {
+			res.perRule[a.RuleID]++
+		} else {
+			res.perRule[a.PatternID]++
+		}
+		if p.alerts == nil {
+			return
+		}
+		rec := alertRec{
+			Rule: a.RuleID, Pattern: a.PatternID, Proto: "tcp",
+			SrcIP: ip4(a.Flow.SrcIP), SrcPort: a.Flow.SrcPort,
+			DstIP: ip4(a.Flow.DstIP), DstPort: a.Flow.DstPort,
+			StreamOff: a.StreamOffset,
+		}
+		if rset != nil && a.RuleID >= 0 {
+			r := &rset.Rules[a.RuleID]
+			rec.SID, rec.Msg = r.SID, r.Msg
+		}
+		if b, err := json.Marshal(rec); err == nil {
+			p.alerts.Write(append(b, '\n'))
+		}
+	}
+	start := time.Now()
+	d := engine.NewDispatcher(p.shards, p.limits, emit)
+	// ReadPcap gives every segment its own payload buffer that stays
+	// valid for the run, so the dispatcher may take them by reference
+	// instead of defensively copying into arena chunks.
+	d.SetZeroCopy(true)
+	if p.budget.Armed() {
+		d.SetVerifierBudget(p.budget)
+	}
+	var obs *ids.PipelineObserver
+	if p.observe || p.budget.Armed() {
+		obs = d.Observe()
+	}
+	// Batched handoff: slab-sized chunks amortize the per-segment
+	// channel operations, checking for a stop at chunk boundaries.
+	for lo := 0; lo < len(segs) && res.stopped == nil; lo += ids.DefaultDispatchBatch {
+		select {
+		case res.stopped = <-p.stop:
+			continue
+		default:
+		}
+		hi := min(lo+ids.DefaultDispatchBatch, len(segs))
+		d.HandleBatch(segs[lo:hi])
+		res.fed = hi
+	}
+	res.stats = d.Close() // drains workers, flushes every shard, merges stats
+	if obs != nil {
+		res.counters = obs.Counters()
+	}
+	res.elapsed = time.Since(start)
+	return res
 }
 
 func truncate(b []byte, n int) string {

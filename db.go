@@ -181,8 +181,8 @@ type Info struct {
 	// (Serialize output), including the pattern set.
 	SerializedBytes int
 	// Accel describes the engine's skip-loop acceleration layer; the
-	// zero value means the engine has none (Aho-Corasick, Wu-Manber,
-	// FFBF, Vector-DFC).
+	// zero value means the engine has none (DFC, Vector-DFC,
+	// Aho-Corasick, Wu-Manber, FFBF).
 	Accel AccelInfo
 	// Kernel is the extract kernel the engine's filtering round resolved
 	// to at Compile/Deserialize time ("avx2", "swar"); empty

@@ -1,5 +1,5 @@
 // Package accel derives skip-loop acceleration tables from the
-// cache-resident filters of the DFC/S-PATCH/V-PATCH family.
+// cache-resident filters of S-PATCH and V-PATCH.
 //
 // The paper's filtering loops pay one table probe and two branches for
 // every input byte even when the traffic is overwhelmingly innocent.
@@ -23,15 +23,15 @@
 //     turns it off mid-scan when the traffic itself is dense.
 //
 // Tables are cheap to build (one pass over the 1024 words of the window
-// bitmap) and
-// are *derived* state: compiled-database loads rebuild them from the
+// bitmap) and are *derived* state: compiled-database loads rebuild them from the
 // decoded filters instead of serializing them, so acceleration needs no
 // database format bump.
 //
-// The hot skip loops themselves live next to their probe chains in
-// internal/core and internal/dfc (they must inline into the fused
-// kernels); this package provides the tables, the mode decision, and the
-// Next primitive used by the instrumented scalar paths.
+// The hot skip loop itself lives next to its probe chains in
+// internal/core (it must inline into the fused kernels); this package
+// provides the tables, the mode decision, and the Next primitive used by
+// the instrumented scalar paths. DFC, the paper's baseline, has no skip
+// loop.
 package accel
 
 import (
@@ -103,7 +103,7 @@ func KeepAccel(viable, span int) bool { return viable*4 <= span*3 }
 func KeepAccelIndex(viable, span int) bool { return viable*3 <= span }
 
 // Table is the compiled acceleration state for one filter stage. All
-// fields are read-only after Build; one Table serves any number of
+// fields are read-only after BuildUnion; one Table serves any number of
 // concurrent scans.
 type Table struct {
 	// Union is the window viability bitmap: bit idx is set when the
@@ -128,21 +128,6 @@ type Table struct {
 
 	nStartBytes int
 	mode        Mode
-}
-
-// Build derives the acceleration table from a window viability
-// predicate: viable(idx) reports whether 2-byte window idx (little
-// endian: first byte low) may start a candidate. The predicate is the
-// union of whatever filters the caller's probe chain consults first.
-// Callers that already hold the union as a bitmap use BuildUnion.
-func Build(viable func(idx uint32) bool) *Table {
-	var union [1 << 10]uint64
-	for idx := uint32(0); idx < 1<<16; idx++ {
-		if viable(idx) {
-			union[(idx>>6)&1023] |= 1 << (idx & 63)
-		}
-	}
-	return BuildUnion(&union)
 }
 
 // BuildUnion derives the acceleration table from the window viability

@@ -7,11 +7,21 @@ import (
 
 // tableFor builds a table whose viable windows are exactly `wins`.
 func tableFor(wins ...uint32) *Table {
-	set := map[uint32]bool{}
+	var union [1 << 10]uint64
 	for _, w := range wins {
-		set[w&0xffff] = true
+		w &= 0xffff
+		union[w>>6] |= 1 << (w & 63)
 	}
-	return Build(func(idx uint32) bool { return set[idx] })
+	return BuildUnion(&union)
+}
+
+// allViable builds a table on which every window is viable.
+func allViable() *Table {
+	var union [1 << 10]uint64
+	for k := range union {
+		union[k] = ^uint64(0)
+	}
+	return BuildUnion(&union)
 }
 
 func TestBitmapAndByteDerivation(t *testing.T) {
@@ -47,7 +57,7 @@ func TestModeSelection(t *testing.T) {
 		t.Fatal("rare list should be nil outside ModeIndexByte")
 	}
 	// Everything viable -> off.
-	all := Build(func(uint32) bool { return true })
+	all := allViable()
 	if all.Mode() != ModeOff || all.Enabled() {
 		t.Fatalf("full table should be ModeOff, got %v", all.Mode())
 	}
@@ -55,7 +65,7 @@ func TestModeSelection(t *testing.T) {
 		t.Fatalf("full density = %v", all.Density)
 	}
 	// Nothing viable -> index-byte with empty rare list (skip all).
-	none := Build(func(uint32) bool { return false })
+	none := tableFor()
 	if none.Mode() != ModeIndexByte || len(none.Rare) != 0 {
 		t.Fatalf("empty table: mode %v rare %v", none.Mode(), none.Rare)
 	}
@@ -126,7 +136,7 @@ func TestNextEmptyAndEdges(t *testing.T) {
 	if got := tb.Next([]byte("qqa"), 0, 2); got != 0 {
 		t.Fatalf("viable at 0: %d", got)
 	}
-	none := Build(func(uint32) bool { return false })
+	none := tableFor()
 	if got := none.Next([]byte("abcdef"), 0, 5); got != 5 {
 		t.Fatalf("none-viable table should skip to end, got %d", got)
 	}
@@ -155,7 +165,7 @@ func TestInfo(t *testing.T) {
 	if inf.Mode != "index-byte" || !inf.Enabled || inf.StartBytes != 1 || string(inf.RareBytes) != "q" {
 		t.Fatalf("info = %+v", inf)
 	}
-	all := Build(func(uint32) bool { return true })
+	all := allViable()
 	if inf := all.Info(); inf.Mode != "off" || inf.Enabled {
 		t.Fatalf("info = %+v", inf)
 	}

@@ -17,10 +17,13 @@ func TestExtractKernelMatchesOracle(t *testing.T) {
 	for trial := 0; trial < 50; trial++ {
 		// A synthetic viable-window predicate with tunable density.
 		den := []int{1, 2, 5}[trial%3] // ~50%, 25%, ~3% pass rates
-		tab := Build(func(idx uint32) bool {
-			h := idx * 2654435761
-			return h>>(32-5*uint(den)) == 0 || idx&0xff == 0x61
-		})
+		var union [1 << 10]uint64
+		for idx := uint32(0); idx < 1<<16; idx++ {
+			if h := idx * 2654435761; h>>(32-5*uint(den)) == 0 || idx&0xff == 0x61 {
+				union[idx>>6] |= 1 << (idx & 63)
+			}
+		}
+		tab := BuildUnion(&union)
 		buf := make([]byte, 3000+rng.Intn(2000))
 		rng.Read(buf)
 		for _, k := range vec.Kernels() {

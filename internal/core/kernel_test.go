@@ -161,6 +161,49 @@ func TestKernelParityBatch(t *testing.T) {
 	}
 }
 
+// TestSubWindowInputsPerKernel sweeps the sub-window boundary inputs
+// through every extract kernel this host runs, for S-PATCH and V-PATCH:
+// each must agree with the naive reference on buffers shorter than (and
+// bracketing) the kernel's own block and lookahead geometry, and report
+// the kernel it runs.
+func TestSubWindowInputsPerKernel(t *testing.T) {
+	set := patterns.FromStrings("a", "ab", "abc", "abcd", "bcdef")
+	inputs := []string{
+		"", "a", "b", "ab", "ba", "abc", "abcd", "abcde",
+		"xyzzyxa", "abababababab",
+	}
+	// Lengths around the AVX2 geometry (64-position blocks, 72 bytes
+	// of lookahead) and half a block.
+	for _, n := range []int{31, 32, 33, 63, 64, 65, 71, 72, 73, 100} {
+		b := make([]byte, n)
+		for i := range b {
+			b[i] = "abcdex"[i%6]
+		}
+		inputs = append(inputs, string(b))
+	}
+	for _, k := range vec.Kernels() {
+		sp := NewSPatch(set, Options{ForceKernel: k})
+		vp := NewVPatch(set, VOptions{ForceKernel: k})
+		for _, e := range []struct {
+			name string
+			eng  interface {
+				KernelInfo() string
+				collect([]byte) []patterns.Match
+			}
+		}{{"S-PATCH", sp}, {"V-PATCH", vp}} {
+			if got := e.eng.KernelInfo(); got != k.String() {
+				t.Fatalf("%s forced %s but reports %q", e.name, k, got)
+			}
+			for _, in := range inputs {
+				want := patterns.FindAllNaive(set, []byte(in))
+				if got := e.eng.collect([]byte(in)); !patterns.EqualMatches(got, want) {
+					t.Errorf("%s/%s on %q: got %v, want %v", e.name, k, in, got, want)
+				}
+			}
+		}
+	}
+}
+
 // TestKernelInfoResolution pins what the dispatch reports.
 func TestKernelInfoResolution(t *testing.T) {
 	set := genSet(5)

@@ -31,11 +31,7 @@ func Decode(d *dbfmt.Decoder, set *patterns.Set) (*Matcher, error) {
 	if err := d.Finish(); err != nil {
 		return nil, err
 	}
-	m := &Matcher{set: set, fs: fs, verifier: verifier}
-	// The acceleration table is derived state: rebuild from the decoded
-	// initial filter (no format change).
-	m.buildAccel()
-	return m, nil
+	return &Matcher{set: set, fs: fs, verifier: verifier}, nil
 }
 
 // EncodeCompiled appends Vector-DFC's compiled state (engine.DBCodec).

@@ -9,10 +9,14 @@
 // *inline*, position by position — the structural property S-PATCH later
 // changes (two separate rounds), and the reason Vector-DFC gains little:
 // the vectorized filter code keeps dropping back into scalar verification.
+//
+// Both matchers run the paper's plain loops on every input. The
+// skip-loop acceleration layer (internal/accel) belongs to S-PATCH and
+// V-PATCH alone, so DFC stays the unaccelerated baseline it is in the
+// paper, and neither matcher implements engine.AccelReporter.
 package dfc
 
 import (
-	"vpatch/internal/accel"
 	"vpatch/internal/bitarr"
 	"vpatch/internal/engine"
 	"vpatch/internal/filters"
@@ -29,12 +33,6 @@ type Matcher struct {
 	set      *patterns.Set
 	fs       *filters.DFCSet
 	verifier *hashtab.Verifier
-
-	// accel is the skip-loop table derived from the initial filter
-	// (rebuilt, not serialized, at database load). DFC's initial filter
-	// is already an 8 KB L1-resident bitmap, so the acceleration win
-	// here is the branchless skip loop itself, not a smaller table.
-	accel *accel.Table
 }
 
 var (
@@ -53,37 +51,11 @@ func (m *Matcher) ScanScratch(_ engine.Scratch, input []byte, c *metrics.Counter
 
 // Build compiles the pattern set into a DFC matcher.
 func Build(set *patterns.Set) *Matcher {
-	m := &Matcher{
+	return &Matcher{
 		set:      set,
 		fs:       filters.BuildDFC(set),
 		verifier: hashtab.Build(set),
 	}
-	m.buildAccel()
-	return m
-}
-
-// buildAccel derives the skip table from the initial filter; called at
-// compile time and after database decode.
-func (m *Matcher) buildAccel() {
-	m.accel = accel.Build(func(idx uint32) bool { return m.fs.Initial.Test(idx) })
-}
-
-// WithoutAccel drops the skip-loop layer, restoring the paper's plain
-// DFC loop on every path. The experiments package uses it so the
-// figure reproductions keep measuring the paper's algorithm; call it
-// before the matcher is shared. Returns m.
-func (m *Matcher) WithoutAccel() *Matcher {
-	m.accel = nil
-	return m
-}
-
-// AccelInfo reports the acceleration configuration
-// (engine.AccelReporter).
-func (m *Matcher) AccelInfo() accel.Info {
-	if m.accel == nil {
-		return accel.Info{Mode: "off"}
-	}
-	return m.accel.Info()
 }
 
 // FilterSizeBytes returns the cache footprint of the filter stage.
@@ -92,47 +64,15 @@ func (m *Matcher) FilterSizeBytes() int { return m.fs.SizeBytes() }
 // Verifier exposes the compact hash tables (shared with Vector-DFC).
 func (m *Matcher) Verifier() *hashtab.Verifier { return m.verifier }
 
-// accelMinInput gates the fused accelerated scan: its viable-position
-// queue is a stack array the runtime zeroes per call, which only
-// amortizes on buffers comfortably larger than the queue.
-const accelMinInput = 2048
-
 // Scan runs DFC over input: for every position, probe the initial filter;
 // on a hit, consult the per-family filters and verify inline.
-//
-// Timing runs (nil counters) on large-enough input take the fused
-// accelerated loop: a branchless skip round over the initial filter
-// jumps runs of impossible bytes before the inline
-// filter-and-verify chain runs at all, governed per span so dense
-// traffic falls back to the plain loop. Instrumented runs keep the
-// scalar loop, skipping with the same table and counting
-// SkippedBytes/AccelChances/AccelRuns (probed + skipped positions
-// always sum to every 2-byte window of the input).
 func (m *Matcher) Scan(input []byte, c *metrics.Counters, emit patterns.EmitFunc) {
 	if c != nil {
 		c.BytesScanned += uint64(len(input))
 	}
 	n := len(input)
 	fs := m.fs
-	if c == nil && n >= accelMinInput && m.accel != nil && m.accel.Enabled() {
-		m.scanAccel(input, emit)
-		return
-	}
-	t := m.accel
-	useAccel := t != nil && t.Enabled()
 	for i := 0; i+1 < n; i++ {
-		if useAccel && !t.ViableAt(input, i) {
-			j := t.Next(input, i+1, n-1)
-			if c != nil {
-				c.AccelChances++
-				c.SkippedBytes += uint64(j - i)
-				if j-i >= 8 {
-					c.AccelRuns++
-				}
-			}
-			i = j - 1 // loop increment lands on the viable position
-			continue
-		}
 		idx := bitarr.Index2(input[i], input[i+1])
 		if c != nil {
 			c.Filter1Probes++
@@ -179,132 +119,6 @@ func (m *Matcher) initialHit(input []byte, i, n int, c *metrics.Counters, emit p
 			m.verifier.VerifyLongAt(input, i, c, emit)
 		}
 	}
-}
-
-// scanAccel is the fused accelerated DFC loop. The skip predicate is
-// exactly the initial filter, so every queued position is an initial
-// hit and goes straight to the inline continuation; the governor falls
-// back to the plain probe loop on spans where most positions hit.
-func (m *Matcher) scanAccel(input []byte, emit patterns.EmitFunc) {
-	n := len(input)
-	fs := m.fs
-	t := m.accel
-	mainEnd := n - 1 // positions with a full 2-byte window
-	i := 0
-	if t.Mode() == accel.ModeIndexByte {
-		for i < mainEnd {
-			spanEnd := i + accel.SpanBytes
-			if spanEnd > mainEnd {
-				spanEnd = mainEnd
-			}
-			spanLen := spanEnd - i
-			viable := 0
-			for i < spanEnd {
-				j := t.Next(input, i, spanEnd)
-				i = j
-				if i >= spanEnd {
-					break
-				}
-				viable++
-				if fs.Initial.Test(bitarr.Index2(input[i], input[i+1])) {
-					m.initialHit(input, i, n, nil, emit)
-				}
-				i++
-			}
-			if !accel.KeepAccelIndex(viable, spanLen) {
-				plainEnd := i + accel.PlainBytes
-				if plainEnd > mainEnd {
-					plainEnd = mainEnd
-				}
-				i = m.plainRange(input, i, plainEnd, emit)
-			}
-		}
-	} else {
-		// One queue per scan (2 KB of stack, zeroed once — amortized by
-		// the accelMinInput gate), shared by every window-mode span.
-		var q [accel.QueueLen]int32
-		for i < mainEnd {
-			spanEnd := i + accel.SpanBytes
-			if spanEnd > mainEnd {
-				spanEnd = mainEnd
-			}
-			spanLen := spanEnd - i
-			var viable int
-			i, viable = m.accelWindowSpan(input, i, spanEnd, &q, emit)
-			if !accel.KeepAccel(viable, spanLen) {
-				plainEnd := i + accel.PlainBytes
-				if plainEnd > mainEnd {
-					plainEnd = mainEnd
-				}
-				i = m.plainRange(input, i, plainEnd, emit)
-			}
-		}
-	}
-	if n > 0 && fs.HasLen1 {
-		m.verifier.VerifyShortAt(input, n-1, nil, emit)
-	}
-}
-
-// plainRange is the unaccelerated inline loop over [i, end),
-// end <= len(input)-1. Returns end.
-func (m *Matcher) plainRange(input []byte, i, end int, emit patterns.EmitFunc) int {
-	n := len(input)
-	fs := m.fs
-	for ; i < end; i++ {
-		if fs.Initial.Test(bitarr.Index2(input[i], input[i+1])) {
-			m.initialHit(input, i, n, nil, emit)
-		}
-	}
-	return end
-}
-
-// accelWindowSpan processes [i, spanEnd) with the branchless skip
-// round (accel.Extract over the initial filter's bitmap): viable
-// positions compact into the caller's queue and drain through the
-// inline continuation. spanEnd <= len(input)-1.
-func (m *Matcher) accelWindowSpan(input []byte, i, spanEnd int, q *[accel.QueueLen]int32, emit patterns.EmitFunc) (int, int) {
-	n := len(input)
-	t := m.accel
-	w := 0
-	viable := 0
-	packEnd := spanEnd - 5
-	if lim := n - 8; lim < packEnd {
-		packEnd = lim
-	}
-	drain := func() {
-		for _, p := range q[:w] {
-			// Queued positions passed the initial filter (the skip
-			// bitmap is the initial filter); continue inline.
-			m.initialHit(input, int(p), n, nil, emit)
-		}
-		w = 0
-	}
-	for i <= packEnd {
-		room := (accel.QueueLen - 5 - w) / 5
-		if room == 0 {
-			viable += w
-			drain()
-			continue
-		}
-		limit := i + (room-1)*5
-		if packEnd < limit {
-			limit = packEnd
-		}
-		i, w = t.Extract(input, i, limit, q, w)
-		if w >= accel.QueueLen-5 {
-			viable += w
-			drain()
-		}
-	}
-	viable += w
-	drain()
-	for ; i < spanEnd; i++ {
-		if t.ViableWindow(uint32(input[i]) | uint32(input[i+1])<<8) {
-			viable++
-			m.initialHit(input, i, n, nil, emit)
-		}
-	}
-	return i, viable
 }
 
 // VectorMatcher is Vector-DFC: the same filters and inline verification

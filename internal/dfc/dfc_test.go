@@ -1,6 +1,7 @@
 package dfc
 
 import (
+	"bytes"
 	"math/rand"
 	"testing"
 
@@ -137,32 +138,45 @@ func TestScalarVectorSameMatches(t *testing.T) {
 }
 
 func TestFilterProbesOncePerPosition(t *testing.T) {
-	// Every 2-byte window is either probed or proven impossible and
-	// skipped by the acceleration layer; the two must account for
-	// exactly one event per window.
+	// DFC probes the initial filter once per 2-byte window, whether
+	// the input can match nowhere or everywhere.
 	m := Build(patterns.FromStrings("qqqq"))
 	var c metrics.Counters
-	input := make([]byte, 1000)
-	m.Scan(input, &c, nil)
-	if c.Filter1Probes+c.SkippedBytes != 999 {
-		t.Fatalf("Filter1Probes %d + SkippedBytes %d != 999 windows",
-			c.Filter1Probes, c.SkippedBytes)
+	m.Scan(make([]byte, 1000), &c, nil)
+	if c.Filter1Probes != 999 {
+		t.Fatalf("clean input: %d probes, want 999 windows", c.Filter1Probes)
 	}
-	// A single-pattern set accelerates with bytes.IndexByte over the one
-	// start byte; on all-zero input everything skips in one run.
-	if c.SkippedBytes != 999 || c.AccelChances == 0 || c.AccelRuns == 0 {
-		t.Fatalf("skip accounting: %+v", c)
-	}
-	// Input that defeats skipping (every byte viable) probes every window.
 	c.Reset()
-	hot := make([]byte, 500)
-	for i := range hot {
-		hot[i] = 'q'
+	m.Scan(bytes.Repeat([]byte{'q'}, 500), &c, nil)
+	if c.Filter1Probes != 499 {
+		t.Fatalf("dense input: %d probes, want 499 windows", c.Filter1Probes)
 	}
-	m.Scan(hot, &c, nil)
-	if c.Filter1Probes != 499 || c.SkippedBytes != 0 {
-		t.Fatalf("dense input: probes %d skipped %d, want 499/0",
-			c.Filter1Probes, c.SkippedBytes)
+}
+
+// TestNeverSkips: DFC is the paper's unaccelerated baseline, so on
+// traffic that a skip loop would clear in runs it still probes every
+// window, and finds what the naive reference finds, counted or not.
+func TestNeverSkips(t *testing.T) {
+	set := patterns.GenerateS1(3).Subset(200, 3)
+	m := Build(set)
+	for name, input := range map[string][]byte{
+		"iscx-64KiB": traffic.Synthesize(traffic.ISCXDay2, 64<<10, 5, set),
+		"zero-4KiB":  make([]byte, 4<<10),
+	} {
+		want := patterns.FindAllNaive(set, input)
+		if got := scanScalar(m, input); !patterns.EqualMatches(got, want) {
+			t.Errorf("%s, nil counters: %d matches, naive %d", name, len(got), len(want))
+		}
+		var c metrics.Counters
+		var got []patterns.Match
+		m.Scan(input, &c, func(mm patterns.Match) { got = append(got, mm) })
+		if !patterns.EqualMatches(got, want) {
+			t.Errorf("%s, counted: %d matches, naive %d", name, len(got), len(want))
+		}
+		if c.SkippedBytes != 0 || c.Filter1Probes != uint64(len(input)-1) {
+			t.Errorf("%s: skipped %d, probes %d; want 0 and %d", name,
+				c.SkippedBytes, c.Filter1Probes, len(input)-1)
+		}
 	}
 }
 

@@ -61,8 +61,8 @@ type Sizer interface {
 	MemoryFootprint() int
 }
 
-// AccelReporter is implemented by engines that carry a skip-loop
-// acceleration layer (S-PATCH, V-PATCH, DFC). Used by the public
+// AccelReporter is implemented by the engines that carry a skip-loop
+// acceleration layer: the filtering engines S-PATCH and V-PATCH. Used by the public
 // Engine.Info to surface the selected skip mode and the rule set's
 // start-window density.
 type AccelReporter interface {

@@ -96,7 +96,7 @@ func BuildAlgos(set *patterns.Set, width int) []Algo {
 		width = 8
 	}
 	ac := ahocorasick.Build(set, ahocorasick.Options{})
-	d := dfc.Build(set).WithoutAccel()
+	d := dfc.Build(set)
 	vd := dfc.BuildVector(set, width)
 	sp := core.NewSPatch(set, core.Options{NoAccel: true})
 	vp := core.NewVPatch(set, core.VOptions{Width: width, NoAccel: true})

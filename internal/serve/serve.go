@@ -687,7 +687,15 @@ func (s *Server) handleTenant(w http.ResponseWriter, r *http.Request, name strin
 		}
 		var cfg TenantConfig
 		if r.ContentLength != 0 {
-			if err := json.NewDecoder(io.LimitReader(r.Body, 1<<20)).Decode(&cfg); err != nil {
+			// A misspelled field must not create a tenant without the
+			// setting it meant to carry.
+			dec := json.NewDecoder(io.LimitReader(r.Body, 1<<20))
+			dec.DisallowUnknownFields()
+			err := dec.Decode(&cfg)
+			if err == nil && dec.Decode(&json.RawMessage{}) != io.EOF {
+				err = fmt.Errorf("trailing data after the config object")
+			}
+			if err != nil {
 				writeErr(w, http.StatusBadRequest, "bad tenant config: "+err.Error())
 				return
 			}

@@ -749,3 +749,39 @@ func TestAlertStream(t *testing.T) {
 		}
 	}
 }
+
+// TestTenantConfigRejectsUnknownFields: a tenant PUT whose body
+// misspells a field, or carries data after the object, is refused with
+// a 400 naming the problem, and creates no tenant.
+func TestTenantConfigRejectsUnknownFields(t *testing.T) {
+	srv := New(Config{})
+	ts := httptest.NewServer(srv.Handler())
+	defer ts.Close()
+	put := func(name, body string) (int, string) {
+		req, _ := http.NewRequest(http.MethodPut, ts.URL+"/v1/tenants/"+name, strings.NewReader(body))
+		resp, err := http.DefaultClient.Do(req)
+		if err != nil {
+			t.Fatal(err)
+		}
+		out, _ := io.ReadAll(resp.Body)
+		resp.Body.Close()
+		return resp.StatusCode, string(out)
+	}
+	for _, tc := range []struct{ name, body, want string }{
+		{"typo", `{"verifer_flow_budget":1000}`, "verifer_flow_budget"},
+		{"trailing", `{"verifier_flow_budget":1000} {"shards":2}`, "trailing data"},
+	} {
+		if code, body := put(tc.name, tc.body); code != http.StatusBadRequest || !strings.Contains(body, tc.want) {
+			t.Errorf("%s: PUT %s = %d %s; want 400 naming %q", tc.name, tc.body, code, body, tc.want)
+		}
+		if srv.Tenant(tc.name) != nil {
+			t.Errorf("%s: a refused config created the tenant", tc.name)
+		}
+	}
+	if code, body := put("ok", "{\"verifier_flow_budget\":1000}\n"); code != http.StatusCreated {
+		t.Fatalf("valid config: %d %s", code, body)
+	}
+	if got := srv.Tenant("ok").cfg.VerifierFlowBudget; got != 1000 {
+		t.Fatalf("verifier_flow_budget = %d, want 1000", got)
+	}
+}

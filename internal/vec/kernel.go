@@ -1,9 +1,6 @@
 package vec
 
-import (
-	"fmt"
-	"strings"
-)
+import "fmt"
 
 // Native filtering-round kernels.
 //
@@ -57,20 +54,6 @@ func (k KernelID) String() string {
 		return "avx2"
 	}
 	return fmt.Sprintf("kernel(%d)", uint8(k))
-}
-
-// ParseKernel resolves a kernel name ("auto", "swar", "avx2"),
-// case-insensitively.
-func ParseKernel(name string) (KernelID, error) {
-	switch strings.ToLower(strings.TrimSpace(name)) {
-	case "auto", "":
-		return KernelAuto, nil
-	case "swar", "portable", "fused":
-		return KernelSWAR, nil
-	case "avx2", "avx":
-		return KernelAVX2, nil
-	}
-	return 0, fmt.Errorf("unknown kernel %q (want auto, swar or avx2)", name)
 }
 
 // Available reports whether kernel k can run on this host and build

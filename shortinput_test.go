@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"testing"
 
+	"vpatch/internal/core"
 	"vpatch/internal/patterns"
 )
 
@@ -39,14 +40,18 @@ func TestSubWindowInputsAllAlgorithms(t *testing.T) {
 			if err != nil {
 				t.Fatalf("%s/%s: %v", setName, alg, err)
 			}
-			// Acceleration on and off: the boundary arithmetic differs.
-			engPlain, err := Compile(set, Options{Algorithm: alg, NoAccel: true})
-			if err != nil {
-				t.Fatal(err)
+			// S-PATCH and V-PATCH with acceleration on and off: the
+			// boundary arithmetic differs.
+			variants := map[string]*Engine{"default": eng}
+			switch alg {
+			case AlgoVPatch:
+				variants["plain"] = &Engine{alg: alg, set: set, eng: core.NewVPatch(set, core.VOptions{NoAccel: true})}
+			case AlgoSPatch:
+				variants["plain"] = &Engine{alg: alg, set: set, eng: core.NewSPatch(set, core.Options{NoAccel: true})}
 			}
 			for _, in := range inputs {
 				want := patterns.FindAllNaive(set, []byte(in))
-				for variant, e := range map[string]*Engine{"accel": eng, "plain": engPlain} {
+				for variant, e := range variants {
 					got := e.FindAll([]byte(in))
 					if !patterns.EqualMatches(got, want) {
 						t.Errorf("%s/%s/%s on %q: got %v, want %v",
@@ -54,52 +59,6 @@ func TestSubWindowInputsAllAlgorithms(t *testing.T) {
 					}
 				}
 			}
-		}
-	}
-}
-
-// TestSubWindowInputsPerKernel repeats the sub-window sweep through the
-// public ForceKernel option for the filtering engines: every available
-// extract kernel must agree with the naive reference on buffers shorter
-// than (and bracketing) its own block and lookahead geometry.
-func TestSubWindowInputsPerKernel(t *testing.T) {
-	set := PatternSetFromStrings("a", "ab", "abc", "abcd", "bcdef")
-	inputs := []string{
-		"", "a", "b", "ab", "ba", "abc", "abcd", "abcde",
-		"xyzzyxa", "abababababab",
-	}
-	// Lengths around the AVX2 geometry (64-position blocks, 72 bytes
-	// of lookahead) and half a block.
-	for _, n := range []int{31, 32, 33, 63, 64, 65, 71, 72, 73, 100} {
-		b := make([]byte, n)
-		for i := range b {
-			b[i] = "abcdex"[i%6]
-		}
-		inputs = append(inputs, string(b))
-	}
-	for _, alg := range []Algorithm{AlgoVPatch, AlgoSPatch} {
-		for _, k := range AvailableKernels() {
-			eng, err := Compile(set, Options{Algorithm: alg, ForceKernel: k})
-			if err != nil {
-				t.Fatalf("%s/%s: %v", alg, k, err)
-			}
-			if inf := eng.Info(); inf.Kernel != k.String() {
-				t.Fatalf("%s forced %s but Info reports %q", alg, k, inf.Kernel)
-			}
-			for _, in := range inputs {
-				want := patterns.FindAllNaive(set, []byte(in))
-				got := eng.FindAll([]byte(in))
-				if !patterns.EqualMatches(got, want) {
-					t.Errorf("%s/%s on %q: got %v, want %v", alg, k, in, got, want)
-				}
-			}
-		}
-	}
-	// Forcing a kernel the host lacks must fail at Compile, not degrade
-	// silently.
-	if !KernelAvailable(KernelAVX2) {
-		if _, err := Compile(set, Options{ForceKernel: KernelAVX2}); err == nil {
-			t.Error("Compile accepted unavailable kernel avx2")
 		}
 	}
 }

@@ -30,8 +30,8 @@
 // chunks, see StreamScanner; for multi-core scans of one large input,
 // see FindAllParallel.
 //
-// The filtering engines carry a hot-path skip-loop acceleration layer
-// (on by default, exact, self-disabling on dense rule sets and
+// S-PATCH and V-PATCH carry a hot-path skip-loop acceleration layer
+// (always on, exact, self-disabling on dense rule sets and
 // traffic): clean payload is cleared in runs — via the runtime's
 // bytes.IndexByte for rare-start-byte rule sets, or a branchless
 // L1-resident window bitmap otherwise — before the filter probes run at
@@ -198,76 +198,27 @@ func ParseAlgorithm(name string) (Algorithm, error) {
 // Kernel identifies a native filtering-round kernel of the filtering
 // engines (S-PATCH, V-PATCH). The engines' hot extract loop dispatches
 // once, at Compile/Deserialize time, to the best kernel the host CPU
-// supports (CPUID-probed); Options.ForceKernel pins a specific one for
-// A/B measurement or to force the portable SWAR reference oracle.
+// supports (CPUID-probed): the AVX2 shuffle/gather/movemask classifier
+// (amd64, the paper's §IV-B instruction recipe in hardware) or the
+// portable SWAR path, which runs on every architecture and is the
+// reference oracle the assembly is property-tested against.
 type Kernel = vec.KernelID
 
-// Kernel identifiers, re-exported.
-const (
-	// KernelAuto dispatches to the best available kernel (default).
-	KernelAuto = vec.KernelAuto
-	// KernelSWAR is the portable fused path: always available, on every
-	// architecture, and the reference oracle the assembly kernels are
-	// property-tested against.
-	KernelSWAR = vec.KernelSWAR
-	// KernelAVX2 is the 32-lane shuffle/gather/movemask classifier
-	// (amd64), the paper's §IV-B instruction recipe in hardware.
-	KernelAVX2 = vec.KernelAVX2
-)
-
-// ParseKernel resolves a kernel name ("auto", "swar", "avx2"),
-// case-insensitively. The inverse of Kernel.String.
-func ParseKernel(name string) (Kernel, error) {
-	k, err := vec.ParseKernel(name)
-	if err != nil {
-		return 0, fmt.Errorf("vpatch: %w", err)
-	}
-	return k, nil
-}
-
-// KernelAvailable reports whether kernel k can run on this host and
-// build (KernelAuto and KernelSWAR always can).
-func KernelAvailable(k Kernel) bool { return vec.Available(k) }
-
-// ActiveKernel returns the kernel KernelAuto resolves to on this host:
-// what a default Compile or Deserialize will scan with.
+// ActiveKernel returns the kernel Compile and Deserialize dispatch to
+// on this host.
 func ActiveKernel() Kernel { return vec.Best() }
 
-// AvailableKernels lists the kernels this host can run, KernelSWAR
-// first.
-func AvailableKernels() []Kernel { return vec.Kernels() }
-
-// Options configures Compile. The zero value selects V-PATCH with the
-// paper's defaults (W=8 lanes, 16 KB filter 3, 64 KB chunks).
+// Options configures Compile. The zero value selects V-PATCH at W=8
+// lanes. The paper's remaining parameters (a 16 KB filter 3, 64 KB
+// filtering chunks) and the skip-loop acceleration of S-PATCH and
+// V-PATCH are fixed for callers of Compile; the engines pick their scan
+// path themselves.
 type Options struct {
 	// Algorithm selects the engine (default AlgoVPatch).
 	Algorithm Algorithm
 	// VectorWidth is the emulated register width in 32-bit lanes for the
 	// vectorized engines: 4, 8 (default, AVX2) or 16 (AVX-512/Xeon Phi).
 	VectorWidth int
-	// ChunkSize is the filtering-round granularity of S-PATCH/V-PATCH in
-	// bytes (default 64 KB).
-	ChunkSize int
-	// Filter3Log2Bits sizes S-PATCH/V-PATCH's 4-byte hash filter as
-	// 2^n bits (default 17 = 16 KB).
-	Filter3Log2Bits uint
-	// MaxAutomatonBytes caps Aho-Corasick's full-matrix size before the
-	// sparse fallback (default 256 MB; negative forces sparse).
-	MaxAutomatonBytes int
-	// NoAccel disables the hot-path skip-loop acceleration layer of the
-	// filtering engines (S-PATCH, V-PATCH, DFC), forcing their plain
-	// probe loops. Acceleration is on by default and auto-disables on
-	// rule sets and traffic too dense to profit; this switch exists for
-	// ablation benchmarks and A/B measurement. See the README's
-	// performance guide.
-	NoAccel bool
-	// ForceKernel pins the filtering engines' extract kernel instead of
-	// the CPUID auto-dispatch: KernelSWAR forces the portable reference
-	// path, KernelAVX2 the native classifier. Compile fails when the
-	// host cannot run the forced kernel. Ignored by engines without the
-	// kernel dispatch (DFC, Aho-Corasick, ...), and never serialized — a
-	// database re-dispatches on the loading host.
-	ForceKernel Kernel
 }
 
 // Engine is the compiled, immutable form of a pattern set: all filter
@@ -302,39 +253,18 @@ func Compile(set *PatternSet, opt Options) (*Engine, error) {
 	default:
 		return nil, fmt.Errorf("vpatch: unsupported vector width %d (want 4, 8 or 16)", w)
 	}
-	if !vec.Available(opt.ForceKernel) {
-		return nil, fmt.Errorf("vpatch: kernel %s is not available on this host (have %v)",
-			opt.ForceKernel, AvailableKernels())
-	}
 	var eng engine.Engine
 	switch opt.Algorithm {
 	case AlgoVPatch:
-		eng = core.NewVPatch(set, core.VOptions{
-			Width:           opt.VectorWidth,
-			ChunkSize:       opt.ChunkSize,
-			Filter3Log2Bits: opt.Filter3Log2Bits,
-			NoAccel:         opt.NoAccel,
-			ForceKernel:     opt.ForceKernel,
-		})
+		eng = core.NewVPatch(set, core.VOptions{Width: opt.VectorWidth})
 	case AlgoSPatch:
-		eng = core.NewSPatch(set, core.Options{
-			ChunkSize:       opt.ChunkSize,
-			Filter3Log2Bits: opt.Filter3Log2Bits,
-			NoAccel:         opt.NoAccel,
-			ForceKernel:     opt.ForceKernel,
-		})
+		eng = core.NewSPatch(set, core.Options{})
 	case AlgoDFC:
-		d := dfc.Build(set)
-		if opt.NoAccel {
-			d.WithoutAccel()
-		}
-		eng = d
+		eng = dfc.Build(set)
 	case AlgoVectorDFC:
 		eng = dfc.BuildVector(set, opt.VectorWidth)
 	case AlgoAhoCorasick:
-		eng = ahocorasick.Build(set, ahocorasick.Options{
-			MaxMatrixBytes: opt.MaxAutomatonBytes,
-		})
+		eng = ahocorasick.Build(set, ahocorasick.Options{})
 	case AlgoWuManber:
 		eng = wumanber.Build(set)
 	case AlgoFFBF:
