@@ -16,6 +16,7 @@ import (
 
 	"vpatch/internal/core"
 	"vpatch/internal/engine"
+	"vpatch/internal/metrics"
 	"vpatch/internal/patterns"
 	"vpatch/internal/traffic"
 )
@@ -161,19 +162,20 @@ func BenchmarkFig7a(b *testing.B) { figThroughput(b, benchFixtures().s1web, 16) 
 // BenchmarkFig7b: W=16 lanes, 9K patterns.
 func BenchmarkFig7b(b *testing.B) { figThroughput(b, benchFixtures().s2web, 16) }
 
-// --- Ablation benches (DESIGN.md §5) ---
-// All variants run through the explicit vector engine (ForceEngine), so
-// the comparison isolates the design choice from the fused fast path.
+// --- Ablation benches ---
+// All variants run through the explicit vector engine (lane-exact
+// scans), so the comparison isolates the design choice from the fused
+// fast path.
 
 func benchVPatchVariant(b *testing.B, opt core.VOptions) {
 	f := benchFixtures()
-	opt.ForceEngine = true
 	m := core.NewVPatch(f.s1web, opt)
 	data := f.data["ISCX-day2"]
 	b.SetBytes(int64(len(data)))
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		m.Scan(data, nil, nil)
+		c := metrics.Counters{LaneExact: true}
+		m.Scan(data, &c, nil)
 	}
 }
 
@@ -189,12 +191,6 @@ func BenchmarkAblationFilterMerge(b *testing.B) {
 func BenchmarkAblationSpeculative(b *testing.B) {
 	b.Run("speculative", func(b *testing.B) { benchVPatchVariant(b, core.VOptions{}) })
 	b.Run("branchy", func(b *testing.B) { benchVPatchVariant(b, core.VOptions{BranchyFilter3: true}) })
-}
-
-// BenchmarkAblationUnroll: 2x main-loop unroll on vs off.
-func BenchmarkAblationUnroll(b *testing.B) {
-	b.Run("unroll2x", func(b *testing.B) { benchVPatchVariant(b, core.VOptions{}) })
-	b.Run("nounroll", func(b *testing.B) { benchVPatchVariant(b, core.VOptions{NoUnroll: true}) })
 }
 
 // BenchmarkAblationWidth: vector width sweep (SSE/AVX2/AVX-512 lanes).

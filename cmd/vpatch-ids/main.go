@@ -90,25 +90,36 @@ func ip4(v uint32) netip.Addr {
 	return netip.AddrFrom4([4]byte{byte(v >> 24), byte(v >> 16), byte(v >> 8), byte(v)})
 }
 
-func main() {
-	rulesPath := flag.String("rules", "", "Snort-style rules file")
-	dbPath := flag.String("db", "", "precompiled rule-group .vpdb database (instead of -rules)")
-	pcapPath := flag.String("pcap", "", "libpcap capture to analyze (required)")
-	algoName := flag.String("algo", "vpatch", "matching engine: vpatch spatch dfc vectordfc ac wumanber ffbf")
-	top := flag.Int("top", 5, "print the N most-alerting rules")
-	shards := flag.Int("shards", 1, "worker shards (flows hash-partitioned across goroutines)")
-	maxFlows := flag.Int("max-flows", 1<<20, "per-shard cap on tracked flows (0 = unlimited)")
-	flowTimeout := flag.Duration("flow-timeout", 60*time.Second, "evict flows idle this long on the capture clock (0 = never)")
-	flowPending := flag.Int("flow-pending", 256<<10, "per-flow out-of-order byte budget (0 = unlimited)")
-	totalPending := flag.Int("total-pending", 64<<20, "per-shard out-of-order byte budget (0 = unlimited)")
-	showMetrics := flag.Bool("metrics", false, "instrument scans and print the merged matcher+lifecycle counters (costs a few %)")
-	alertsOut := flag.String("alerts-out", "", `write every alert as a JSON line to this file ("-" = stdout)`)
-	ruleSem := flag.Bool("rule-semantics", false, "compile -rules with full rule semantics (offsets, nocase, pcre verifier)")
-	verifierBudget := flag.Int64("verifier-flow-budget", 0, "per-flow verifier budget in modeled cycles; match-flood flows degrade to literal-only alerting past it (0 = unlimited)")
-	flag.Parse()
+func main() { os.Exit(run(os.Args[1:], os.Stdout, os.Stderr)) }
+
+// run is the whole command. It returns the exit status instead of
+// exiting, so the deferred -alerts-out flush runs on every path.
+func run(args []string, stdout, stderr io.Writer) int {
+	fs := flag.NewFlagSet("vpatch-ids", flag.ContinueOnError)
+	fs.SetOutput(stderr)
+	rulesPath := fs.String("rules", "", "Snort-style rules file")
+	dbPath := fs.String("db", "", "precompiled rule-group .vpdb database (instead of -rules)")
+	pcapPath := fs.String("pcap", "", "libpcap capture to analyze (required)")
+	algoName := fs.String("algo", "vpatch", "matching engine: vpatch spatch dfc vectordfc ac wumanber ffbf")
+	top := fs.Int("top", 5, "print the N most-alerting rules")
+	shards := fs.Int("shards", 1, "worker shards (flows hash-partitioned across goroutines)")
+	maxFlows := fs.Int("max-flows", 1<<20, "per-shard cap on tracked flows (0 = unlimited)")
+	flowTimeout := fs.Duration("flow-timeout", 60*time.Second, "evict flows idle this long on the capture clock (0 = never)")
+	flowPending := fs.Int("flow-pending", 256<<10, "per-flow out-of-order byte budget (0 = unlimited)")
+	totalPending := fs.Int("total-pending", 64<<20, "per-shard out-of-order byte budget (0 = unlimited)")
+	showMetrics := fs.Bool("metrics", false, "instrument scans and print the merged matcher+lifecycle counters (costs a few %)")
+	alertsOut := fs.String("alerts-out", "", `write every alert as a JSON line to this file ("-" = stdout)`)
+	ruleSem := fs.Bool("rule-semantics", false, "compile -rules with full rule semantics (offsets, nocase, pcre verifier)")
+	verifierBudget := fs.Int64("verifier-flow-budget", 0, "per-flow verifier budget in modeled cycles; match-flood flows degrade to literal-only alerting past it (0 = unlimited)")
+	if err := fs.Parse(args); err != nil {
+		if err == flag.ErrHelp {
+			return 0
+		}
+		return 2
+	}
 	if (*rulesPath == "") == (*dbPath == "") || *pcapPath == "" {
-		flag.Usage()
-		os.Exit(2)
+		fs.Usage()
+		return 2
 	}
 	limits := netsim.Limits{
 		MaxFlows:          *maxFlows,
@@ -119,16 +130,16 @@ func main() {
 
 	pf, err := os.Open(*pcapPath)
 	if err != nil {
-		fatal(err)
+		return fatal(stderr, err)
 	}
 	segs, err := netsim.ReadPcap(pf)
 	pf.Close()
 	truncated := err != nil && len(segs) > 0
 	if err != nil {
 		if !truncated {
-			fatal(err)
+			return fatal(stderr, err)
 		}
-		fmt.Fprintf(os.Stderr, "vpatch-ids: warning: truncated capture (%v); analyzing the %d readable segments\n",
+		fmt.Fprintf(stderr, "vpatch-ids: warning: truncated capture (%v); analyzing the %d readable segments\n",
 			err, len(segs))
 	}
 
@@ -139,11 +150,11 @@ func main() {
 		p.budget = resil.VerifierBudget{PerFlow: *verifierBudget, Price: resil.DefaultPrice()}
 	}
 	if *alertsOut != "" {
-		out := os.Stdout
+		out := stdout
 		if *alertsOut != "-" {
 			f, err := os.Create(*alertsOut)
 			if err != nil {
-				fatal(err)
+				return fatal(stderr, err)
 			}
 			defer f.Close()
 			out = f
@@ -158,28 +169,28 @@ func main() {
 		start := time.Now()
 		df, err := os.Open(*dbPath)
 		if err != nil {
-			fatal(err)
+			return fatal(stderr, err)
 		}
 		engine, err = ids.ReadDB(df, nil)
 		df.Close()
 		if err != nil {
-			fatal(err)
+			return fatal(stderr, err)
 		}
-		fmt.Fprintf(os.Stderr, "loaded rule-group database in %s\n",
+		fmt.Fprintf(stderr, "loaded rule-group database in %s\n",
 			time.Since(start).Round(time.Microsecond))
 	} else {
 		rf, err := os.Open(*rulesPath)
 		if err != nil {
-			fatal(err)
+			return fatal(stderr, err)
 		}
 		alg, err := vpatch.ParseAlgorithm(*algoName)
 		if err != nil {
-			fatal(err)
+			return fatal(stderr, err)
 		}
 		engine, err = compileRules(rf, alg, *ruleSem)
 		rf.Close()
 		if err != nil {
-			fatal(err)
+			return fatal(stderr, err)
 		}
 	}
 	set := engine.Set()
@@ -194,7 +205,7 @@ func main() {
 	signal.Stop(sigc)
 	stats, counters, gotSig := res.stats, res.counters, res.stopped
 	if gotSig != nil {
-		fmt.Fprintf(os.Stderr, "vpatch-ids: %v after %d/%d segments; draining and reporting\n",
+		fmt.Fprintf(stderr, "vpatch-ids: %v after %d/%d segments; draining and reporting\n",
 			gotSig, res.fed, len(segs))
 	}
 
@@ -202,27 +213,27 @@ func main() {
 	for _, s := range segs {
 		bytes += len(s.Payload)
 	}
-	fmt.Printf("capture: %d segments, %d payload bytes\n", len(segs), bytes)
-	fmt.Printf("engine:  %s over %d rules in %d groups, %d shard(s)\n",
+	fmt.Fprintf(stdout, "capture: %d segments, %d payload bytes\n", len(segs), bytes)
+	fmt.Fprintf(stdout, "engine:  %s over %d rules in %d groups, %d shard(s)\n",
 		engine.Algorithm(), set.Len(), len(engine.GroupSizes()), *shards)
-	fmt.Printf("flows:   %d peak, %d closed, %d evicted, %d bytes dropped\n",
+	fmt.Fprintf(stdout, "flows:   %d peak, %d closed, %d evicted, %d bytes dropped\n",
 		stats.PeakFlows, stats.FlowsClosed, stats.FlowsEvicted, stats.BytesDropped)
 	if p.budget.Armed() {
-		fmt.Printf("overload: %d flows degraded to literal-only, %d budget denials, %d panics recovered, %d flows quarantined\n",
+		fmt.Fprintf(stdout, "overload: %d flows degraded to literal-only, %d budget denials, %d panics recovered, %d flows quarantined\n",
 			counters.DegradedFlows, counters.VerifierBudgetExhausted,
 			counters.PanicsRecovered, counters.FlowsQuarantined)
 	}
-	fmt.Printf("result:  %d alerts in %s (%.3f Gbps)\n",
+	fmt.Fprintf(stdout, "result:  %d alerts in %s (%.3f Gbps)\n",
 		res.total, res.elapsed.Round(time.Millisecond),
 		float64(bytes)*8/float64(res.elapsed.Nanoseconds()))
 	if stats.PendingBytes > 0 {
-		fmt.Printf("warning: %d bytes stuck in reassembly (packet loss?)\n", stats.PendingBytes)
+		fmt.Fprintf(stdout, "warning: %d bytes stuck in reassembly (packet loss?)\n", stats.PendingBytes)
 	}
 	if *showMetrics {
 		// One merged line: matcher event counters plus the lifecycle
 		// figures folded in (evicted/dropped/peakflows).
 		stats.MergeInto(&counters)
-		fmt.Printf("metrics: %s\n", &counters)
+		fmt.Fprintf(stdout, "metrics: %s\n", &counters)
 	}
 
 	type rc struct {
@@ -237,7 +248,7 @@ func main() {
 	if len(rules) > *top {
 		rules = rules[:*top]
 	}
-	fmt.Printf("\ntop rules:\n")
+	fmt.Fprintf(stdout, "\ntop rules:\n")
 	rset := engine.Rules()
 	for _, r := range rules {
 		if rset != nil {
@@ -246,22 +257,23 @@ func main() {
 			if msg == "" {
 				msg = fmt.Sprintf("rule %d", rr.ID)
 			}
-			fmt.Printf("  sid %5d  %6d alerts  %s\n", rr.SID, r.n, msg)
+			fmt.Fprintf(stdout, "  sid %5d  %6d alerts  %s\n", rr.SID, r.n, msg)
 			continue
 		}
 		p := set.Pattern(r.id)
-		fmt.Printf("  sid %5d  %6d alerts  %q\n", r.id+1, r.n, truncate(p.Data, 40))
+		fmt.Fprintf(stdout, "  sid %5d  %6d alerts  %q\n", r.id+1, r.n, truncate(p.Data, 40))
 	}
 
 	if gotSig != nil {
 		if sig, ok := gotSig.(syscall.Signal); ok {
-			os.Exit(128 + int(sig))
+			return 128 + int(sig)
 		}
-		os.Exit(130)
+		return 130
 	}
 	if truncated {
-		os.Exit(3) // results above cover only the readable prefix
+		return 3 // results above cover only the readable prefix
 	}
+	return 0
 }
 
 // compileRules compiles a Snort-style rule stream into an IDS engine
@@ -378,7 +390,7 @@ func truncate(b []byte, n int) string {
 	return string(b[:n]) + "..."
 }
 
-func fatal(err error) {
-	fmt.Fprintln(os.Stderr, "vpatch-ids:", err)
-	os.Exit(1)
+func fatal(stderr io.Writer, err error) int {
+	fmt.Fprintln(stderr, "vpatch-ids:", err)
+	return 1
 }

@@ -4,8 +4,13 @@ import (
 	"bytes"
 	"crypto/sha256"
 	"encoding/hex"
+	"encoding/json"
 	"fmt"
+	"os"
+	"path/filepath"
+	"regexp"
 	"slices"
+	"strconv"
 	"strings"
 	"testing"
 
@@ -32,6 +37,17 @@ const (
 // -size 2 -pcap -attacks-from s1`, through the same calls at seed 1.
 func smokeInputs(t *testing.T) (string, []netsim.Segment) {
 	t.Helper()
+	rules, pcap := smokeCapture(t)
+	segs, err := netsim.ReadPcap(bytes.NewReader(pcap))
+	if err != nil {
+		t.Fatal(err)
+	}
+	return rules, segs
+}
+
+// smokeCapture is smokeInputs' rules file and pcap bytes.
+func smokeCapture(t *testing.T) (string, []byte) {
+	t.Helper()
 	const seed = 1
 	web := patterns.GenerateS1(seed).WebSubset()
 	var rules strings.Builder
@@ -54,11 +70,7 @@ func smokeInputs(t *testing.T) (string, []netsim.Segment) {
 		netsim.PacketizeOptions{Seed: seed, Jitter: 3, FIN: true})); err != nil {
 		t.Fatal(err)
 	}
-	segs, err := netsim.ReadPcap(&pcap)
-	if err != nil {
-		t.Fatal(err)
-	}
-	return rules.String(), segs
+	return rules.String(), pcap.Bytes()
 }
 
 // TestGoldenAlertDigests pins the pipeline's answers on CI's smoke
@@ -118,5 +130,46 @@ func TestGoldenAlertDigests(t *testing.T) {
 			}
 			check("vpdb", loaded, 1)
 		}
+	}
+}
+
+// TestTruncatedCaptureKeepsEveryAlertLine runs the command on the smoke
+// capture cut short mid-record: it exits 3, and the -alerts-out file
+// holds exactly the alerts it reports, the last line whole. An exit
+// from inside the command would skip the deferred flush of the alert
+// writer and lose the buffered tail.
+func TestTruncatedCaptureKeepsEveryAlertLine(t *testing.T) {
+	rules, pcap := smokeCapture(t)
+	dir := t.TempDir()
+	rulesPath := filepath.Join(dir, "web.rules")
+	pcapPath := filepath.Join(dir, "cut.pcap")
+	outPath := filepath.Join(dir, "alerts.jsonl")
+	if err := os.WriteFile(rulesPath, []byte(rules), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	if err := os.WriteFile(pcapPath, pcap[:1500000], 0o644); err != nil {
+		t.Fatal(err)
+	}
+	var stdout, stderr bytes.Buffer
+	code := run([]string{"-rules", rulesPath, "-pcap", pcapPath, "-alerts-out", outPath}, &stdout, &stderr)
+	if code != 3 {
+		t.Fatalf("exit status %d, want 3 (truncated capture); stderr:\n%s", code, stderr.String())
+	}
+	m := regexp.MustCompile(`(?m)^result: +(\d+) alerts`).FindStringSubmatch(stdout.String())
+	if m == nil {
+		t.Fatalf("no result line in output:\n%s", stdout.String())
+	}
+	reported, _ := strconv.Atoi(m[1])
+	out, err := os.ReadFile(outPath)
+	if err != nil {
+		t.Fatal(err)
+	}
+	lines := strings.Split(strings.TrimSuffix(string(out), "\n"), "\n")
+	if reported == 0 || len(lines) != reported {
+		t.Fatalf("-alerts-out holds %d lines, the run reported %d alerts", len(lines), reported)
+	}
+	var rec alertRec
+	if err := json.Unmarshal([]byte(lines[len(lines)-1]), &rec); err != nil {
+		t.Fatalf("last alert line does not parse: %v: %q", err, lines[len(lines)-1])
 	}
 }

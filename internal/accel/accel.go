@@ -29,9 +29,10 @@
 //
 // The hot skip loop itself lives next to its probe chains in
 // internal/core (it must inline into the fused kernels); this package
-// provides the tables, the mode decision, and the Next primitive used by
-// the instrumented scalar paths. DFC, the paper's baseline, has no skip
-// loop.
+// provides the tables, the mode decision, and the two skip primitives
+// (Extract for the window bitmap, Next for index-byte mode). DFC, the
+// paper's baseline, and the lane-exact renditions of Algorithms 1 and 2
+// have no skip loop.
 package accel
 
 import (
@@ -185,43 +186,14 @@ func (t *Table) ViableByte(b byte) bool {
 	return t.StartBytes[b>>6]&(1<<(b&63)) != 0
 }
 
-// ViableAt reports whether position i can reach the probe chain under
-// this table's skip predicate: start-byte membership in index-byte
-// mode, window viability otherwise (the caller must guarantee
-// i+1 < len(input) outside index-byte mode). A false result means the
-// position cannot produce a candidate.
-func (t *Table) ViableAt(input []byte, i int) bool {
-	if t.mode == ModeIndexByte {
-		return t.ViableByte(input[i])
-	}
-	idx := uint32(input[i]) | uint32(input[i+1])<<8
-	return t.Union[(idx>>6)&1023]&(1<<(idx&63)) != 0
-}
-
-// Next returns the smallest position p in [i, end) whose 2-byte window
-// input[p]|input[p+1]<<8 is viable, or end if none is. It is the skip
-// primitive of the instrumented scalar loops (the fused kernels inline
-// their own copies of the same walk). The caller must guarantee
-// end+1 <= len(input) so every tested position has a full window.
+// Next returns the smallest position p in [i, end) whose first byte is
+// in the rare list (a superset of window viability, so skipping to it is
+// exact), or end if there is none. It is the index-byte skip primitive
+// (ModeIndexByte tables only), built on the runtime's vectorized
+// bytes.IndexByte. Each later rare byte only searches up to the best hit
+// so far, so a dense first byte cannot make the absent second one rescan
+// the whole segment.
 func (t *Table) Next(input []byte, i, end int) int {
-	if t.mode == ModeIndexByte {
-		return t.nextIndexByte(input, i, end)
-	}
-	for ; i < end; i++ {
-		idx := uint32(input[i]) | uint32(input[i+1])<<8
-		if t.Union[(idx>>6)&1023]&(1<<(idx&63)) != 0 {
-			return i
-		}
-	}
-	return end
-}
-
-// nextIndexByte finds the next position whose *first* byte is in the
-// rare list (a superset of window viability, so skipping to it is
-// exact) using the runtime's vectorized bytes.IndexByte. Each later
-// rare byte only searches up to the best hit so far, so a dense first
-// byte cannot make the absent second one rescan the whole segment.
-func (t *Table) nextIndexByte(input []byte, i, end int) int {
 	if i >= end {
 		return end
 	}

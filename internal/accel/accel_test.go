@@ -71,19 +71,12 @@ func TestModeSelection(t *testing.T) {
 	}
 }
 
-// nextNaive is the reference for Next: first position whose window is
-// viable.
+// nextNaive is the reference for Next: the first position whose first
+// byte can start a viable window (index-byte mode skips on the first
+// byte only, a viable superset).
 func nextNaive(tb *Table, input []byte, i, end int) int {
 	for ; i < end; i++ {
-		if tb.mode == ModeIndexByte {
-			// Index-byte mode skips on the first byte only (a viable
-			// superset), so the reference does too.
-			if tb.ViableByte(input[i]) {
-				return i
-			}
-			continue
-		}
-		if tb.ViableWindow(uint32(input[i]) | uint32(input[i+1])<<8) {
+		if tb.ViableByte(input[i]) {
 			return i
 		}
 	}
@@ -95,7 +88,6 @@ func TestNextMatchesNaive(t *testing.T) {
 	tables := []*Table{
 		tableFor(uint32('q') | uint32('q')<<8),                           // 1 rare byte
 		tableFor(uint32('a')|uint32('b')<<8, uint32('z')<<8|uint32('x')), // 2 rare
-		tableFor(0x4141, 0x4242, 0x4343, 0x4144, 0x6162),                 // window mode
 	}
 	for ti, tb := range tables {
 		for trial := 0; trial < 200; trial++ {

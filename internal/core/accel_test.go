@@ -13,10 +13,9 @@ import (
 
 // Property tests of the acceleration layer: every accelerated path —
 // fused window-bitmap, fused index-byte, the governor's plain
-// fallbacks, the instrumented engine-path skip, and the batch path —
-// must be match- and candidate-identical to the unaccelerated
-// ForceEngine reference, across widths, match densities and adversarial
-// edge inputs.
+// fallbacks, and the batch path — must be match- and candidate-identical
+// to the lane-exact reference (laneFilter/laneCollect, which never skip),
+// across widths, match densities and adversarial edge inputs.
 
 // accelCases builds pattern sets exercising each skip mode.
 func accelCases() map[string]*patterns.Set {
@@ -86,32 +85,32 @@ func accelInputs(set *patterns.Set, rng *rand.Rand) [][]byte {
 	return inputs
 }
 
-// TestAccelFusedMatchesForceEngine is the acceleration fidelity
+// TestAccelFusedMatchesLaneExact is the acceleration fidelity
 // property: for every skip mode, width, density and adversarial edge
 // input, the accelerated fused paths produce candidate arrays
 // (aShort/aLong) and match streams identical to the unaccelerated
-// ForceEngine vec path, and the batch path stays per-buffer identical.
-func TestAccelFusedMatchesForceEngine(t *testing.T) {
+// lane-exact vector-engine path, and the batch path stays per-buffer
+// identical.
+func TestAccelFusedMatchesLaneExact(t *testing.T) {
 	rng := rand.New(rand.NewSource(7))
 	for name, set := range accelCases() {
 		for _, width := range []int{4, 8, 16} {
-			fast := NewVPatch(set, VOptions{Width: width})
-			ref := NewVPatch(set, VOptions{Width: width, ForceEngine: true})
-			if name == "rare" && fast.accel.Mode() != accel.ModeIndexByte {
-				t.Fatalf("rare set selected %v, want index-byte", fast.accel.Mode())
+			m := NewVPatch(set, VOptions{Width: width})
+			if name == "rare" && m.accel.Mode() != accel.ModeIndexByte {
+				t.Fatalf("rare set selected %v, want index-byte", m.accel.Mode())
 			}
-			if name == "web" && fast.accel.Mode() != accel.ModeWindow {
-				t.Fatalf("web set selected %v, want window-bitmap", fast.accel.Mode())
+			if name == "web" && m.accel.Mode() != accel.ModeWindow {
+				t.Fatalf("web set selected %v, want window-bitmap", m.accel.Mode())
 			}
 			inputs := accelInputs(set, rng)
 			for ii, input := range inputs {
-				fs, fl := fast.FilterOnly(input, nil, true)
-				rs, rl := ref.FilterOnly(input, nil, true)
+				fs, fl := m.FilterOnly(input, nil, true)
+				rs, rl := m.laneFilter(t, input)
 				if !equalInt32(fs, rs) || !equalInt32(fl, rl) {
 					t.Fatalf("%s W=%d input %d (len %d): candidate arrays diverge (accel %d/%d vs engine %d/%d)",
 						name, width, ii, len(input), len(fs), len(fl), len(rs), len(rl))
 				}
-				if fm, rm := fast.collect(input), ref.collect(input); !patterns.EqualMatches(fm, rm) {
+				if fm, rm := m.collect(input), m.laneCollect(t, input); !patterns.EqualMatches(fm, rm) {
 					t.Fatalf("%s W=%d input %d: matches diverge (%d vs %d)",
 						name, width, ii, len(fm), len(rm))
 				}
@@ -123,12 +122,14 @@ func TestAccelFusedMatchesForceEngine(t *testing.T) {
 				m   patterns.Match
 			}
 			var got []bm
-			fast.ScanBatch(inputs, nil, func(buf int, m patterns.Match) {
-				got = append(got, bm{buf, m})
+			m.ScanBatch(inputs, nil, func(buf int, mm patterns.Match) {
+				got = append(got, bm{buf, mm})
 			})
 			var want []bm
 			for bi, input := range inputs {
-				ref.Scan(input, nil, func(m patterns.Match) { want = append(want, bm{bi, m}) })
+				for _, mm := range m.laneCollect(t, input) {
+					want = append(want, bm{bi, mm})
+				}
 			}
 			if len(got) != len(want) {
 				t.Fatalf("%s W=%d: batch %d matches vs serial reference %d", name, width, len(got), len(want))
@@ -143,8 +144,8 @@ func TestAccelFusedMatchesForceEngine(t *testing.T) {
 }
 
 // TestAccelSPatchMatchesPlain covers the S-PATCH rendition (split
-// probes) and its instrumented skip path against the plain kernels,
-// for a freshly compiled engine and for one round-tripped through the
+// probes) of the accelerated kernels against the plain kernels, for a
+// freshly compiled engine and for one round-tripped through the
 // database codec. The two probe chains are candidate-identical by
 // design, so a decode that forgot common.split would still pass the
 // candidate comparison while S-PATCH quietly ran V-PATCH's merged
@@ -181,9 +182,10 @@ func TestAccelSPatchMatchesPlain(t *testing.T) {
 }
 
 // TestAccelInstrumentedIdentical: the lane-exact paths (Counters.LaneExact
-// — engine drive loop for V-PATCH, scalar loop with Next skipping for
-// S-PATCH) must emit the same matches as the fused production paths,
-// and the skip accounting must cover every window.
+// — Algorithm 2's vector engine for V-PATCH, Algorithm 1's scalar chain
+// for S-PATCH) must emit the same matches as the fused production paths
+// and never skip: S-PATCH probes every window, and neither rendition
+// reports a skip tally.
 func TestAccelInstrumentedIdentical(t *testing.T) {
 	rng := rand.New(rand.NewSource(13))
 	for name, set := range accelCases() {
@@ -204,12 +206,13 @@ func TestAccelInstrumentedIdentical(t *testing.T) {
 			if !patterns.EqualMatches(timed, counted) {
 				t.Fatalf("%s input %d: S-PATCH instrumented diverges", name, ii)
 			}
-			if n := len(input); n > 1 {
-				// S-PATCH scalar loop: every window is either probed or
-				// skipped, never both, never neither.
-				if got := sc.Filter1Probes + sc.SkippedBytes; got != uint64(n-1) {
-					t.Fatalf("%s input %d: probes %d + skipped %d != %d windows",
-						name, ii, sc.Filter1Probes, sc.SkippedBytes, n-1)
+			if n := len(input); n > 1 && sc.Filter1Probes != uint64(n-1) {
+				t.Fatalf("%s input %d: S-PATCH probed %d of %d windows", name, ii, sc.Filter1Probes, n-1)
+			}
+			for r, c := range map[string]*metrics.Counters{"V-PATCH": &vc, "S-PATCH": &sc} {
+				if c.SkippedBytes != 0 || c.AccelChances != 0 || c.AccelRuns != 0 {
+					t.Fatalf("%s input %d: lane-exact %s reported skips: %d bytes, %d/%d spans",
+						name, ii, r, c.SkippedBytes, c.AccelRuns, c.AccelChances)
 				}
 			}
 		}
@@ -217,11 +220,11 @@ func TestAccelInstrumentedIdentical(t *testing.T) {
 }
 
 // TestAccelSkipFracFallsWithDensity is the skip loop's density claim,
-// read from the lane-exact skip counters rather than a clock: on clean
-// random traffic against the 2K web set most bytes are skipped without
-// a probe and real runs are cleared, and injecting matches over the
-// whole buffer lowers the skip fraction, at packet and chunk sizes
-// alike.
+// read from the production path's skip counters rather than a clock: on
+// clean random traffic against the 2K web set most bytes are skipped
+// without a probe and governor spans keep the skip loop engaged, and
+// injecting matches over the whole buffer lowers the skip fraction, at
+// packet and chunk sizes alike.
 func TestAccelSkipFracFallsWithDensity(t *testing.T) {
 	set := patterns.GenerateS1(1).WebSubset()
 	vp := NewVPatch(set, VOptions{})
@@ -230,13 +233,13 @@ func TestAccelSkipFracFallsWithDensity(t *testing.T) {
 		for _, frac := range []float64{0, 1.0} {
 			data := traffic.Random(512<<10, 1)
 			traffic.InjectMatches(data, set, frac, 1+int64(frac*1000))
-			c := metrics.Counters{LaneExact: true}
+			var c metrics.Counters
 			for lo := 0; lo < len(data); lo += size {
 				vp.Scan(data[lo:min(lo+size, len(data))], &c, nil)
 			}
 			skip[frac] = c.SkipFrac()
 			if frac == 0 && c.AccelRuns == 0 {
-				t.Errorf("buf %d: clean traffic cleared no skip runs", size)
+				t.Errorf("buf %d: clean traffic kept the skip loop in no span", size)
 			}
 		}
 		t.Logf("buf %d: skip fraction %.3f clean, %.3f at 100%% density", size, skip[0], skip[1.0])
@@ -251,7 +254,7 @@ func TestAccelSkipFracFallsWithDensity(t *testing.T) {
 }
 
 // FuzzAccelFused fuzzes the fidelity property on arbitrary bytes: the
-// accelerated fused path must equal the ForceEngine reference for every
+// accelerated fused path must equal the lane-exact reference for every
 // input and for both window and index-byte skip modes.
 func FuzzAccelFused(f *testing.F) {
 	f.Add([]byte("GET /index.html HTTP/1.1\r\nHost: example.com\r\n\r\n"))
@@ -259,19 +262,14 @@ func FuzzAccelFused(f *testing.F) {
 	f.Add([]byte{0, 1})
 	f.Add([]byte("\x00\x01evil\x00\x01e"))
 	f.Add([]byte("abababababab"))
-	sets := accelCases()
-	type pair struct{ fast, ref *VPatch }
-	pairs := map[string]pair{}
-	for name, set := range sets {
-		pairs[name] = pair{
-			fast: NewVPatch(set, VOptions{}),
-			ref:  NewVPatch(set, VOptions{ForceEngine: true}),
-		}
+	engines := map[string]*VPatch{}
+	for name, set := range accelCases() {
+		engines[name] = NewVPatch(set, VOptions{})
 	}
 	f.Fuzz(func(t *testing.T, data []byte) {
-		for name, p := range pairs {
-			fs, fl := p.fast.FilterOnly(data, nil, true)
-			rs, rl := p.ref.FilterOnly(data, nil, true)
+		for name, m := range engines {
+			fs, fl := m.FilterOnly(data, nil, true)
+			rs, rl := m.laneFilter(t, data)
 			if !equalInt32(fs, rs) || !equalInt32(fl, rl) {
 				t.Fatalf("%s: accelerated candidates diverge on %q", name, data)
 			}

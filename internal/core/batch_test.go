@@ -54,11 +54,12 @@ func TestBatchVariantsAgree(t *testing.T) {
 		{name: "vpatch", m: NewVPatch(set, VOptions{})},
 		{name: "vpatch/lane-exact", m: NewVPatch(set, VOptions{}), lane: true,
 			ran: func(c *metrics.Counters) uint64 { return c.VectorIters }},
-		{name: "vpatch/force-engine", m: NewVPatch(set, VOptions{ForceEngine: true})},
 		{name: "vpatch/no-merge", m: NewVPatch(set, VOptions{NoFilterMerge: true})},
 		{name: "vpatch/branchy-f3", m: NewVPatch(set, VOptions{BranchyFilter3: true})},
-		{name: "vpatch/width-4", m: NewVPatch(set, VOptions{Width: 4, ForceEngine: true})},
-		{name: "vpatch/width-16", m: NewVPatch(set, VOptions{Width: 16, ForceEngine: true})},
+		{name: "vpatch/width-4", m: NewVPatch(set, VOptions{Width: 4}), lane: true,
+			ran: func(c *metrics.Counters) uint64 { return c.VectorIters }},
+		{name: "vpatch/width-16", m: NewVPatch(set, VOptions{Width: 16}), lane: true,
+			ran: func(c *metrics.Counters) uint64 { return c.VectorIters }},
 		{name: "vpatch/tiny-chunk", m: NewVPatch(set, VOptions{ChunkSize: 64})},
 		{name: "vpatch/small-filter-3", m: NewVPatch(set, VOptions{Filter3Log2Bits: 14})},
 		{name: "spatch", m: NewSPatch(set, Options{})},

@@ -123,8 +123,8 @@ type common struct {
 	// exactRange is the algorithm's lane-exact filtering rendition
 	// (S-PATCH's per-position scalar chain, V-PATCH's explicit vector
 	// engine), wired by newSPatch/newVPatch; pinExact makes every scan
-	// take it (V-PATCH's reference rendition and the ablations the fused
-	// kernels do not express). See filterRange.
+	// take it (V-PATCH's ablations the fused kernels do not express).
+	// See filterRange.
 	exactRange func(scr *Scratch, input []byte, start, end int, c *metrics.Counters, stores bool)
 	pinExact   bool
 

@@ -21,24 +21,31 @@ func scanV(m *VPatch, input []byte) []patterns.Match {
 	return out
 }
 
-// checkAll verifies S-PATCH and V-PATCH (all widths and ablation modes)
-// against the naive reference.
+// checkAll verifies S-PATCH and V-PATCH (all widths, fused and
+// lane-exact, and every ablation mode) against the naive reference.
 func checkAll(t *testing.T, set *patterns.Set, input []byte) {
 	t.Helper()
 	want := patterns.FindAllNaive(set, input)
-	if got := scanS(NewSPatch(set, Options{}), input); !patterns.EqualMatches(got, want) {
+	sp := NewSPatch(set, Options{})
+	if got := scanS(sp, input); !patterns.EqualMatches(got, want) {
 		t.Fatalf("S-PATCH disagrees with naive: got %d want %d", len(got), len(want))
 	}
+	if got := sp.laneCollect(t, input); !patterns.EqualMatches(got, want) {
+		t.Fatalf("lane-exact S-PATCH disagrees with naive: got %d want %d", len(got), len(want))
+	}
 	for _, w := range []int{4, 8, 16} {
-		if got := scanV(NewVPatch(set, VOptions{Width: w}), input); !patterns.EqualMatches(got, want) {
+		vp := NewVPatch(set, VOptions{Width: w})
+		if got := scanV(vp, input); !patterns.EqualMatches(got, want) {
 			t.Fatalf("V-PATCH W=%d disagrees with naive: got %d want %d", w, len(got), len(want))
+		}
+		if got := vp.laneCollect(t, input); !patterns.EqualMatches(got, want) {
+			t.Fatalf("lane-exact V-PATCH W=%d disagrees with naive: got %d want %d", w, len(got), len(want))
 		}
 	}
 	variants := []VOptions{
 		{NoFilterMerge: true},
-		{NoUnroll: true},
 		{BranchyFilter3: true},
-		{NoFilterMerge: true, NoUnroll: true, BranchyFilter3: true},
+		{NoFilterMerge: true, BranchyFilter3: true},
 	}
 	for _, opt := range variants {
 		if got := scanV(NewVPatch(set, opt), input); !patterns.EqualMatches(got, want) {
@@ -164,7 +171,7 @@ func TestCandidateArraysIdentical(t *testing.T) {
 		}
 	}
 	// Ablation variants must not change filtering semantics either.
-	for _, opt := range []VOptions{{NoFilterMerge: true}, {BranchyFilter3: true}, {NoUnroll: true}} {
+	for _, opt := range []VOptions{{NoFilterMerge: true}, {BranchyFilter3: true}} {
 		vShort, vLong := NewVPatch(set, opt).FilterOnly(input, nil, true)
 		if !equalInt32(sShort, vShort) || !equalInt32(sLong, vLong) {
 			t.Fatalf("ablation %+v changes candidates", opt)
@@ -262,7 +269,7 @@ func TestSPatchCounters(t *testing.T) {
 
 func TestVPatchStructuralCounters(t *testing.T) {
 	set := patterns.FromStrings("GET", "longpattern")
-	m := NewVPatch(set, VOptions{Width: 8, NoUnroll: true})
+	m := NewVPatch(set, VOptions{Width: 8})
 	c := metrics.Counters{LaneExact: true}
 	input := make([]byte, 8192)
 	m.Scan(input, &c, nil)

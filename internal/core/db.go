@@ -12,7 +12,8 @@ import (
 // Compiled-database serialization for S-PATCH and V-PATCH: the shared
 // filter stage and verification tables, plus V-PATCH's vector width and
 // ablation switches (which change scan behavior, so a database must
-// reproduce them exactly).
+// reproduce them exactly). Two retired V-PATCH switch bytes are written
+// as 0 and ignored on read, so the format version stands.
 
 var (
 	_ engine.DBCodec = (*SPatch)(nil)
@@ -70,21 +71,20 @@ func DecodeSPatch(d *dbfmt.Decoder, set *patterns.Set) (*SPatch, error) {
 func (m *VPatch) EncodeCompiled(e *dbfmt.Encoder) {
 	e.U8(uint8(m.eng.Width()))
 	e.Bool(m.opt.NoFilterMerge)
-	e.Bool(m.opt.NoUnroll)
+	e.Bool(false) // retired
 	e.Bool(m.opt.BranchyFilter3)
-	e.Bool(m.opt.ForceEngine)
+	e.Bool(false) // retired
 	m.encodeCommon(e)
 }
 
 // DecodeVPatch restores a V-PATCH engine over set.
 func DecodeVPatch(d *dbfmt.Decoder, set *patterns.Set) (*VPatch, error) {
 	w := int(d.U8())
-	opt := VOptions{
-		NoFilterMerge:  d.Bool(),
-		NoUnroll:       d.Bool(),
-		BranchyFilter3: d.Bool(),
-		ForceEngine:    d.Bool(),
-	}
+	var opt VOptions
+	opt.NoFilterMerge = d.Bool()
+	d.Bool() // retired
+	opt.BranchyFilter3 = d.Bool()
+	d.Bool() // retired
 	if d.Err() == nil && w != 4 && w != 8 && w != 16 {
 		d.Fail("vector width %d not supported (want 4, 8 or 16)", w)
 	}

@@ -12,9 +12,10 @@ import (
 // The fused production kernels of the filtering round, shared by the
 // serial scan, FilterOnly and the batch scan. Every scan in the paper
 // configuration executes these, with or without counters attached; the
-// per-op emulated vector engine runs only on request (Counters.LaneExact,
-// ForceEngine). Candidate output is bit-identical either way
-// (property-tested against ForceEngine).
+// lane-exact renditions of Algorithms 1 and 2, which have no skip loop,
+// run only on request (Counters.LaneExact) or under an ablation only
+// they express. Candidate output is bit-identical either way
+// (property-tested against lane-exact scans).
 //
 // Counters cost nothing here: the kernels take c only to add the
 // governor's per-span skip tallies once per range (skipTally.addTo) —

@@ -12,7 +12,7 @@ import (
 
 // The asm==SWAR parity property: every available kernel must produce
 // candidate-for-candidate and match-for-match identical output to the
-// ForceEngine reference rendition (the paper-faithful emulated path,
+// lane-exact reference rendition (the paper-faithful emulated path,
 // which never touches the accel layer or the native kernels), across
 // widths, rule-set densities, buffer lengths below/at/above the kernel
 // lookaheads, unaligned sub-slices, and batch mode. This is the oracle
@@ -39,9 +39,9 @@ func genBinarySet(seed int64) *patterns.Set {
 // the kernel-free references.
 func checkKernelParity(t *testing.T, set *patterns.Set, input []byte, width int) {
 	t.Helper()
-	ref := NewVPatch(set, VOptions{Width: width, ForceEngine: true})
-	rs, rl := ref.FilterOnly(input, nil, true)
-	refMatches := ref.collect(input)
+	ref := NewVPatch(set, VOptions{Width: width})
+	rs, rl := ref.laneFilter(t, input)
+	refMatches := ref.laneCollect(t, input)
 	spRef := NewSPatch(set, Options{ForceKernel: vec.KernelSWAR})
 	sps, spl := spRef.FilterOnly(input, nil)
 	for _, k := range vec.Kernels() {

@@ -5,6 +5,7 @@ import (
 	"testing"
 	"testing/quick"
 
+	"vpatch/internal/metrics"
 	"vpatch/internal/patterns"
 )
 
@@ -119,17 +120,57 @@ func (m *VPatch) collect(input []byte) []patterns.Match {
 	return out
 }
 
-// Property: the engine path and the fused fast path produce identical
-// candidates for arbitrary inputs (the fidelity claim of vpatch.go's
-// ForceEngine documentation).
+// The tests' reference renditions are lane-exact scans of the same
+// build: Algorithm 1's per-position scalar chain for S-PATCH, Algorithm
+// 2 on the explicit vector engine for V-PATCH, with no skip loop and no
+// native kernel. The helpers fail the test when the rendition probed
+// nothing (S-PATCH) or ran no vector block (V-PATCH) over an input long
+// enough for one, so a reference never silently takes the fused path.
+
+func (m *SPatch) laneCollect(t testing.TB, input []byte) []patterns.Match {
+	t.Helper()
+	var out []patterns.Match
+	c := metrics.Counters{LaneExact: true}
+	m.Scan(input, &c, func(mm patterns.Match) { out = append(out, mm) })
+	if len(input) >= 2 && c.Filter1Probes == 0 {
+		t.Fatalf("lane-exact reference probed nothing over %d bytes", len(input))
+	}
+	return out
+}
+
+func (m *VPatch) laneFilter(t testing.TB, input []byte) (short, long []int32) {
+	t.Helper()
+	c := metrics.Counters{LaneExact: true}
+	short, long = m.FilterOnly(input, &c, true)
+	m.checkLaneRan(t, len(input), &c)
+	return short, long
+}
+
+func (m *VPatch) laneCollect(t testing.TB, input []byte) []patterns.Match {
+	t.Helper()
+	var out []patterns.Match
+	c := metrics.Counters{LaneExact: true}
+	m.Scan(input, &c, func(mm patterns.Match) { out = append(out, mm) })
+	m.checkLaneRan(t, len(input), &c)
+	return out
+}
+
+func (m *VPatch) checkLaneRan(t testing.TB, n int, c *metrics.Counters) {
+	t.Helper()
+	if n >= m.Width()+3 && c.VectorIters == 0 {
+		t.Fatalf("lane-exact reference ran no vector block over %d bytes", n)
+	}
+}
+
+// Property: the lane-exact engine path and the fused fast path produce
+// identical candidates for arbitrary inputs.
 func TestPropertyEnginePathEquivalence(t *testing.T) {
 	f := func(seed int64) bool {
 		set := genSet(seed)
 		input := genInput(seed, 600)
-		fast := NewVPatch(set, VOptions{})
-		engine := NewVPatch(set, VOptions{ForceEngine: true})
-		fs, fl := fast.FilterOnly(input, nil, true)
-		es, el := engine.FilterOnly(input, nil, true)
+		m := NewVPatch(set, VOptions{})
+		fs, fl := m.FilterOnly(input, nil, true)
+		es, el := m.laneFilter(t, input)
 		return equalInt32(fs, es) && equalInt32(fl, el)
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 40}); err != nil {

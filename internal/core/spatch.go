@@ -50,33 +50,12 @@ func newSPatch(c common) *SPatch {
 }
 
 // scalarRange is S-PATCH's lane-exact filtering rendition over positions
-// [start, end): the per-position scalar chain (Algorithm 1), skipping
-// ahead of provably-impossible positions with the acceleration table and
-// counting every probe and skip. It runs only under Counters.LaneExact,
-// so c is never nil; S-PATCH has no no-store mode and ignores stores.
+// [start, end): the per-position scalar chain of Algorithm 1, counting
+// every probe. It runs only under Counters.LaneExact, so c is never nil;
+// S-PATCH has no no-store mode and ignores stores.
 func (m *SPatch) scalarRange(scr *Scratch, input []byte, start, end int, c *metrics.Counters, _ bool) {
 	n := len(input)
-	t := m.accel
-	useAccel := t != nil && t.Enabled() && !m.noAccel
-	// Window-viability skipping needs a full 2-byte window; the final
-	// byte (HasLen1 special case) always reaches the scalar chain.
-	skipEnd := end
-	if n-1 < skipEnd {
-		skipEnd = n - 1
-	}
 	for i := start; i < end; i++ {
-		if useAccel && i < skipEnd && !t.ViableAt(input, i) {
-			j := t.Next(input, i+1, skipEnd)
-			c.AccelChances++
-			c.SkippedBytes += uint64(j - i)
-			if j-i >= 8 {
-				c.AccelRuns++
-			}
-			i = j
-			if i >= end {
-				break
-			}
-		}
 		m.scalarFilterPos(scr, input, i, n, c)
 	}
 }

@@ -19,11 +19,12 @@ import (
 //     filter 3, and the result is masked by the filter-2 hits before
 //     storing into A_long (the paper found masking cheaper than
 //     compacting the register);
-//  5. the main loop is unrolled 2x so the second block's gather can
-//     overlap the first block's mask arithmetic.
+//  5. the paper unrolls the main loop 2x so the second block's gather
+//     overlaps the first block's mask arithmetic (a hardware schedule
+//     the emulation does not model: it changes no candidate or count).
 //
-// Verification is identical to S-PATCH's second round. Every deviation
-// from this recipe is available as an ablation switch in VOptions.
+// Verification is identical to S-PATCH's second round. Steps 2 and 4
+// have ablation switches in VOptions.
 //
 // Like SPatch, the compiled matcher is immutable and all per-scan state
 // lives in a Scratch, so one VPatch serves concurrent per-goroutine
@@ -45,31 +46,20 @@ type VOptions struct {
 	// ChunkSize is the filtering-round granularity; 0 selects 64 KB.
 	ChunkSize int
 
-	// Ablation switches (all default to the paper's design):
+	// Ablation switches (all default to the paper's design); either one
+	// makes every scan take the explicit vector engine.
 	// NoFilterMerge probes filters 1 and 2 with two separate gathers
 	// instead of one merged gather.
 	NoFilterMerge bool
-	// NoUnroll disables the 2x main-loop unroll.
-	NoUnroll bool
 	// BranchyFilter3 replaces the speculative all-lane filter-3
 	// evaluation with a per-active-lane scalar loop (the alternative the
 	// paper rejected).
 	BranchyFilter3 bool
-	// ForceEngine routes every scan through the explicit vector engine.
-	// By default, scans (paper configuration, with or without counters)
-	// use a fused rendition of the same computation — merged filter word
-	// fetch + speculative filter 3, lane at a time — because Go cannot
-	// express the register ops natively and the per-op emulation
-	// overhead would otherwise swamp the measurement; callers that need
-	// the engine's lane-exact event counts ask per scan with
-	// Counters.LaneExact. Candidate output is bit-identical either way
-	// (tested). ForceEngine also disables the acceleration layer, making
-	// it the reference rendition the accelerated paths are
-	// property-tested against.
-	ForceEngine bool
 	// NoAccel disables the skip-loop acceleration layer (fused.go),
-	// forcing the plain probe kernels. Ablation/benchmark switch; not
-	// serialized (databases load with acceleration rebuilt and on).
+	// forcing the plain probe kernels: the one reference build. Not
+	// serialized (databases load with acceleration rebuilt and on). The
+	// explicit engine's lane-exact counts are a per-scan request
+	// (Counters.LaneExact), not a build.
 	NoAccel bool
 	// ForceKernel pins the extract-loop kernel instead of the CPUID
 	// auto-dispatch (vec.KernelAuto). A kernel the host cannot run
@@ -91,13 +81,13 @@ func NewVPatch(set *patterns.Set, opt VOptions) *VPatch {
 
 // newVPatch makes compiled state c a V-PATCH matcher: the merged probe
 // chain in the fused kernels and the explicit vector engine as the
-// lane-exact rendition, which every scan takes when opt pins the
-// reference rendition (ForceEngine) or an ablation the fused kernels do
-// not express. NewVPatch and DecodeVPatch both construct through it.
+// lane-exact rendition, which every scan takes when opt sets an ablation
+// the fused kernels do not express. NewVPatch and DecodeVPatch both
+// construct through it.
 func newVPatch(c common, opt VOptions) *VPatch {
 	m := &VPatch{common: c, eng: vec.New(opt.Width), opt: opt}
 	m.exactRange = m.vectorRange
-	m.pinExact = opt.ForceEngine || opt.NoFilterMerge || opt.BranchyFilter3
+	m.pinExact = opt.NoFilterMerge || opt.BranchyFilter3
 	return m
 }
 
@@ -113,14 +103,11 @@ func (m *VPatch) FilterOnly(input []byte, c *metrics.Counters, stores bool) (sho
 }
 
 // vectorRange is V-PATCH's lane-exact filtering rendition over positions
-// [start, end): the explicit vector engine, W positions per block.
+// [start, end): the explicit vector engine, W positions per block
+// (Algorithm 2), then the scalar chain for the sub-register tail.
 // Reads may extend up to 3 bytes past end (within input) because 4-byte
 // windows straddle the chunk boundary, exactly like the scalar
-// algorithm. Unless ForceEngine pins the paper-faithful reference
-// rendition, it skips ahead of each vector block with the fused
-// kernels' acceleration table, counting SkippedBytes/AccelChances/
-// AccelRuns per skip invocation for the density story and the cost
-// model. Candidate output is bit-identical to the fused kernels'
+// algorithm. Candidate output is bit-identical to the fused kernels'
 // (tested).
 func (m *VPatch) vectorRange(scr *Scratch, input []byte, start, end int, c *metrics.Counters, stores bool) {
 	n := len(input)
@@ -133,40 +120,8 @@ func (m *VPatch) vectorRange(scr *Scratch, input []byte, start, end int, c *metr
 		vecEnd = lim
 	}
 	i := start
-	if t := m.accel; t != nil && t.Enabled() && !m.noAccel && !m.opt.ForceEngine {
-		// Accelerated drive loop: jump each vector block to the next
-		// viable start position; the skipped positions cannot produce
-		// candidates (their windows fail every loop-head filter).
-		for i <= vecEnd {
-			if !t.ViableAt(input, i) {
-				j := t.Next(input, i+1, vecEnd+1)
-				if c != nil {
-					c.AccelChances++
-					c.SkippedBytes += uint64(j - i)
-					if j-i >= 8 {
-						c.AccelRuns++
-					}
-				}
-				i = j
-				if i > vecEnd {
-					break
-				}
-			}
-			m.filterBlock(scr, input, i, c, stores)
-			i += w
-		}
-	} else {
-		if !m.opt.NoUnroll {
-			// 2x unroll: two W-position blocks per iteration (two
-			// independent register pipelines, paper §IV-B last paragraph).
-			for ; i+w <= vecEnd; i += 2 * w {
-				m.filterBlock(scr, input, i, c, stores)
-				m.filterBlock(scr, input, i+w, c, stores)
-			}
-		}
-		for ; i <= vecEnd; i += w {
-			m.filterBlock(scr, input, i, c, stores)
-		}
+	for ; i <= vecEnd; i += w {
+		m.filterBlock(scr, input, i, c, stores)
 	}
 	// Scalar tail: the final sub-register positions of the chunk.
 	for ; i < end; i++ {

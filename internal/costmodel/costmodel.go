@@ -27,8 +27,10 @@
 //     scalar loads and branches cannot overlap — the paper's headline
 //     1.8x vs 3.6x.
 //
-// Calibration notes and per-figure paper-vs-model comparisons live in
-// EXPERIMENTS.md.
+// The counts come from lane-exact scans (metrics.Counters.LaneExact),
+// which run the paper's plain Algorithms 1 and 2 with no skip loop, so
+// the model has no skip term. cmd/vpatch-bench prints each figure's
+// modelled throughput next to its wall-clock one.
 package costmodel
 
 import (
@@ -66,13 +68,6 @@ type Platform struct {
 	// temporary array in the filtering round and re-reading it in the
 	// verification round (the two-round algorithms only).
 	StoreCost float64
-	// SkipByteCost is the cycle cost per input byte cleared by the
-	// skip-loop acceleration layer (the L1-resident viability bitmap
-	// walk, or bytes.IndexByte in rare-byte mode — both far below the
-	// probe chain's cost, which is the acceleration's whole point).
-	// SkipInvokeCost is the fixed cost per skip invocation (setup,
-	// mode dispatch, queue drain bookkeeping).
-	SkipByteCost, SkipInvokeCost float64
 	// MissBase / MissGrow parameterize the DFA hot-state model: the miss
 	// fraction out of the hot set is MissBase at the last-level-cache
 	// size and grows by MissGrow per doubling of the automaton beyond it.
@@ -93,8 +88,8 @@ var Haswell = Platform{
 	VecOpLat:         1,
 	ByteLoopOverhead: 1.0,
 	StoreCost:        4,
-	SkipByteCost:     0.5, SkipInvokeCost: 3,
-	MissBase: 0.12, MissGrow: 0.013,
+	MissBase:         0.12,
+	MissGrow:         0.013,
 }
 
 // XeonPhi models the Xeon-Phi 3120 (1.1 GHz, 512-bit vectors, 32 KB L1 /
@@ -111,11 +106,8 @@ var XeonPhi = Platform{
 	VecOpLat:         1,
 	ByteLoopOverhead: 2.0,
 	StoreCost:        4,
-	// In-order: the scalar bitmap walk cannot overlap its loads, but
-	// the wide in-register compare of the memchr-class primitives still
-	// amortizes well below probe cost.
-	SkipByteCost: 1.0, SkipInvokeCost: 5,
-	MissBase: 0.03, MissGrow: 0.029,
+	MissBase:         0.03,
+	MissGrow:         0.029,
 }
 
 // verifyFloorBytes is the minimum effective size of the verification
@@ -237,6 +229,13 @@ type Result struct {
 func Estimate(p Platform, in Inputs) Result {
 	c := in.Counters
 	bd := make(map[string]float64)
+	// Components are summed in this fixed order, not map order, so a
+	// run's figure is reproducible to the last bit.
+	total := 0.0
+	add := func(name string, cycles float64) {
+		bd[name] = cycles
+		total += cycles
+	}
 
 	// Per-byte scan-loop bookkeeping; vector algorithms amortize it over
 	// the register width.
@@ -244,19 +243,19 @@ func Estimate(p Platform, in Inputs) Result {
 	if in.Kind == KindVectorDFC || in.Kind == KindVPatch {
 		loop /= float64(p.VectorLanes)
 	}
-	bd["loop"] = loop
+	add("loop", loop)
 
 	switch in.Kind {
 	case KindAhoCorasick:
 		// Dependent chain: no ILP overlap possible.
-		bd["dfa"] = float64(c.DFAAccesses) * p.dfaAccessCost(in.DFABytes)
+		add("dfa", float64(c.DFAAccesses)*p.dfaAccessCost(in.DFABytes))
 
 	case KindDFC, KindSPatch, KindWuManber:
 		probes := float64(c.Filter1Probes + c.Filter2Probes + c.Filter3Probes)
-		bd["filter"] = probes * p.probeCost()
+		add("filter", probes*p.probeCost())
 		if in.Kind == KindSPatch {
 			// Two-round structure: candidates are stored, then re-read.
-			bd["stores"] = float64(c.ShortCandidates+c.LongCandidates) * p.StoreCost / p.ILP
+			add("stores", float64(c.ShortCandidates+c.LongCandidates)*p.StoreCost/p.ILP)
 		}
 
 	case KindVectorDFC, KindVPatch:
@@ -266,31 +265,16 @@ func Estimate(p Platform, in Inputs) Result {
 		if in.VectorWidth > 0 {
 			scale = float64(in.VectorWidth) / float64(p.VectorLanes)
 		}
-		bd["gather"] = float64(c.Gathers) * p.GatherLat * scale
+		add("gather", float64(c.Gathers)*p.GatherLat*scale)
 		// Register ops per block: shuffles, shifts, mask logic,
 		// movemask ≈ 8 ops, pipelined like other ALU work.
-		bd["vecops"] = float64(c.VectorIters) * 8 * p.VecOpLat * scale / p.ILP
+		add("vecops", float64(c.VectorIters)*8*p.VecOpLat*scale/p.ILP)
 		if in.Kind == KindVectorDFC {
 			// Inline scalar continuation after vector hits.
-			bd["filter"] = float64(c.Filter2Probes+c.Filter3Probes) * p.probeCost()
+			add("filter", float64(c.Filter2Probes+c.Filter3Probes)*p.probeCost())
 		} else {
-			bd["stores"] = float64(c.ShortCandidates+c.LongCandidates) * p.StoreCost / p.ILP
+			add("stores", float64(c.ShortCandidates+c.LongCandidates)*p.StoreCost/p.ILP)
 		}
-	}
-
-	// Skip-loop acceleration: bytes the accelerator cleared never paid
-	// a probe (the probe counters already exclude them), so the model
-	// charges the skip walk and the per-invocation overhead instead.
-	// The instrumented paths skip with the same tables and predicate as
-	// the production kernels but without the span governor or the DFC
-	// minimum-input gate, so on traffic dense enough to trip those the
-	// counters overstate skipping relative to the fused kernels — an
-	// accepted approximation biased toward the clean-traffic regime the
-	// layer targets. Counters from unaccelerated runs (the paper-figure
-	// reproductions) have these at zero.
-	if c.SkippedBytes > 0 || c.AccelChances > 0 {
-		bd["accel"] = (float64(c.SkippedBytes)*p.SkipByteCost +
-			float64(c.AccelChances)*p.SkipInvokeCost) / p.ILP
 	}
 
 	// Verification. Both short and long candidates perform dependent
@@ -301,14 +285,10 @@ func Estimate(p Platform, in Inputs) Result {
 	if htBytes < verifyFloorBytes {
 		htBytes = verifyFloorBytes
 	}
-	bd["verify-short"] = float64(c.ShortCandidates) * p.latencyFor(htBytes) / 1.6
-	bd["verify-long"] = float64(c.LongCandidates) * p.latencyFor(htBytes)
-	bd["compare"] = (float64(c.VerifyBytes)/4 + float64(c.VerifyAttempts)*2) / p.ILP
+	add("verify-short", float64(c.ShortCandidates)*p.latencyFor(htBytes)/1.6)
+	add("verify-long", float64(c.LongCandidates)*p.latencyFor(htBytes))
+	add("compare", (float64(c.VerifyBytes)/4+float64(c.VerifyAttempts)*2)/p.ILP)
 
-	total := 0.0
-	for _, v := range bd {
-		total += v
-	}
 	gbps := 0.0
 	if total > 0 {
 		gbps = float64(c.BytesScanned) * 8 * p.ClockGHz / total

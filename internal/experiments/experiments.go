@@ -269,10 +269,10 @@ func Fig5b(cfg Config, full *patterns.Set, counts []int, width int) []Fig5bPoint
 	for _, n := range counts {
 		sub := full.Subset(n, cfg.Seed)
 		data := traffic.Synthesize(traffic.ISCXDay2, cfg.TrafficBytes, cfg.Seed, sub)
-		// ForceEngine: lane-occupancy accounting needs the explicit
-		// vector path; phase times come from the same run.
-		vp := core.NewVPatch(sub, core.VOptions{Width: width, ForceEngine: true})
-		var c metrics.Counters
+		// Lane-occupancy accounting needs the explicit vector path;
+		// phase times come from the same run.
+		vp := core.NewVPatch(sub, core.VOptions{Width: width})
+		c := metrics.Counters{LaneExact: true}
 		vp.Scan(data, &c, nil)
 		out = append(out, Fig5bPoint{
 			Patterns:       sub.Len(),

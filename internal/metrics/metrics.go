@@ -62,18 +62,15 @@ type Counters struct {
 	Filter3Blocks      uint64
 	Filter3UsefulLanes uint64
 
-	// Skip-loop acceleration (the hot-path layer in front of the
+	// Skip-loop acceleration (the fused kernels' layer in front of the
 	// filter probes). SkippedBytes counts input positions the
 	// accelerator proved unable to start a candidate and skipped
-	// without probing. On the production path the unit of the other two
-	// is the governor span (at most accel.SpanBytes of accelerated
-	// scanning): AccelChances counts spans scanned, AccelRuns the spans
-	// whose viable fraction kept the skip loop engaged. Under LaneExact
-	// the unit is the emulated engine's skip invocation: AccelChances
-	// counts invocations, AccelRuns those that cleared a run of at least
-	// 8 bytes. Together with BytesScanned they give the Fig.-5c-style
-	// density story: SkipFrac collapses as the matching fraction of the
-	// input grows.
+	// without probing. AccelChances counts governor spans scanned (at
+	// most accel.SpanBytes of accelerated scanning each), AccelRuns the
+	// spans whose viable fraction kept the skip loop engaged. Lane-exact
+	// scans run the plain Algorithms 1 and 2 and leave all three zero.
+	// Together with BytesScanned they give the Fig.-5c-style density
+	// story: SkipFrac falls as the matching fraction of the input grows.
 	SkippedBytes uint64
 	AccelChances uint64
 	AccelRuns    uint64

@@ -9,7 +9,7 @@
 // architectural fidelity, not hardware parallelism: V-PATCH written against
 // this package has exactly the paper's instruction structure (one merged
 // gather per W windows, speculative masked filter-3, movemask-driven
-// candidate extraction, 2x unrolling), its lane-occupancy statistics are
+// candidate extraction), its lane-occupancy statistics are
 // measurable exactly as defined in Fig. 5b, and its output is verifiable
 // lane-for-lane against the scalar algorithm. internal/costmodel converts
 // the instruction counts into modeled Haswell / Xeon-Phi throughput.
