@@ -13,8 +13,7 @@
 // Figures: 4a 4b 5a 5b 5c 6a 6b 6c 7a 7b. Output is the same rows/series
 // the paper plots: wall-clock Gbps of this Go implementation plus
 // cost-model Gbps on the figure's platform (Haswell for Fig 4-6, Xeon-Phi
-// for Fig 7); speedups are model-based. See EXPERIMENTS.md for the
-// paper-vs-measured record.
+// for Fig 7); speedups are model-based.
 //
 // The -db mode runs the startup benchmark on a precompiled database
 // written by vpatch-compile: it times loading the database versus

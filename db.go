@@ -4,12 +4,16 @@ package vpatch
 //
 // Production rule sets are compiled offline — the way DFC and
 // Hyperscan-class matchers ship a read-only compiled database — and
-// loaded at startup in milliseconds instead of recompiled on every
-// process start. Serialize/WriteTo flatten an Engine's compiled state
-// (filters, automata, verification tables and the pattern set itself)
-// into a versioned, checksummed .vpdb blob; Deserialize/ReadFrom
-// restore an Engine that is scan-for-scan identical to the original,
-// including batch and session paths, and just as goroutine-safe.
+// loaded at startup instead of recompiled from rule text on every
+// process start. Serialize/WriteTo write the pattern set into a
+// versioned, checksummed .vpdb blob, plus Aho-Corasick's automaton, the
+// one compiled state that loads faster than it builds (the other six
+// engines' bit arrays and tables are built from the patterns in one
+// pass, faster than a decoder could validate stored ones).
+// Deserialize/ReadFrom restore an Engine that is scan-for-scan
+// identical to the original, including batch and session paths, and
+// just as goroutine-safe: Aho-Corasick by decoding its automaton, every
+// other algorithm by compiling the decoded pattern set.
 //
 // The load path trusts nothing: magic, format version, CRC and the
 // pattern-set digest are validated, and every decoded array length and
@@ -22,18 +26,14 @@ import (
 	"io"
 
 	"vpatch/internal/ahocorasick"
-	"vpatch/internal/core"
 	"vpatch/internal/dbfmt"
-	"vpatch/internal/dfc"
 	"vpatch/internal/engine"
-	"vpatch/internal/ffbf"
 	"vpatch/internal/patterns"
-	"vpatch/internal/wumanber"
 )
 
 // DBFormatVersion is the compiled-database format version this build
-// reads and writes. Databases of any other version are rejected at
-// load; recompile from rules after upgrading across a version bump.
+// writes. It reads that version and every older one back to 1; newer
+// databases are rejected at load.
 const DBFormatVersion = dbfmt.FormatVersion
 
 // widther is implemented by the vectorized engines.
@@ -48,26 +48,25 @@ func (e *Engine) VectorWidth() int {
 	return 0
 }
 
-// Serialize flattens the engine into a compiled database blob.
+// Serialize flattens the engine into a compiled database blob: the
+// pattern set, and the engine section for engines that store their
+// compiled state (engine.DBCodec: Aho-Corasick).
 func (e *Engine) Serialize() ([]byte, error) {
-	codec, ok := e.eng.(engine.DBCodec)
-	if !ok {
-		return nil, fmt.Errorf("vpatch: %s engine does not support serialization", e.alg)
-	}
 	var pe dbfmt.Encoder
 	patterns.EncodeSet(&pe, e.set)
-	var ee dbfmt.Encoder
-	codec.EncodeCompiled(&ee)
+	secs := []dbfmt.Section{{Tag: dbfmt.TagPatterns, Data: pe.Bytes()}}
+	if codec, ok := e.eng.(engine.DBCodec); ok {
+		var ee dbfmt.Encoder
+		codec.EncodeCompiled(&ee)
+		secs = append(secs, dbfmt.Section{Tag: dbfmt.TagEngine, Data: ee.Bytes()})
+	}
 	h := dbfmt.Header{
 		Kind:      dbfmt.KindEngine,
 		Algorithm: uint8(e.alg),
 		Width:     uint8(e.VectorWidth()),
 		Digest:    e.set.Digest(),
 	}
-	return dbfmt.Encode(h, []dbfmt.Section{
-		{Tag: dbfmt.TagPatterns, Data: pe.Bytes()},
-		{Tag: dbfmt.TagEngine, Data: ee.Bytes()},
-	}), nil
+	return dbfmt.Encode(h, secs), nil
 }
 
 // WriteTo writes the serialized engine to w (io.WriterTo).
@@ -82,10 +81,13 @@ func (e *Engine) WriteTo(w io.Writer) (int64, error) {
 
 // Deserialize restores an Engine from a compiled database blob. The
 // returned Engine is goroutine-safe exactly like a Compile result; its
-// matches are identical to the engine that was serialized. The Engine
-// may retain data (filters alias it), so the caller must not modify
-// the blob afterwards; use ReadFrom when reading from a file to get a
-// privately owned buffer.
+// matches are identical to the engine that was serialized. Aho-Corasick
+// is decoded from the engine section and may retain data (its automaton
+// aliases the blob), so the caller must not modify the blob afterwards;
+// use ReadFrom when reading from a file to get a privately owned
+// buffer. Every other algorithm is compiled from the pattern section
+// at the header's vector width, ignoring any engine section an older
+// database carries.
 func Deserialize(data []byte) (*Engine, error) {
 	h, secs, err := dbfmt.Decode(data)
 	if err != nil {
@@ -118,32 +120,20 @@ func Deserialize(data []byte) (*Engine, error) {
 		return nil, fmt.Errorf("vpatch: pattern-set digest mismatch (header %#x, decoded %#x)", h.Digest, got)
 	}
 
-	esec := dbfmt.FindSection(secs, dbfmt.TagEngine)
-	if esec == nil {
-		return nil, fmt.Errorf("vpatch: database has no engine section")
+	var out *Engine
+	if alg == AlgoAhoCorasick {
+		esec := dbfmt.FindSection(secs, dbfmt.TagEngine)
+		if esec == nil {
+			return nil, fmt.Errorf("vpatch: database has no engine section")
+		}
+		m, err := ahocorasick.Decode(dbfmt.NewDecoder(esec), set)
+		if err != nil {
+			return nil, fmt.Errorf("vpatch: %s engine section: %w", alg, err)
+		}
+		out = &Engine{alg: alg, set: set, eng: m}
+	} else if out, err = Compile(set, Options{Algorithm: alg, VectorWidth: int(h.Width)}); err != nil {
+		return nil, err
 	}
-	d := dbfmt.NewDecoder(esec)
-	var eng engine.Engine
-	switch alg {
-	case AlgoVPatch:
-		eng, err = core.DecodeVPatch(d, set)
-	case AlgoSPatch:
-		eng, err = core.DecodeSPatch(d, set)
-	case AlgoDFC:
-		eng, err = dfc.Decode(d, set)
-	case AlgoVectorDFC:
-		eng, err = dfc.DecodeVector(d, set)
-	case AlgoAhoCorasick:
-		eng, err = ahocorasick.Decode(d, set)
-	case AlgoWuManber:
-		eng, err = wumanber.Decode(d, set)
-	case AlgoFFBF:
-		eng, err = ffbf.Decode(d, set)
-	}
-	if err != nil {
-		return nil, fmt.Errorf("vpatch: %s engine section: %w", alg, err)
-	}
-	out := &Engine{alg: alg, set: set, eng: eng}
 	if w := out.VectorWidth(); w != int(h.Width) {
 		return nil, fmt.Errorf("vpatch: header vector width %d disagrees with engine width %d", h.Width, w)
 	}

@@ -9,13 +9,13 @@ import (
 
 // Startup benchmarks: compiling an ET-open-scale rule set (S2, ~20k
 // patterns) from scratch versus loading its precompiled database.
-// This is the offline-compilation payoff the database format exists
-// for: Aho-Corasick — the Snort production baseline, whose automaton
+// Aho-Corasick — the Snort production baseline, whose automaton
 // construction walks a pointer-chasing trie over every pattern byte —
-// loads an order of magnitude faster than it compiles, while the
-// filter-family engines compile in ~1 ms to begin with and load in the
-// same ballpark (their win is single-file deployment + integrity
-// checks, not startup time).
+// is the one engine whose database stores its compiled state, and it
+// loads an order of magnitude faster than it compiles. V-PATCH's
+// database holds only its patterns: its filters build in about a
+// millisecond, faster than a decoder could validate stored ones, so
+// its Load is a pattern-set decode plus a Compile.
 
 // benchStartupSet is built once and shared across the startup benches.
 var benchStartupSet *PatternSet

@@ -2,7 +2,12 @@ package vpatch
 
 import (
 	"bytes"
+	"compress/gzip"
+	"encoding/binary"
+	"io"
 	"math/rand"
+	"os"
+	"path/filepath"
 	"testing"
 
 	"vpatch/internal/dbfmt"
@@ -131,6 +136,90 @@ func TestDBRoundTripSecondGeneration(t *testing.T) {
 	}
 }
 
+// TestDBStoresOnlyAhoCorasickState checks what a database holds: the
+// pattern section for every algorithm, and an engine section for
+// Aho-Corasick alone — the other six compile from the patterns at load.
+func TestDBStoresOnlyAhoCorasickState(t *testing.T) {
+	set := randomSet(rand.New(rand.NewSource(5)), 30)
+	for _, alg := range dbAlgorithms {
+		eng, err := Compile(set, Options{Algorithm: alg})
+		if err != nil {
+			t.Fatal(err)
+		}
+		blob, err := eng.Serialize()
+		if err != nil {
+			t.Fatal(err)
+		}
+		_, secs, err := dbfmt.Decode(blob)
+		if err != nil {
+			t.Fatalf("%s: %v", alg, err)
+		}
+		if dbfmt.FindSection(secs, dbfmt.TagPatterns) == nil {
+			t.Errorf("%s: no pattern section", alg)
+		}
+		if got, want := dbfmt.FindSection(secs, dbfmt.TagEngine) != nil, alg == AlgoAhoCorasick; got != want {
+			t.Errorf("%s: engine section present = %v, want %v", alg, got, want)
+		}
+	}
+}
+
+// TestVersion2DatabasesStillLoad loads single-engine databases written
+// by format version 2, when every algorithm stored its compiled state:
+// each must load (Aho-Corasick decoding its stored automaton, the
+// others ignoring their stored sections and compiling the pattern
+// section) and match exactly like a fresh compile of its pattern set.
+func TestVersion2DatabasesStillLoad(t *testing.T) {
+	files, err := filepath.Glob("testdata/v2/*.vpdb.gz")
+	if err != nil {
+		t.Fatal(err)
+	}
+	seen := map[Algorithm]bool{}
+	for _, path := range files {
+		f, err := os.Open(path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		zr, err := gzip.NewReader(f)
+		if err != nil {
+			t.Fatalf("%s: %v", path, err)
+		}
+		blob, err := io.ReadAll(zr)
+		f.Close()
+		if err != nil {
+			t.Fatalf("%s: %v", path, err)
+		}
+		if v := binary.LittleEndian.Uint16(blob[4:]); v != 2 {
+			t.Fatalf("%s: fixture has format version %d, want 2", path, v)
+		}
+		if _, secs, err := dbfmt.Decode(blob); err != nil || dbfmt.FindSection(secs, dbfmt.TagEngine) == nil {
+			t.Fatalf("%s: fixture carries no engine section (err %v)", path, err)
+		}
+		loaded, err := Deserialize(blob)
+		if err != nil {
+			t.Fatalf("%s: %v", path, err)
+		}
+		alg := loaded.Algorithm()
+		seen[alg] = true
+		fresh, err := Compile(loaded.Set(), Options{Algorithm: alg, VectorWidth: loaded.VectorWidth()})
+		if err != nil {
+			t.Fatalf("%s: Compile: %v", path, err)
+		}
+		input := traffic.Synthesize(traffic.ISCXDay2, 32<<10, 5, loaded.Set())
+		want := fresh.FindAll(input)
+		if len(want) == 0 {
+			t.Fatalf("%s: probe traffic matches nothing", path)
+		}
+		if got := loaded.FindAll(input); !patterns.EqualMatches(want, got) {
+			t.Errorf("%s (%s): %d loaded matches, %d fresh", path, alg, len(got), len(want))
+		}
+	}
+	for _, alg := range dbAlgorithms {
+		if !seen[alg] {
+			t.Errorf("no version-2 fixture for %s", alg)
+		}
+	}
+}
+
 // TestDBWriteToReadFrom exercises the io.Writer/io.Reader surface.
 func TestDBWriteToReadFrom(t *testing.T) {
 	set := PatternSetFromStrings("attack", "GET /", "xx")
@@ -252,12 +341,12 @@ func TestInfo(t *testing.T) {
 // FuzzDeserialize feeds arbitrary bytes to the database loader: any
 // input must produce an engine or an error — never a panic and never
 // an allocation beyond the input's own size class. Seeds include valid
-// databases of several algorithms so mutations explore deep decode
-// paths.
+// databases of every algorithm, Aho-Corasick's engine section and bare
+// pattern sections, so mutations explore deep decode paths.
 func FuzzDeserialize(f *testing.F) {
 	set := PatternSetFromStrings("fuzz", "GE", "x", "pattern-long-enough")
 	setN := randomSet(rand.New(rand.NewSource(11)), 25)
-	for _, alg := range []Algorithm{AlgoVPatch, AlgoAhoCorasick, AlgoWuManber, AlgoFFBF} {
+	for _, alg := range dbAlgorithms {
 		for _, s := range []*PatternSet{set, setN} {
 			if eng, err := Compile(s, Options{Algorithm: alg}); err == nil {
 				if blob, err := eng.Serialize(); err == nil {
@@ -266,47 +355,63 @@ func FuzzDeserialize(f *testing.F) {
 			}
 		}
 	}
-	// Seed the engine-section corpus with each algorithm's real encoded
-	// state, so mutations start from deep inside the decoders.
-	for _, alg := range dbAlgorithms {
-		if eng, err := Compile(set, Options{Algorithm: alg}); err == nil {
+	// Seed the section corpus with Aho-Corasick's real encoded state and
+	// with encoded pattern sets, so mutations start from deep inside the
+	// automaton decoder and the pattern-set decoder.
+	for _, s := range []*PatternSet{set, setN} {
+		if eng, err := Compile(s, Options{Algorithm: AlgoAhoCorasick}); err == nil {
 			if blob, err := eng.Serialize(); err == nil {
 				if _, secs, err := dbfmt.Decode(blob); err == nil {
 					f.Add(dbfmt.FindSection(secs, dbfmt.TagEngine))
 				}
 			}
 		}
+		var pe dbfmt.Encoder
+		patterns.EncodeSet(&pe, s)
+		f.Add(pe.Bytes())
 	}
 	f.Add([]byte("VPDB"))
 	f.Add([]byte{})
 
 	// A fixed valid pattern section + digest: re-wrapping fuzz data as
-	// the engine section with a fresh CRC drives arbitrary bytes past
-	// the container checks into every algorithm's state decoder.
+	// Aho-Corasick's engine section with a fresh CRC drives arbitrary
+	// bytes past the container checks into the automaton decoder.
 	var pe dbfmt.Encoder
 	patterns.EncodeSet(&pe, set)
 	psec := pe.Bytes()
 	digest := set.Digest()
 	scanProbe := []byte("GET /fuzz pattern-long-enough xx\x00\x01")
+	load := func(alg Algorithm, digest uint64, secs ...dbfmt.Section) {
+		width := uint8(0)
+		if alg == AlgoVPatch || alg == AlgoVectorDFC {
+			width = 8
+		}
+		blob := dbfmt.Encode(
+			dbfmt.Header{Kind: dbfmt.KindEngine, Algorithm: uint8(alg), Width: width, Digest: digest},
+			secs)
+		if eng, err := Deserialize(blob); err == nil {
+			eng.Scan(scanProbe, nil, func(Match) {})
+		}
+	}
 
 	f.Fuzz(func(t *testing.T, data []byte) {
 		if eng, err := Deserialize(data); err == nil {
 			// A database that decodes must also scan without panicking.
 			eng.Scan(scanProbe, nil, func(Match) {})
 		}
+		load(AlgoAhoCorasick, digest,
+			dbfmt.Section{Tag: dbfmt.TagPatterns, Data: psec},
+			dbfmt.Section{Tag: dbfmt.TagEngine, Data: data})
+		// The other six compile from the pattern section: wrap the fuzz
+		// data as that section, under its own digest where it decodes,
+		// so arbitrary bytes reach DecodeSet and then Compile.
+		pdigest := digest
+		if s, err := patterns.DecodeSet(dbfmt.NewDecoder(data)); err == nil {
+			pdigest = s.Digest()
+		}
 		for alg := AlgoVPatch; alg <= AlgoFFBF; alg++ {
-			width := uint8(0)
-			if alg == AlgoVPatch || alg == AlgoVectorDFC {
-				width = 8
-			}
-			blob := dbfmt.Encode(
-				dbfmt.Header{Kind: dbfmt.KindEngine, Algorithm: uint8(alg), Width: width, Digest: digest},
-				[]dbfmt.Section{
-					{Tag: dbfmt.TagPatterns, Data: psec},
-					{Tag: dbfmt.TagEngine, Data: data},
-				})
-			if eng, err := Deserialize(blob); err == nil {
-				eng.Scan(scanProbe, nil, func(Match) {})
+			if alg != AlgoAhoCorasick {
+				load(alg, pdigest, dbfmt.Section{Tag: dbfmt.TagPatterns, Data: data})
 			}
 		}
 	})

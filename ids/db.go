@@ -3,11 +3,12 @@ package ids
 // Whole-pipeline compiled databases: every per-protocol rule group of
 // an Engine — each an independently compiled vpatch.Engine plus its
 // subset-to-original pattern ID mapping — saved into one .vpdb file,
-// so a production IDS compiles its rule set offline once and every
+// so a production IDS parses its rule set offline once and every
 // worker process loads it in milliseconds. The container reuses the
 // single-engine format: each group section nests a complete engine
 // database, so every group is individually CRC- and digest-validated
-// on load.
+// on load, and holds what vpatch.Serialize stores — the group's
+// patterns, plus the automaton for Aho-Corasick.
 
 import (
 	"fmt"
@@ -69,11 +70,14 @@ func (e *Engine) WriteDB(w io.Writer) (int64, error) {
 	return int64(n), err
 }
 
-// LoadDB restores an Engine from a rule-group database blob — no rule
-// compilation happens. Like NewEngine, a non-nil emit attaches a
-// default shard (the engine is then ready to HandleSegment) and a nil
-// emit builds none; either way the compiled groups are immutable and
-// shared: call NewShard per worker goroutine, or NewDispatcher.
+// LoadDB restores an Engine from a rule-group database blob: no rule
+// text is parsed, and each group is restored by vpatch.Deserialize
+// (Aho-Corasick groups decode their automaton, the filtering engines
+// are rebuilt from the group's patterns). Like NewEngine, a non-nil
+// emit attaches a default shard (the engine is then ready to
+// HandleSegment) and a nil emit builds none; either way the compiled
+// groups are immutable and shared: call NewShard per worker goroutine,
+// or NewDispatcher.
 func LoadDB(data []byte, emit func(Alert)) (*Engine, error) {
 	h, secs, err := dbfmt.Decode(data)
 	if err != nil {

@@ -2,6 +2,10 @@ package ids
 
 import (
 	"bytes"
+	"compress/gzip"
+	"encoding/binary"
+	"io"
+	"os"
 	"sort"
 	"testing"
 
@@ -131,5 +135,82 @@ func TestDBRejects(t *testing.T) {
 	}
 	if _, err := vpatch.Deserialize(blob); err == nil {
 		t.Error("ids db in vpatch.Deserialize: want error")
+	}
+}
+
+// TestVersion2RuleDBStillLoads loads a rule-semantics database written
+// by format version 2, whose nested V-PATCH groups still carry their
+// compiled filter state: it must load (the groups rebuilt from their
+// patterns) and alert exactly like a fresh compile of its rule file.
+func TestVersion2RuleDBStillLoads(t *testing.T) {
+	text, err := os.ReadFile("testdata/v2/rules.rules")
+	if err != nil {
+		t.Fatal(err)
+	}
+	f, err := os.Open("testdata/v2/rules.vpdb.gz")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer f.Close()
+	zr, err := gzip.NewReader(f)
+	if err != nil {
+		t.Fatal(err)
+	}
+	blob, err := io.ReadAll(zr)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if v := binary.LittleEndian.Uint16(blob[4:]); v != 2 {
+		t.Fatalf("fixture has format version %d, want 2", v)
+	}
+
+	flows := map[netsim.FlowKey][]byte{
+		key(1, 80): []byte("GET /x/AdMiN?token=0badc0de HTTP/1.1 xz"),
+		key(2, 21): []byte("USER root\r\nPASS xz\r\n"),
+		key(3, 53): []byte("a QUERY for xz"),
+		key(4, 99): []byte("plain xz traffic, token=deadbeef"),
+	}
+	segs := netsim.Packetize(flows, netsim.PacketizeOptions{MTU: 7, Jitter: 3, Seed: 2, FIN: true})
+	run := func(e *Engine) {
+		for _, s := range segs {
+			e.HandleSegment(s)
+		}
+		e.Flush()
+	}
+
+	rset, err := vpatch.ParseRuleSet(bytes.NewReader(text), vpatch.RuleParseOptions{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	var want, got []Alert
+	fresh, err := NewRuleEngine(rset, vpatch.Options{}, func(a Alert) { want = append(want, a) })
+	if err != nil {
+		t.Fatal(err)
+	}
+	loaded, err := LoadDB(blob, func(a Alert) { got = append(got, a) })
+	if err != nil {
+		t.Fatalf("version-2 rule database rejected: %v", err)
+	}
+	if loaded.Rules() == nil || len(loaded.Rules().Rules) != len(rset.Rules) {
+		t.Fatalf("loaded engine has rules %+v, want %d", loaded.Rules(), len(rset.Rules))
+	}
+	run(fresh)
+	run(loaded)
+	sortAlerts(want)
+	sortAlerts(got)
+	fired := map[int32]bool{}
+	for _, a := range want {
+		fired[a.RuleID] = true
+	}
+	if len(fired) != len(rset.Rules) {
+		t.Fatalf("test capture fired %d of %d rules", len(fired), len(rset.Rules))
+	}
+	if len(got) != len(want) {
+		t.Fatalf("loaded engine: %d alerts, want %d", len(got), len(want))
+	}
+	for i := range want {
+		if got[i] != want[i] {
+			t.Fatalf("alert %d: loaded %+v, fresh %+v", i, got[i], want[i])
+		}
 	}
 }

@@ -10,8 +10,8 @@
 // The compiled rule groups serialize as one database file
 // (Engine.WriteDB / ReadDB), so production deployments compile the
 // rule set offline once — `vpatch-compile -ids` — and every worker
-// process loads it at startup instead of recompiling five overlapping
-// group subsets.
+// process loads it at startup instead of parsing the rule text and
+// splitting it into group subsets again.
 //
 // Rule groups are compiled exactly once, into immutable vpatch.Engines.
 // An Engine holds that compiled state; the scan state lives in Shards —

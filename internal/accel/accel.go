@@ -22,10 +22,8 @@
 //     density), and the span constants of the runtime governor that
 //     turns it off mid-scan when the traffic itself is dense.
 //
-// Tables are cheap to build (one pass over the 1024 words of the window
-// bitmap) and are *derived* state: compiled-database loads rebuild them from the
-// decoded filters instead of serializing them, so acceleration needs no
-// database format bump.
+// Tables are cheap to build: one pass over the 1024 words of the window
+// bitmap, derived from the filters at compile time.
 //
 // The hot skip loop itself lives next to its probe chains in
 // internal/core (it must inline into the fused kernels); this package

@@ -101,28 +101,26 @@ type common struct {
 
 	// accel is the skip-loop acceleration table derived from the merged
 	// filter-1/2 state (fused.go); noAccel is the runtime ablation
-	// switch that forces the plain kernels (not serialized — databases
-	// always load with acceleration rebuilt and enabled).
+	// switch that forces the plain kernels.
 	accel   *accel.Table
 	noAccel bool
 
 	// split selects S-PATCH's probe chain (separate filter-1 and
 	// filter-2 lookups, Alg. 1) in the fused kernels instead of V-PATCH's
 	// merged-word fetch. It is the algorithm, not an option: NewSPatch
-	// and DecodeSPatch set it, nothing else does.
+	// sets it, nothing else does.
 	split bool
 
-	// kern is the extract-loop kernel resolved at compile/decode time
-	// by the CPUID dispatch (fused.go setKernel); kblock/klook cache
-	// its geometry for the burst arithmetic. Host state, never
-	// serialized: a database re-dispatches on the loading host.
+	// kern is the extract-loop kernel resolved at compile time by the
+	// CPUID dispatch (fused.go setKernel); kblock/klook cache its
+	// geometry for the burst arithmetic.
 	kern   vec.KernelID
 	kblock int
 	klook  int
 
 	// exactRange is the algorithm's lane-exact filtering rendition
 	// (S-PATCH's per-position scalar chain, V-PATCH's explicit vector
-	// engine), wired by newSPatch/newVPatch; pinExact makes every scan
+	// engine), wired by NewSPatch/NewVPatch; pinExact makes every scan
 	// take it (V-PATCH's ablations the fused kernels do not express).
 	// See filterRange.
 	exactRange func(scr *Scratch, input []byte, start, end int, c *metrics.Counters, stores bool)
@@ -153,6 +151,12 @@ func newCommon(set *patterns.Set, filter3Log2Bits uint, chunkSize int, kern vec.
 
 // FilterSizeBytes reports the cache footprint of the filter stage.
 func (m *common) FilterSizeBytes() int { return m.fs.SizeBytes() }
+
+// MemoryFootprint reports resident bytes of the compiled state: the
+// filter stage plus the verification tables (engine.Sizer).
+func (m *common) MemoryFootprint() int {
+	return m.fs.SizeBytes() + m.verifier.MemoryFootprint()
+}
 
 // Set returns the compiled pattern set.
 func (m *common) Set() *patterns.Set { return m.set }

@@ -52,17 +52,16 @@ import (
 // V-PATCH (merged-filter word fetch) and S-PATCH (split filter-1/
 // filter-2 probes) differ in the probe chain and in nothing else
 // (Alg. 2 vs Alg. 1), so the skip/burst/governor skeleton below exists
-// once. common.split — set from the algorithm at construction and
-// decode, never a knob — picks the rendition in plainRange and drain:
-// once per range or per queue drain (<= accel.QueueLen positions), never
-// per position. The probe bodies themselves (probe/plainRange/drain x
-// Merged/Split) stay separate straight-line code.
+// once. common.split — set from the algorithm at construction, never a
+// knob — picks the rendition in plainRange and drain: once per range or
+// per queue drain (<= accel.QueueLen positions), never per position.
+// The probe bodies themselves (probe/plainRange/drain x Merged/Split)
+// stay separate straight-line code.
 
 // mergedWords returns the merged filter storage as a fixed-size array
 // pointer: the 2^16-bit direct-filter domain always interleaves into
-// exactly 8192 words (enforced at database decode too), and the fixed
-// size lets the compiler drop bounds checks for idx&0xffff-derived
-// indexes.
+// exactly 8192 words, and the fixed size lets the compiler drop bounds
+// checks for idx&0xffff-derived indexes.
 func (m *common) mergedWords() *[8192]uint16 {
 	return (*[8192]uint16)(m.fs.Merged.Words())
 }
@@ -71,8 +70,7 @@ func (m *common) mergedWords() *[8192]uint16 {
 func filterBytes(b []byte) *[8192]byte { return (*[8192]byte)(b) }
 
 // buildAccel derives the acceleration table from the merged filter-1/2
-// state. Called at compile time and again after database decode (the
-// table is derived state and is not serialized — no format bump).
+// state at compile time.
 func (m *common) buildAccel() {
 	// A merged word holds filter 1's bits for 8 consecutive windows in
 	// its low byte and filter 2's in its high byte; their OR is one byte
@@ -84,10 +82,9 @@ func (m *common) buildAccel() {
 	m.accel = accel.BuildUnion(&union)
 }
 
-// setKernel resolves the extract-loop kernel once, at compile or
-// database-decode time: the CPUID-gated dispatch of the ISSUE's native
-// kernels. The choice is host state, not compiled state — databases
-// never serialize it, so a .vpdb moved between hosts re-dispatches.
+// setKernel resolves the extract-loop kernel once, at compile time: the
+// CPUID-gated dispatch of the native kernels. The choice is host state,
+// made again on whichever host compiles or loads the engine.
 func (m *common) setKernel(force vec.KernelID) {
 	m.kern = accel.SelectKernel(force)
 	m.kblock, m.klook = accel.Geometry(m.kern)

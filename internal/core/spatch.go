@@ -24,26 +24,18 @@ type Options struct {
 	// ChunkSize is the filtering-round granularity; 0 selects 64 KB.
 	ChunkSize int
 	// NoAccel disables the skip-loop acceleration layer (fused.go),
-	// forcing the plain probe loops. Ablation/benchmark switch; not
-	// serialized.
+	// forcing the plain probe loops. Ablation/benchmark switch.
 	NoAccel bool
 	// ForceKernel pins the extract-loop kernel instead of the CPUID
 	// auto-dispatch (see core.VOptions.ForceKernel).
 	ForceKernel vec.KernelID
 }
 
-// NewSPatch compiles the pattern set.
+// NewSPatch compiles the pattern set: the split probe chain in the
+// fused kernels and the scalar chain as the lane-exact rendition.
 func NewSPatch(set *patterns.Set, opt Options) *SPatch {
-	m := newSPatch(newCommon(set, opt.Filter3Log2Bits, opt.ChunkSize, opt.ForceKernel))
+	m := &SPatch{common: newCommon(set, opt.Filter3Log2Bits, opt.ChunkSize, opt.ForceKernel)}
 	m.noAccel = opt.NoAccel
-	return m
-}
-
-// newSPatch makes compiled state c an S-PATCH matcher: the split probe
-// chain in the fused kernels and the scalar chain as the lane-exact
-// rendition. NewSPatch and DecodeSPatch both construct through it.
-func newSPatch(c common) *SPatch {
-	m := &SPatch{common: c}
 	m.split = true
 	m.exactRange = m.scalarRange
 	return m

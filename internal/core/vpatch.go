@@ -56,36 +56,31 @@ type VOptions struct {
 	// paper rejected).
 	BranchyFilter3 bool
 	// NoAccel disables the skip-loop acceleration layer (fused.go),
-	// forcing the plain probe kernels: the one reference build. Not
-	// serialized (databases load with acceleration rebuilt and on). The
+	// forcing the plain probe kernels: the one reference build. The
 	// explicit engine's lane-exact counts are a per-scan request
 	// (Counters.LaneExact), not a build.
 	NoAccel bool
 	// ForceKernel pins the extract-loop kernel instead of the CPUID
 	// auto-dispatch (vec.KernelAuto). A kernel the host cannot run
 	// degrades to SWAR — the public API validates availability before
-	// construction. Host state, not serialized: databases re-dispatch
-	// on the loading host.
+	// construction.
 	ForceKernel vec.KernelID
 }
 
-// NewVPatch compiles the pattern set.
+// NewVPatch compiles the pattern set: the merged probe chain in the
+// fused kernels and the explicit vector engine as the lane-exact
+// rendition, which every scan takes when opt sets an ablation the fused
+// kernels do not express.
 func NewVPatch(set *patterns.Set, opt VOptions) *VPatch {
 	if opt.Width == 0 {
 		opt.Width = 8
 	}
-	m := newVPatch(newCommon(set, opt.Filter3Log2Bits, opt.ChunkSize, opt.ForceKernel), opt)
+	m := &VPatch{
+		common: newCommon(set, opt.Filter3Log2Bits, opt.ChunkSize, opt.ForceKernel),
+		eng:    vec.New(opt.Width),
+		opt:    opt,
+	}
 	m.noAccel = opt.NoAccel
-	return m
-}
-
-// newVPatch makes compiled state c a V-PATCH matcher: the merged probe
-// chain in the fused kernels and the explicit vector engine as the
-// lane-exact rendition, which every scan takes when opt sets an ablation
-// the fused kernels do not express. NewVPatch and DecodeVPatch both
-// construct through it.
-func newVPatch(c common, opt VOptions) *VPatch {
-	m := &VPatch{common: c, eng: vec.New(opt.Width), opt: opt}
 	m.exactRange = m.vectorRange
 	m.pinExact = opt.NoFilterMerge || opt.BranchyFilter3
 	return m

@@ -207,10 +207,8 @@ type Inputs struct {
 	Kind     Kind
 	Counters *metrics.Counters
 	// Structure sizes, deciding which cache level serves each access.
-	DFABytes    int // AC transition structure
-	FilterBytes int // filter stage (unused by the charge formulas today,
-	// kept for analysis output)
-	HTBytes int // verification hash tables
+	DFABytes int // AC transition structure
+	HTBytes  int // verification hash tables
 	// VectorWidth of the *measured* run (lanes). The model rescales
 	// vector work to the platform's native width, so a W=8 measurement
 	// can be projected onto the 16-lane Phi.

@@ -69,7 +69,7 @@ func TestVerificationCostsMoreOnPhi(t *testing.T) {
 	// Same counters, same (L3-sized) tables: Phi must charge memory
 	// latency where Haswell charges L3 — the crossover driver of Fig. 7.
 	c := &metrics.Counters{BytesScanned: 1 << 20, LongCandidates: 100000, Filter1Probes: 1 << 20}
-	in := Inputs{Kind: KindDFC, Counters: c, FilterBytes: 16 << 10, HTBytes: 4 << 20}
+	in := Inputs{Kind: KindDFC, Counters: c, HTBytes: 4 << 20}
 	hw := Estimate(Haswell, in)
 	phi := Estimate(XeonPhi, in)
 	if phi.Breakdown["verify-long"] <= hw.Breakdown["verify-long"] {
@@ -115,7 +115,7 @@ func TestVectorRescalingToWiderPlatform(t *testing.T) {
 	// A W=8 measurement projected on a 16-lane platform should halve the
 	// gather and vec-op cycles.
 	c := &metrics.Counters{BytesScanned: 1 << 20, Gathers: 100000, VectorIters: 100000}
-	in := Inputs{Kind: KindVPatch, Counters: c, VectorWidth: 8, FilterBytes: 16 << 10}
+	in := Inputs{Kind: KindVPatch, Counters: c, VectorWidth: 8}
 	r8on8 := Estimate(Haswell, in) // Haswell is 8 lanes: scale 1
 	r8on16 := Estimate(XeonPhi, in)
 	wantGather := r8on8.Breakdown["gather"] / 2 * (XeonPhi.GatherLat / Haswell.GatherLat)
@@ -141,8 +141,8 @@ func TestVPatchBeatsSPatchWhenFilteringDominates(t *testing.T) {
 		HTProbes:      bytes / 100, VerifyBytes: bytes / 50, VerifyAttempts: bytes / 100,
 		ShortCandidates: bytes / 200, LongCandidates: bytes / 500,
 	}
-	sIn := Inputs{Kind: KindSPatch, Counters: scalar, FilterBytes: 32 << 10, HTBytes: 4 << 20}
-	vIn := Inputs{Kind: KindVPatch, Counters: vector, FilterBytes: 32 << 10, HTBytes: 4 << 20, VectorWidth: 8}
+	sIn := Inputs{Kind: KindSPatch, Counters: scalar, HTBytes: 4 << 20}
+	vIn := Inputs{Kind: KindVPatch, Counters: vector, HTBytes: 4 << 20, VectorWidth: 8}
 
 	hwS, hwV := Estimate(Haswell, sIn), Estimate(Haswell, vIn)
 	phiS, phiV := Estimate(XeonPhi, sIn), Estimate(XeonPhi, vIn)
@@ -162,7 +162,7 @@ func TestVPatchBeatsSPatchWhenFilteringDominates(t *testing.T) {
 
 func TestGbpsScalesWithClock(t *testing.T) {
 	c := &metrics.Counters{BytesScanned: 1 << 20, Filter1Probes: 1 << 20}
-	in := Inputs{Kind: KindDFC, Counters: c, FilterBytes: 8 << 10}
+	in := Inputs{Kind: KindDFC, Counters: c}
 	slow := Haswell
 	slow.ClockGHz = 1.15
 	fast := Estimate(Haswell, in)

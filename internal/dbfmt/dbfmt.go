@@ -2,18 +2,17 @@
 // databases (.vpdb files): a fixed header carrying the format version,
 // database kind, algorithm, vector width and a digest of the pattern
 // set, followed by length-prefixed sections, terminated by a CRC-32C of
-// the whole blob. Engines flatten their compiled state into sections
-// with the Encoder and restore it with the bounds-checked Decoder; the
-// load path validates magic, version, CRC and every array length, so a
-// truncated or corrupted database is rejected with an error — never a
-// panic, never an unbounded allocation.
+// the whole blob. The pattern set, the rule tier and Aho-Corasick's
+// automaton flatten into sections with the Encoder and restore with the
+// bounds-checked Decoder; the load path validates magic, version, CRC
+// and every array length, so a truncated or corrupted database is
+// rejected with an error — never a panic, never an unbounded
+// allocation.
 //
 // The format is little-endian throughout and intentionally dumb: raw
-// arrays with explicit lengths, no compression, no pointers. A database
-// written by one build of this library loads in any other build with
-// the same FormatVersion; structural changes to any engine's compiled
-// state must bump FormatVersion (see the compatibility policy in the
-// repository README).
+// arrays with explicit lengths, no compression, no pointers. A
+// structural change to any stored section must bump FormatVersion (see
+// the compatibility policy in the repository README).
 package dbfmt
 
 import (
@@ -36,7 +35,11 @@ const Magic = "VPDB"
 //	2 — adds the optional TagRules section (rule-semantics tier).
 //	    Version-1 files still load: the section layouts they carry are
 //	    unchanged, they simply predate rules.
-const FormatVersion = 2
+//	3 — only Aho-Corasick writes a TagEngine section; every other
+//	    algorithm is compiled from the pattern section at load.
+//	    Versions 1-2 still load: their Aho-Corasick section is
+//	    unchanged, and the other engines' sections are ignored.
+const FormatVersion = 3
 
 // minFormatVersion is the oldest version this build still reads.
 const minFormatVersion = 1
@@ -45,8 +48,8 @@ const minFormatVersion = 1
 type Kind uint8
 
 const (
-	// KindEngine is a single compiled engine: one pattern set plus one
-	// engine-state section.
+	// KindEngine is a single compiled engine: one pattern set, plus
+	// one engine-state section for Aho-Corasick.
 	KindEngine Kind = 1
 	// KindIDS is a whole NIDS rule-group database: the full pattern set
 	// plus one group section (protocol, ID mapping, nested engine
@@ -58,7 +61,9 @@ const (
 const (
 	// TagPatterns holds the encoded pattern set.
 	TagPatterns uint32 = 1
-	// TagEngine holds one engine's compiled state.
+	// TagEngine holds Aho-Corasick's compiled automaton. Version-1 and
+	// 2 databases carry one for every algorithm; loaders read only
+	// Aho-Corasick's.
 	TagEngine uint32 = 2
 	// TagGroup holds one IDS protocol group (repeatable).
 	TagGroup uint32 = 3
@@ -171,9 +176,6 @@ type Encoder struct {
 // Bytes returns the accumulated payload.
 func (e *Encoder) Bytes() []byte { return e.buf }
 
-// Len returns the payload size so far.
-func (e *Encoder) Len() int { return len(e.buf) }
-
 // U8 appends one byte.
 func (e *Encoder) U8(v uint8) { e.buf = append(e.buf, v) }
 
@@ -185,9 +187,6 @@ func (e *Encoder) Bool(v bool) {
 		e.U8(0)
 	}
 }
-
-// U16 appends a little-endian uint16.
-func (e *Encoder) U16(v uint16) { e.buf = binary.LittleEndian.AppendUint16(e.buf, v) }
 
 // U32 appends a little-endian uint32.
 func (e *Encoder) U32(v uint32) { e.buf = binary.LittleEndian.AppendUint32(e.buf, v) }
@@ -210,22 +209,6 @@ func (e *Encoder) Int32s(v []int32) {
 	e.Uvarint(uint64(len(v)))
 	for _, x := range v {
 		e.U32(uint32(x))
-	}
-}
-
-// Uint32s appends a length-prefixed []uint32.
-func (e *Encoder) Uint32s(v []uint32) {
-	e.Uvarint(uint64(len(v)))
-	for _, x := range v {
-		e.U32(x)
-	}
-}
-
-// Uint16s appends a length-prefixed []uint16.
-func (e *Encoder) Uint16s(v []uint16) {
-	e.Uvarint(uint64(len(v)))
-	for _, x := range v {
-		e.U16(x)
 	}
 }
 
@@ -288,14 +271,6 @@ func (d *Decoder) Bool() bool {
 		d.failf("invalid bool byte %d", v)
 	}
 	return v == 1
-}
-
-// U16 reads a little-endian uint16.
-func (d *Decoder) U16() uint16 {
-	if b := d.take(2); b != nil {
-		return binary.LittleEndian.Uint16(b)
-	}
-	return 0
 }
 
 // U32 reads a little-endian uint32.
@@ -372,34 +347,6 @@ func (d *Decoder) Int32s() []int32 {
 	out := make([]int32, n)
 	for i := range out {
 		out[i] = int32(binary.LittleEndian.Uint32(b[i*4:]))
-	}
-	return out
-}
-
-// Uint32s reads a length-prefixed []uint32.
-func (d *Decoder) Uint32s() []uint32 {
-	n := d.Count(4)
-	b := d.take(n * 4)
-	if b == nil {
-		return nil
-	}
-	out := make([]uint32, n)
-	for i := range out {
-		out[i] = binary.LittleEndian.Uint32(b[i*4:])
-	}
-	return out
-}
-
-// Uint16s reads a length-prefixed []uint16.
-func (d *Decoder) Uint16s() []uint16 {
-	n := d.Count(2)
-	b := d.take(n * 2)
-	if b == nil {
-		return nil
-	}
-	out := make([]uint16, n)
-	for i := range out {
-		out[i] = binary.LittleEndian.Uint16(b[i*2:])
 	}
 	return out
 }

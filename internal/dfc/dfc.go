@@ -64,6 +64,12 @@ func (m *Matcher) FilterSizeBytes() int { return m.fs.SizeBytes() }
 // Verifier exposes the compact hash tables (shared with Vector-DFC).
 func (m *Matcher) Verifier() *hashtab.Verifier { return m.verifier }
 
+// MemoryFootprint reports resident bytes of DFC's compiled state
+// (engine.Sizer).
+func (m *Matcher) MemoryFootprint() int {
+	return m.fs.SizeBytes() + m.verifier.MemoryFootprint()
+}
+
 // Scan runs DFC over input: for every position, probe the initial filter;
 // on a hit, consult the per-family filters and verify inline.
 func (m *Matcher) Scan(input []byte, c *metrics.Counters, emit patterns.EmitFunc) {
@@ -151,6 +157,12 @@ func BuildVector(set *patterns.Set, w int) *VectorMatcher {
 
 // Width returns the vector width in lanes.
 func (m *VectorMatcher) Width() int { return m.eng.Width() }
+
+// MemoryFootprint reports resident bytes of Vector-DFC's compiled state
+// (engine.Sizer).
+func (m *VectorMatcher) MemoryFootprint() int {
+	return m.fs.SizeBytes() + m.verifier.MemoryFootprint()
+}
 
 // NewScratch returns nil: Vector-DFC keeps no mutable scan state
 // (engine.Engine).

@@ -77,10 +77,9 @@ type Algo struct {
 	Kind costmodel.Kind
 	Scan func(input []byte, c *metrics.Counters)
 
-	FilterBytes int
-	HTBytes     int
-	DFABytes    int
-	Width       int // vector lanes of the measured implementation
+	HTBytes  int
+	DFABytes int
+	Width    int // vector lanes of the measured implementation
 }
 
 // BuildAlgos compiles the paper's five algorithms for a pattern set.
@@ -108,30 +107,26 @@ func BuildAlgos(set *patterns.Set, width int) []Algo {
 			DFABytes: ac.MemoryFootprint(),
 		},
 		{
-			Kind:        costmodel.KindDFC,
-			Scan:        func(in []byte, c *metrics.Counters) { d.Scan(in, c, nil) },
-			FilterBytes: d.FilterSizeBytes(),
-			HTBytes:     htBytes,
+			Kind:    costmodel.KindDFC,
+			Scan:    func(in []byte, c *metrics.Counters) { d.Scan(in, c, nil) },
+			HTBytes: htBytes,
 		},
 		{
-			Kind:        costmodel.KindVectorDFC,
-			Scan:        func(in []byte, c *metrics.Counters) { vd.Scan(in, c, nil) },
-			FilterBytes: d.FilterSizeBytes(),
-			HTBytes:     htBytes,
-			Width:       width,
+			Kind:    costmodel.KindVectorDFC,
+			Scan:    func(in []byte, c *metrics.Counters) { vd.Scan(in, c, nil) },
+			HTBytes: htBytes,
+			Width:   width,
 		},
 		{
-			Kind:        costmodel.KindSPatch,
-			Scan:        func(in []byte, c *metrics.Counters) { sp.Scan(in, c, nil) },
-			FilterBytes: sp.FilterSizeBytes(),
-			HTBytes:     htBytes,
+			Kind:    costmodel.KindSPatch,
+			Scan:    func(in []byte, c *metrics.Counters) { sp.Scan(in, c, nil) },
+			HTBytes: htBytes,
 		},
 		{
-			Kind:        costmodel.KindVPatch,
-			Scan:        func(in []byte, c *metrics.Counters) { vp.Scan(in, c, nil) },
-			FilterBytes: vp.FilterSizeBytes(),
-			HTBytes:     htBytes,
-			Width:       width,
+			Kind:    costmodel.KindVPatch,
+			Scan:    func(in []byte, c *metrics.Counters) { vp.Scan(in, c, nil) },
+			HTBytes: htBytes,
+			Width:   width,
 		},
 	}
 }
@@ -164,7 +159,7 @@ func Measure(cfg Config, a Algo, platform costmodel.Platform, data []byte) Measu
 	a.Scan(data, &c)
 	res := costmodel.Estimate(platform, costmodel.Inputs{
 		Kind: a.Kind, Counters: &c,
-		DFABytes: a.DFABytes, FilterBytes: a.FilterBytes, HTBytes: a.HTBytes,
+		DFABytes: a.DFABytes, HTBytes: a.HTBytes,
 		VectorWidth: a.Width,
 	})
 	return Measurement{Kind: a.Kind, WallGbps: best, ModelGbps: res.Gbps, Counters: c}
@@ -233,11 +228,9 @@ func Fig5a(cfg Config, full *patterns.Set, counts []int, platform costmodel.Plat
 		vp := core.NewVPatch(sub, core.VOptions{Width: width, NoAccel: true})
 		ht := dfc.Build(sub).Verifier().MemoryFootprint()
 		aS := Algo{Kind: costmodel.KindSPatch,
-			Scan:        func(in []byte, c *metrics.Counters) { sp.Scan(in, c, nil) },
-			FilterBytes: sp.FilterSizeBytes(), HTBytes: ht}
+			Scan: func(in []byte, c *metrics.Counters) { sp.Scan(in, c, nil) }, HTBytes: ht}
 		aV := Algo{Kind: costmodel.KindVPatch,
-			Scan:        func(in []byte, c *metrics.Counters) { vp.Scan(in, c, nil) },
-			FilterBytes: vp.FilterSizeBytes(), HTBytes: ht, Width: width}
+			Scan: func(in []byte, c *metrics.Counters) { vp.Scan(in, c, nil) }, HTBytes: ht, Width: width}
 		mS := Measure(cfg, aS, platform, data)
 		mV := Measure(cfg, aV, platform, data)
 		pt := Fig5aPoint{Patterns: sub.Len(), SPatch: mS, VPatch: mV}
@@ -301,11 +294,9 @@ func Fig5c(cfg Config, set *patterns.Set, fracs []float64, platform costmodel.Pl
 	vp := core.NewVPatch(set, core.VOptions{Width: width, NoAccel: true})
 	ht := dfc.Build(set).Verifier().MemoryFootprint()
 	aS := Algo{Kind: costmodel.KindSPatch,
-		Scan:        func(in []byte, c *metrics.Counters) { sp.Scan(in, c, nil) },
-		FilterBytes: sp.FilterSizeBytes(), HTBytes: ht}
+		Scan: func(in []byte, c *metrics.Counters) { sp.Scan(in, c, nil) }, HTBytes: ht}
 	aV := Algo{Kind: costmodel.KindVPatch,
-		Scan:        func(in []byte, c *metrics.Counters) { vp.Scan(in, c, nil) },
-		FilterBytes: vp.FilterSizeBytes(), HTBytes: ht, Width: width}
+		Scan: func(in []byte, c *metrics.Counters) { vp.Scan(in, c, nil) }, HTBytes: ht, Width: width}
 	var out []Fig5cPoint
 	for _, f := range fracs {
 		data := traffic.Random(cfg.TrafficBytes, cfg.Seed)
@@ -374,8 +365,7 @@ func Fig6(cfg Config, set *patterns.Set, platform costmodel.Platform, width int)
 				c.ShortCandidates, c.LongCandidates = 0, 0
 			}
 			res := costmodel.Estimate(platform, costmodel.Inputs{
-				Kind: v.kind, Counters: &c,
-				FilterBytes: vp.FilterSizeBytes(), HTBytes: 4 << 20, VectorWidth: width,
+				Kind: v.kind, Counters: &c, HTBytes: 4 << 20, VectorWidth: width,
 			})
 			out = append(out, Fig6Cell{Variant: v.name, Dataset: ds.Name,
 				WallGbps: best, ModelGbps: res.Gbps})

@@ -153,6 +153,14 @@ func (m *Matcher) BloomSizeBytes() int { return m.bloom.SizeBytes() }
 // positive rate ~ fill^k).
 func (m *Matcher) BloomFillRatio() float64 { return m.bloom.FillRatio() }
 
+// MemoryFootprint reports resident bytes of the compiled state
+// (engine.Sizer).
+func (m *Matcher) MemoryFootprint() int {
+	return m.bloom.SizeBytes() + m.shortFilter.SizeBytes() +
+		m.longVerify.MemoryFootprint() + m.shortVerify.MemoryFootprint() +
+		len(m.longIDs)*4 + len(m.longBits)*numHashes*4
+}
+
 // Scan reports every occurrence of every pattern in input.
 func (m *Matcher) Scan(input []byte, c *metrics.Counters, emit patterns.EmitFunc) {
 	m.scan(input, c, emit, nil)

@@ -56,8 +56,7 @@ type longTable struct {
 //
 // Storage is flat CSR: bucket s is entries[starts[s]:starts[s+1]]. One
 // contiguous entry array probes with a single dependent load instead of
-// chasing a per-bucket slice header, and serializes into a compiled
-// database as two raw arrays.
+// chasing a per-bucket slice header.
 type chainTable struct {
 	starts  []uint32 // len = bucket count + 1
 	entries []entry

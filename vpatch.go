@@ -47,13 +47,14 @@
 // packet. See the README's batch scanning section for when to batch.
 //
 // Production rule sets are compiled offline: Engine.Serialize/WriteTo
-// flatten the compiled state into a versioned, checksummed database
-// that Deserialize/ReadFrom restore at startup without recompiling —
-// match-identical, goroutine-safe, and an order of magnitude faster
-// than Compile for automaton-heavy engines like Aho-Corasick. The
-// cmd/vpatch-compile tool is the offline compiler; see the README's
-// offline-compilation section for the workflow and the format
-// compatibility policy.
+// write the pattern set (plus Aho-Corasick's automaton) into a
+// versioned, checksummed database that Deserialize/ReadFrom restore at
+// startup — match-identical, goroutine-safe, and an order of magnitude
+// faster than Compile for Aho-Corasick; the filtering engines are
+// rebuilt from the stored patterns, which is faster than decoding their
+// bit arrays. The cmd/vpatch-compile tool is the offline compiler; see
+// the README's offline-compilation section for the workflow and the
+// format compatibility policy.
 package vpatch
 
 import (
