@@ -2,9 +2,8 @@
 // or pattern file, compiles it once, and writes a versioned,
 // checksummed .vpdb database that vpatch-match, vpatch-ids and
 // vpatch-bench (and any program using vpatch.ReadFrom / ids.ReadDB)
-// load at startup without parsing rules or building an Aho-Corasick
-// automaton again — the way production NIDS deploy Snort-scale rule
-// sets.
+// load at startup without parsing rule text again — the way production
+// NIDS deploy Snort-scale rule sets.
 //
 // Usage:
 //
@@ -91,10 +90,7 @@ func compileEngine(set *vpatch.PatternSet, opt vpatch.Options, outPath string) {
 	}
 	compileTime := time.Since(t0)
 
-	blob, err := eng.Serialize()
-	if err != nil {
-		fatal(err)
-	}
+	blob := eng.Serialize()
 	if err := os.WriteFile(outPath, blob, 0o644); err != nil {
 		fatal(err)
 	}
@@ -114,10 +110,7 @@ func compileIDS(set *vpatch.PatternSet, opt vpatch.Options, outPath string) {
 	}
 	compileTime := time.Since(t0)
 
-	blob, err := engine.SerializeDB()
-	if err != nil {
-		fatal(err)
-	}
+	blob := engine.SerializeDB()
 	if err := os.WriteFile(outPath, blob, 0o644); err != nil {
 		fatal(err)
 	}
@@ -161,10 +154,7 @@ func compileRuleIDS(rulesPath string, opt vpatch.Options, window int, outPath st
 	}
 	compileTime := time.Since(t0)
 
-	blob, err := engine.SerializeDB()
-	if err != nil {
-		fatal(err)
-	}
+	blob := engine.SerializeDB()
 	if err := os.WriteFile(outPath, blob, 0o644); err != nil {
 		fatal(err)
 	}

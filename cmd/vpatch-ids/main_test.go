@@ -75,9 +75,9 @@ func smokeCapture(t *testing.T) (string, []byte) {
 
 // TestGoldenAlertDigests pins the pipeline's answers on CI's smoke
 // inputs: every algorithm, literal and rule-semantics, through the
-// CLI's own compile and pipeline code at one shard and through a .vpdb
-// round trip (WriteDB, ReadDB, one shard), plus V-PATCH and DFC at two
-// shards, must write the same sorted alert lines.
+// CLI's own compile and pipeline code at one and two shards and through
+// a .vpdb round trip (WriteDB, ReadDB, one shard), must write the same
+// sorted alert lines.
 func TestGoldenAlertDigests(t *testing.T) {
 	rules, segs := smokeInputs(t)
 	// vpatch-ids' flag defaults.
@@ -116,9 +116,7 @@ func TestGoldenAlertDigests(t *testing.T) {
 				})
 			}
 			check("1shard", engine, 1)
-			if alg == vpatch.AlgoVPatch || alg == vpatch.AlgoDFC {
-				check("2shards", engine, 2)
-			}
+			check("2shards", engine, 2)
 			var db bytes.Buffer
 			if _, err := engine.WriteDB(&db); err != nil {
 				t.Fatal(err)

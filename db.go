@@ -4,16 +4,14 @@ package vpatch
 //
 // Production rule sets are compiled offline — the way DFC and
 // Hyperscan-class matchers ship a read-only compiled database — and
-// loaded at startup instead of recompiled from rule text on every
+// loaded at startup instead of re-parsed from rule text on every
 // process start. Serialize/WriteTo write the pattern set into a
-// versioned, checksummed .vpdb blob, plus Aho-Corasick's automaton, the
-// one compiled state that loads faster than it builds (the other six
-// engines' bit arrays and tables are built from the patterns in one
-// pass, faster than a decoder could validate stored ones).
+// versioned, checksummed .vpdb blob; no engine stores its compiled
+// state, because every one of the seven builds from the patterns in
+// one pass, faster than a decoder could validate stored state.
 // Deserialize/ReadFrom restore an Engine that is scan-for-scan
 // identical to the original, including batch and session paths, and
-// just as goroutine-safe: Aho-Corasick by decoding its automaton, every
-// other algorithm by compiling the decoded pattern set.
+// just as goroutine-safe, by compiling the decoded pattern set.
 //
 // The load path trusts nothing: magic, format version, CRC and the
 // pattern-set digest are validated, and every decoded array length and
@@ -25,7 +23,6 @@ import (
 	"fmt"
 	"io"
 
-	"vpatch/internal/ahocorasick"
 	"vpatch/internal/dbfmt"
 	"vpatch/internal/engine"
 	"vpatch/internal/patterns"
@@ -49,45 +46,31 @@ func (e *Engine) VectorWidth() int {
 }
 
 // Serialize flattens the engine into a compiled database blob: the
-// pattern set, and the engine section for engines that store their
-// compiled state (engine.DBCodec: Aho-Corasick).
-func (e *Engine) Serialize() ([]byte, error) {
+// header and the pattern set.
+func (e *Engine) Serialize() []byte {
 	var pe dbfmt.Encoder
 	patterns.EncodeSet(&pe, e.set)
-	secs := []dbfmt.Section{{Tag: dbfmt.TagPatterns, Data: pe.Bytes()}}
-	if codec, ok := e.eng.(engine.DBCodec); ok {
-		var ee dbfmt.Encoder
-		codec.EncodeCompiled(&ee)
-		secs = append(secs, dbfmt.Section{Tag: dbfmt.TagEngine, Data: ee.Bytes()})
-	}
 	h := dbfmt.Header{
 		Kind:      dbfmt.KindEngine,
 		Algorithm: uint8(e.alg),
 		Width:     uint8(e.VectorWidth()),
 		Digest:    e.set.Digest(),
 	}
-	return dbfmt.Encode(h, secs), nil
+	return dbfmt.Encode(h, []dbfmt.Section{{Tag: dbfmt.TagPatterns, Data: pe.Bytes()}})
 }
 
 // WriteTo writes the serialized engine to w (io.WriterTo).
 func (e *Engine) WriteTo(w io.Writer) (int64, error) {
-	blob, err := e.Serialize()
-	if err != nil {
-		return 0, err
-	}
-	n, err := w.Write(blob)
+	n, err := w.Write(e.Serialize())
 	return int64(n), err
 }
 
-// Deserialize restores an Engine from a compiled database blob. The
+// Deserialize restores an Engine from a compiled database blob by
+// compiling its pattern section at the header's algorithm and vector
+// width, ignoring any engine section an older database carries. The
 // returned Engine is goroutine-safe exactly like a Compile result; its
-// matches are identical to the engine that was serialized. Aho-Corasick
-// is decoded from the engine section and may retain data (its automaton
-// aliases the blob), so the caller must not modify the blob afterwards;
-// use ReadFrom when reading from a file to get a privately owned
-// buffer. Every other algorithm is compiled from the pattern section
-// at the header's vector width, ignoring any engine section an older
-// database carries.
+// matches are identical to the engine that was serialized, and it
+// retains nothing of data.
 func Deserialize(data []byte) (*Engine, error) {
 	h, secs, err := dbfmt.Decode(data)
 	if err != nil {
@@ -120,18 +103,8 @@ func Deserialize(data []byte) (*Engine, error) {
 		return nil, fmt.Errorf("vpatch: pattern-set digest mismatch (header %#x, decoded %#x)", h.Digest, got)
 	}
 
-	var out *Engine
-	if alg == AlgoAhoCorasick {
-		esec := dbfmt.FindSection(secs, dbfmt.TagEngine)
-		if esec == nil {
-			return nil, fmt.Errorf("vpatch: database has no engine section")
-		}
-		m, err := ahocorasick.Decode(dbfmt.NewDecoder(esec), set)
-		if err != nil {
-			return nil, fmt.Errorf("vpatch: %s engine section: %w", alg, err)
-		}
-		out = &Engine{alg: alg, set: set, eng: m}
-	} else if out, err = Compile(set, Options{Algorithm: alg, VectorWidth: int(h.Width)}); err != nil {
+	out, err := Compile(set, Options{Algorithm: alg, VectorWidth: int(h.Width)})
+	if err != nil {
 		return nil, err
 	}
 	if w := out.VectorWidth(); w != int(h.Width) {
@@ -226,9 +199,7 @@ func (e *Engine) Info() Info {
 	if kr, ok := e.eng.(engine.KernelReporter); ok {
 		inf.Kernel = kr.KernelInfo()
 	}
-	if blob, err := e.Serialize(); err == nil {
-		inf.SerializedBytes = len(blob)
-	}
+	inf.SerializedBytes = len(e.Serialize())
 	return inf
 }
 

@@ -69,11 +69,7 @@ func TestDBRoundTripProperty(t *testing.T) {
 			if err != nil {
 				t.Fatalf("trial %d %s: Compile: %v", trial, alg, err)
 			}
-			blob, err := fresh.Serialize()
-			if err != nil {
-				t.Fatalf("trial %d %s: Serialize: %v", trial, alg, err)
-			}
-			loaded, err := Deserialize(blob)
+			loaded, err := Deserialize(fresh.Serialize())
 			if err != nil {
 				t.Fatalf("trial %d %s: Deserialize: %v", trial, alg, err)
 			}
@@ -118,55 +114,43 @@ func TestDBRoundTripSecondGeneration(t *testing.T) {
 		if err != nil {
 			t.Fatalf("%s: Compile: %v", alg, err)
 		}
-		blob1, err := fresh.Serialize()
-		if err != nil {
-			t.Fatalf("%s: Serialize: %v", alg, err)
-		}
+		blob1 := fresh.Serialize()
 		loaded, err := Deserialize(blob1)
 		if err != nil {
 			t.Fatalf("%s: Deserialize: %v", alg, err)
 		}
-		blob2, err := loaded.Serialize()
-		if err != nil {
-			t.Fatalf("%s: re-Serialize: %v", alg, err)
-		}
-		if !bytes.Equal(blob1, blob2) {
+		if blob2 := loaded.Serialize(); !bytes.Equal(blob1, blob2) {
 			t.Errorf("%s: re-serialized database differs (%d vs %d bytes)", alg, len(blob1), len(blob2))
 		}
 	}
 }
 
-// TestDBStoresOnlyAhoCorasickState checks what a database holds: the
-// pattern section for every algorithm, and an engine section for
-// Aho-Corasick alone — the other six compile from the patterns at load.
-func TestDBStoresOnlyAhoCorasickState(t *testing.T) {
+// TestDBStoresNoEngineSection checks what a database holds: the
+// pattern section, and no engine section for any algorithm — all seven
+// compile from the patterns at load.
+func TestDBStoresNoEngineSection(t *testing.T) {
 	set := randomSet(rand.New(rand.NewSource(5)), 30)
 	for _, alg := range dbAlgorithms {
 		eng, err := Compile(set, Options{Algorithm: alg})
 		if err != nil {
 			t.Fatal(err)
 		}
-		blob, err := eng.Serialize()
-		if err != nil {
-			t.Fatal(err)
-		}
-		_, secs, err := dbfmt.Decode(blob)
+		_, secs, err := dbfmt.Decode(eng.Serialize())
 		if err != nil {
 			t.Fatalf("%s: %v", alg, err)
 		}
 		if dbfmt.FindSection(secs, dbfmt.TagPatterns) == nil {
 			t.Errorf("%s: no pattern section", alg)
 		}
-		if got, want := dbfmt.FindSection(secs, dbfmt.TagEngine) != nil, alg == AlgoAhoCorasick; got != want {
-			t.Errorf("%s: engine section present = %v, want %v", alg, got, want)
+		if dbfmt.FindSection(secs, dbfmt.TagEngine) != nil {
+			t.Errorf("%s: database carries an engine section", alg)
 		}
 	}
 }
 
 // TestVersion2DatabasesStillLoad loads single-engine databases written
 // by format version 2, when every algorithm stored its compiled state:
-// each must load (Aho-Corasick decoding its stored automaton, the
-// others ignoring their stored sections and compiling the pattern
+// each must load (ignoring its stored section and compiling the pattern
 // section) and match exactly like a fresh compile of its pattern set.
 func TestVersion2DatabasesStillLoad(t *testing.T) {
 	files, err := filepath.Glob("testdata/v2/*.vpdb.gz")
@@ -175,49 +159,75 @@ func TestVersion2DatabasesStillLoad(t *testing.T) {
 	}
 	seen := map[Algorithm]bool{}
 	for _, path := range files {
-		f, err := os.Open(path)
-		if err != nil {
-			t.Fatal(err)
-		}
-		zr, err := gzip.NewReader(f)
-		if err != nil {
-			t.Fatalf("%s: %v", path, err)
-		}
-		blob, err := io.ReadAll(zr)
-		f.Close()
-		if err != nil {
-			t.Fatalf("%s: %v", path, err)
-		}
-		if v := binary.LittleEndian.Uint16(blob[4:]); v != 2 {
-			t.Fatalf("%s: fixture has format version %d, want 2", path, v)
-		}
-		if _, secs, err := dbfmt.Decode(blob); err != nil || dbfmt.FindSection(secs, dbfmt.TagEngine) == nil {
-			t.Fatalf("%s: fixture carries no engine section (err %v)", path, err)
-		}
-		loaded, err := Deserialize(blob)
-		if err != nil {
-			t.Fatalf("%s: %v", path, err)
-		}
-		alg := loaded.Algorithm()
-		seen[alg] = true
-		fresh, err := Compile(loaded.Set(), Options{Algorithm: alg, VectorWidth: loaded.VectorWidth()})
-		if err != nil {
-			t.Fatalf("%s: Compile: %v", path, err)
-		}
-		input := traffic.Synthesize(traffic.ISCXDay2, 32<<10, 5, loaded.Set())
-		want := fresh.FindAll(input)
-		if len(want) == 0 {
-			t.Fatalf("%s: probe traffic matches nothing", path)
-		}
-		if got := loaded.FindAll(input); !patterns.EqualMatches(want, got) {
-			t.Errorf("%s (%s): %d loaded matches, %d fresh", path, alg, len(got), len(want))
-		}
+		seen[checkFixtureLoads(t, path, 2)] = true
 	}
 	for _, alg := range dbAlgorithms {
 		if !seen[alg] {
 			t.Errorf("no version-2 fixture for %s", alg)
 		}
 	}
+}
+
+// TestVersion3AhoCorasickDatabaseLoads loads an Aho-Corasick database
+// written by format version 3, the last version that stored its
+// automaton: it must load from the pattern section and match exactly
+// like a fresh compile.
+func TestVersion3AhoCorasickDatabaseLoads(t *testing.T) {
+	if alg := checkFixtureLoads(t, "testdata/v3/ahocorasick.vpdb.gz", 3); alg != AlgoAhoCorasick {
+		t.Errorf("fixture holds %s, want %s", alg, AlgoAhoCorasick)
+	}
+}
+
+// readFixture returns the contents of a gzipped fixture.
+func readFixture(tb testing.TB, path string) []byte {
+	tb.Helper()
+	f, err := os.Open(path)
+	if err != nil {
+		tb.Fatal(err)
+	}
+	defer f.Close()
+	zr, err := gzip.NewReader(f)
+	if err != nil {
+		tb.Fatalf("%s: %v", path, err)
+	}
+	blob, err := io.ReadAll(zr)
+	if err != nil {
+		tb.Fatalf("%s: %v", path, err)
+	}
+	return blob
+}
+
+// checkFixtureLoads reads a gzipped fixture written by format version,
+// checks that it carries an engine section, loads it and compares its
+// matches with a fresh compile of its pattern set. It returns the
+// fixture's algorithm.
+func checkFixtureLoads(t *testing.T, path string, version uint16) Algorithm {
+	t.Helper()
+	blob := readFixture(t, path)
+	if v := binary.LittleEndian.Uint16(blob[4:]); v != version {
+		t.Fatalf("%s: fixture has format version %d, want %d", path, v, version)
+	}
+	if _, secs, err := dbfmt.Decode(blob); err != nil || dbfmt.FindSection(secs, dbfmt.TagEngine) == nil {
+		t.Fatalf("%s: fixture carries no engine section (err %v)", path, err)
+	}
+	loaded, err := Deserialize(blob)
+	if err != nil {
+		t.Fatalf("%s: %v", path, err)
+	}
+	alg := loaded.Algorithm()
+	fresh, err := Compile(loaded.Set(), Options{Algorithm: alg, VectorWidth: loaded.VectorWidth()})
+	if err != nil {
+		t.Fatalf("%s: Compile: %v", path, err)
+	}
+	input := traffic.Synthesize(traffic.ISCXDay2, 32<<10, 5, loaded.Set())
+	want := fresh.FindAll(input)
+	if len(want) == 0 {
+		t.Fatalf("%s: probe traffic matches nothing", path)
+	}
+	if got := loaded.FindAll(input); !patterns.EqualMatches(want, got) {
+		t.Errorf("%s (%s): %d loaded matches, %d fresh", path, alg, len(got), len(want))
+	}
+	return alg
 }
 
 // TestDBWriteToReadFrom exercises the io.Writer/io.Reader surface.
@@ -250,10 +260,7 @@ func TestDeserializeRejects(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	blob, err := eng.Serialize()
-	if err != nil {
-		t.Fatal(err)
-	}
+	blob := eng.Serialize()
 
 	if _, err := Deserialize(nil); err == nil {
 		t.Error("nil input: want error")
@@ -269,37 +276,6 @@ func TestDeserializeRejects(t *testing.T) {
 		if _, err := Deserialize(bad); err == nil {
 			t.Errorf("bit flip at %d: want error", i)
 		}
-	}
-}
-
-// TestDeserializeRejectsCraftedCounts is the regression test for
-// varint counts that wrap negative when cast to int: a CRC-valid
-// database whose per-state output counts sum to a plausible total via
-// a huge varint must be rejected, not panic with a slice-bounds error.
-func TestDeserializeRejectsCraftedCounts(t *testing.T) {
-	set := PatternSetFromStrings("abcdef", "ghijkl")
-	var pe dbfmt.Encoder
-	patterns.EncodeSet(&pe, set)
-
-	// AC engine section: folded=false, states=2, output counts
-	// [5, 2^64-2] (int(-2), so 5 + -2 == 3 matches the flat length),
-	// then 3 flat IDs.
-	var ee dbfmt.Encoder
-	ee.Bool(false)
-	ee.Uvarint(2)
-	ee.Uvarint(5)
-	ee.Uvarint(0xFFFFFFFFFFFFFFFE)
-	ee.Int32s([]int32{0, 1, 0})
-	ee.U8(0) // repFull (never reached)
-
-	blob := dbfmt.Encode(
-		dbfmt.Header{Kind: dbfmt.KindEngine, Algorithm: uint8(AlgoAhoCorasick), Digest: set.Digest()},
-		[]dbfmt.Section{
-			{Tag: dbfmt.TagPatterns, Data: pe.Bytes()},
-			{Tag: dbfmt.TagEngine, Data: ee.Bytes()},
-		})
-	if _, err := Deserialize(blob); err == nil {
-		t.Fatal("crafted wrapping count: want error")
 	}
 }
 
@@ -321,8 +297,7 @@ func TestInfo(t *testing.T) {
 	if inf.MemoryBytes <= 0 || inf.SerializedBytes <= 0 {
 		t.Errorf("V-PATCH sizes = %+v", inf)
 	}
-	blob, _ := v.Serialize()
-	if inf.SerializedBytes != len(blob) {
+	if blob := v.Serialize(); inf.SerializedBytes != len(blob) {
 		t.Errorf("SerializedBytes %d, Serialize len %d", inf.SerializedBytes, len(blob))
 	}
 	if s := inf.String(); s == "" {
@@ -339,47 +314,33 @@ func TestInfo(t *testing.T) {
 }
 
 // FuzzDeserialize feeds arbitrary bytes to the database loader: any
-// input must produce an engine or an error — never a panic and never
-// an allocation beyond the input's own size class. Seeds include valid
-// databases of every algorithm, Aho-Corasick's engine section and bare
-// pattern sections, so mutations explore deep decode paths.
+// input must produce an engine or an error — never a panic. Every
+// engine is compiled from the pattern section, so a load allocates what
+// Compile of the decoded patterns does: for Aho-Corasick up to 1 KiB
+// per automaton state, capped at 256 MB (beyond that it builds the
+// sparse automaton). Seeds include valid databases of every algorithm,
+// bare pattern sections and older databases that carry an engine
+// section, so mutations explore deep decode paths.
 func FuzzDeserialize(f *testing.F) {
 	set := PatternSetFromStrings("fuzz", "GE", "x", "pattern-long-enough")
 	setN := randomSet(rand.New(rand.NewSource(11)), 25)
 	for _, alg := range dbAlgorithms {
 		for _, s := range []*PatternSet{set, setN} {
 			if eng, err := Compile(s, Options{Algorithm: alg}); err == nil {
-				if blob, err := eng.Serialize(); err == nil {
-					f.Add(blob)
-				}
+				f.Add(eng.Serialize())
 			}
 		}
 	}
-	// Seed the section corpus with Aho-Corasick's real encoded state and
-	// with encoded pattern sets, so mutations start from deep inside the
-	// automaton decoder and the pattern-set decoder.
 	for _, s := range []*PatternSet{set, setN} {
-		if eng, err := Compile(s, Options{Algorithm: AlgoAhoCorasick}); err == nil {
-			if blob, err := eng.Serialize(); err == nil {
-				if _, secs, err := dbfmt.Decode(blob); err == nil {
-					f.Add(dbfmt.FindSection(secs, dbfmt.TagEngine))
-				}
-			}
-		}
 		var pe dbfmt.Encoder
 		patterns.EncodeSet(&pe, s)
 		f.Add(pe.Bytes())
 	}
+	f.Add(readFixture(f, "testdata/v2/vpatch.vpdb.gz"))
+	f.Add(readFixture(f, "testdata/v2/dfc.vpdb.gz"))
 	f.Add([]byte("VPDB"))
 	f.Add([]byte{})
 
-	// A fixed valid pattern section + digest: re-wrapping fuzz data as
-	// Aho-Corasick's engine section with a fresh CRC drives arbitrary
-	// bytes past the container checks into the automaton decoder.
-	var pe dbfmt.Encoder
-	patterns.EncodeSet(&pe, set)
-	psec := pe.Bytes()
-	digest := set.Digest()
 	scanProbe := []byte("GET /fuzz pattern-long-enough xx\x00\x01")
 	load := func(alg Algorithm, digest uint64, secs ...dbfmt.Section) {
 		width := uint8(0)
@@ -399,20 +360,15 @@ func FuzzDeserialize(f *testing.F) {
 			// A database that decodes must also scan without panicking.
 			eng.Scan(scanProbe, nil, func(Match) {})
 		}
-		load(AlgoAhoCorasick, digest,
-			dbfmt.Section{Tag: dbfmt.TagPatterns, Data: psec},
-			dbfmt.Section{Tag: dbfmt.TagEngine, Data: data})
-		// The other six compile from the pattern section: wrap the fuzz
-		// data as that section, under its own digest where it decodes,
-		// so arbitrary bytes reach DecodeSet and then Compile.
-		pdigest := digest
+		// Every algorithm compiles from the pattern section: wrap the
+		// fuzz data as that section, under its own digest where it
+		// decodes, so arbitrary bytes reach DecodeSet and then Compile.
+		var digest uint64
 		if s, err := patterns.DecodeSet(dbfmt.NewDecoder(data)); err == nil {
-			pdigest = s.Digest()
+			digest = s.Digest()
 		}
-		for alg := AlgoVPatch; alg <= AlgoFFBF; alg++ {
-			if alg != AlgoAhoCorasick {
-				load(alg, pdigest, dbfmt.Section{Tag: dbfmt.TagPatterns, Data: data})
-			}
+		for _, alg := range dbAlgorithms {
+			load(alg, digest, dbfmt.Section{Tag: dbfmt.TagPatterns, Data: data})
 		}
 	})
 }

@@ -272,11 +272,7 @@ func TestActiveKernelIsWhatEnginesRun(t *testing.T) {
 		if got := eng.Info().Kernel; got != want {
 			t.Errorf("%v compiled: Info().Kernel = %q, ActiveKernel() = %q", alg, got, want)
 		}
-		blob, err := eng.Serialize()
-		if err != nil {
-			t.Fatalf("%v: %v", alg, err)
-		}
-		loaded, err := Deserialize(blob)
+		loaded, err := Deserialize(eng.Serialize())
 		if err != nil {
 			t.Fatalf("%v: %v", alg, err)
 		}

@@ -7,8 +7,8 @@ package ids
 // worker process loads it in milliseconds. The container reuses the
 // single-engine format: each group section nests a complete engine
 // database, so every group is individually CRC- and digest-validated
-// on load, and holds what vpatch.Serialize stores — the group's
-// patterns, plus the automaton for Aho-Corasick.
+// on load, and holds what vpatch.Serialize stores: the group's
+// patterns.
 
 import (
 	"fmt"
@@ -22,7 +22,7 @@ import (
 
 // SerializeDB flattens the engine's compiled rule groups into one
 // database blob.
-func (e *Engine) SerializeDB() ([]byte, error) {
+func (e *Engine) SerializeDB() []byte {
 	var pe dbfmt.Encoder
 	patterns.EncodeSet(&pe, e.set)
 	secs := []dbfmt.Section{{Tag: dbfmt.TagPatterns, Data: pe.Bytes()}}
@@ -40,14 +40,10 @@ func (e *Engine) SerializeDB() ([]byte, error) {
 		if g == nil {
 			continue
 		}
-		blob, err := g.eng.Serialize()
-		if err != nil {
-			return nil, fmt.Errorf("ids: serializing %v group: %w", proto, err)
-		}
 		var ge dbfmt.Encoder
 		ge.U8(uint8(proto))
 		ge.Int32s(g.origID)
-		ge.Blob(blob)
+		ge.Blob(g.eng.Serialize())
 		secs = append(secs, dbfmt.Section{Tag: dbfmt.TagGroup, Data: ge.Bytes()})
 		// All groups share one algorithm and width; record them from the
 		// first group so tools can report them without decoding groups.
@@ -57,23 +53,18 @@ func (e *Engine) SerializeDB() ([]byte, error) {
 			first = false
 		}
 	}
-	return dbfmt.Encode(h, secs), nil
+	return dbfmt.Encode(h, secs)
 }
 
 // WriteDB writes the serialized rule-group database to w.
 func (e *Engine) WriteDB(w io.Writer) (int64, error) {
-	blob, err := e.SerializeDB()
-	if err != nil {
-		return 0, err
-	}
-	n, err := w.Write(blob)
+	n, err := w.Write(e.SerializeDB())
 	return int64(n), err
 }
 
 // LoadDB restores an Engine from a rule-group database blob: no rule
-// text is parsed, and each group is restored by vpatch.Deserialize
-// (Aho-Corasick groups decode their automaton, the filtering engines
-// are rebuilt from the group's patterns). Like NewEngine, a non-nil
+// text is parsed, and each group is restored by vpatch.Deserialize,
+// which compiles the group's patterns. Like NewEngine, a non-nil
 // emit attaches a default shard (the engine is then ready to
 // HandleSegment) and a nil emit builds none; either way the compiled
 // groups are immutable and shared: call NewShard per worker goroutine,

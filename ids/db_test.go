@@ -105,10 +105,7 @@ func TestDBRejects(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	blob, err := e.SerializeDB()
-	if err != nil {
-		t.Fatal(err)
-	}
+	blob := e.SerializeDB()
 
 	if _, err := LoadDB(blob[:len(blob)/2], func(Alert) {}); err == nil {
 		t.Error("truncated db: want error")
@@ -126,10 +123,7 @@ func TestDBRejects(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	sblob, err := single.Serialize()
-	if err != nil {
-		t.Fatal(err)
-	}
+	sblob := single.Serialize()
 	if _, err := LoadDB(sblob, func(Alert) {}); err == nil {
 		t.Error("engine db in LoadDB: want error")
 	}

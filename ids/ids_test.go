@@ -58,10 +58,7 @@ func TestNilSinkEngineHasNoDefaultShard(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	blob, err := ruled.SerializeDB()
-	if err != nil {
-		t.Fatal(err)
-	}
+	blob := ruled.SerializeDB()
 	cases := []struct {
 		name string
 		ref  *Engine

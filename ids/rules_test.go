@@ -231,10 +231,7 @@ func TestRuleDBRoundTrip(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	blob, err := e.SerializeDB()
-	if err != nil {
-		t.Fatal(err)
-	}
+	blob := e.SerializeDB()
 	var alerts2 []Alert
 	e2, err := LoadDB(blob, func(a Alert) { alerts2 = append(alerts2, a) })
 	if err != nil {
@@ -244,10 +241,7 @@ func TestRuleDBRoundTrip(t *testing.T) {
 		t.Fatalf("loaded engine lost its rules: %+v", e2.Rules())
 	}
 	// serialize(deserialize(x)) == x.
-	blob2, err := e2.SerializeDB()
-	if err != nil {
-		t.Fatal(err)
-	}
+	blob2 := e2.SerializeDB()
 	if !bytes.Equal(blob, blob2) {
 		t.Fatal("re-serialized database differs")
 	}
@@ -283,10 +277,7 @@ func TestVersion1DatabaseStillLoads(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	blob, err := e.SerializeDB()
-	if err != nil {
-		t.Fatal(err)
-	}
+	blob := e.SerializeDB()
 	// Rewrite the header's format version to 1 and fix up the trailing
 	// CRC — exactly what a file written by the previous release holds.
 	v1 := append([]byte(nil), blob...)

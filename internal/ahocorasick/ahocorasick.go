@@ -5,10 +5,10 @@
 // The full matrix is exactly what makes AC slow on large rule sets — the
 // automaton grows far beyond cache (the effect Fig. 4 and Fig. 7 hinge
 // on) — so the matrix representation is the default. Sets whose matrix
-// would exceed a configurable budget fall back to a sparse
-// (binary-search + failure-link) representation, like the trimmed
-// variants the paper cites ("decrease the size of the state transition
-// table ... at an increased search cost").
+// would exceed maxMatrixBytes fall back to a sparse (binary-search +
+// failure-link) representation, like the trimmed variants the paper
+// cites ("decrease the size of the state transition table ... at an
+// increased search cost").
 //
 // Case-insensitive patterns are supported by building the automaton over
 // case-folded bytes and scanning folded input; when the set mixes
@@ -19,195 +19,168 @@
 package ahocorasick
 
 import (
-	"sort"
+	"bytes"
+	"cmp"
+	"slices"
 
 	"vpatch/internal/engine"
 	"vpatch/internal/metrics"
 	"vpatch/internal/patterns"
 )
 
-// DefaultMaxMatrixBytes caps the full-matrix size before the sparse
-// fallback engages (256 MB ≈ 260k states).
-const DefaultMaxMatrixBytes = 256 << 20
-
-// Options configures Build.
-type Options struct {
-	// MaxMatrixBytes overrides DefaultMaxMatrixBytes; 0 means default,
-	// negative forces the sparse representation.
-	MaxMatrixBytes int
-	// Banded selects the banded-row compressed representation (Norton
-	// [26]: smaller transition table, extra per-byte search cost). It
-	// overrides MaxMatrixBytes.
-	Banded bool
-}
+// maxMatrixBytes caps the full-matrix size before the sparse fallback
+// engages (256 MB ≈ 260k states).
+const maxMatrixBytes = 256 << 20
 
 // Matcher is a compiled Aho-Corasick automaton. The automaton is
 // immutable after Build and the scan state (the current DFA state) lives
 // on the stack, so one Matcher may scan from any number of goroutines
 // concurrently.
+//
+// States are numbered in BFS order, so every state's failure state has
+// a smaller number than the state itself.
 type Matcher struct {
 	set    *patterns.Set
 	folded bool // automaton built over folded bytes; verify on output
 
-	states int
-	// outputs[s] lists pattern IDs whose (possibly folded) bytes end at
-	// state s.
-	outputs [][]int32
+	// out[outStart[s]:outStart[s+1]] lists the pattern IDs whose
+	// (possibly folded) bytes end at state s.
+	outStart []int32
+	out      []int32
 
-	// Full-matrix representation: next[s*256+c].
-	full bool
+	// Full-matrix representation: next[s*256+c]; nil selects the sparse
+	// one.
 	next []int32
 
-	// Sparse representation: per-state sorted edge arrays + failure links.
-	labels  [][]byte
-	targets [][]int32
-	fail    []int32
-
-	// Banded representation (banded.go).
-	banded  bool
-	rootRow []int32
-	bands   []bandedRow
-}
-
-// buildNode is the trie node used during construction only.
-type buildNode struct {
-	children map[byte]int32
-	outputs  []int32
-	fail     int32
-	depth    int32
+	// Sparse representation: the children of state s are the states
+	// childStart[s] .. childStart[s+1]-1, in ascending label order, and
+	// label[t] is the byte that leads to t.
+	childStart []int32
+	label      []byte
+	fail       []int32
 }
 
 // Build compiles the pattern set.
-func Build(set *patterns.Set, opt Options) *Matcher {
+func Build(set *patterns.Set) *Matcher { return build(set, maxMatrixBytes) }
+
+// build compiles set into the full matrix when it fits in budget bytes
+// and into the sparse representation otherwise (tests pass a small
+// budget to force sparse).
+func build(set *patterns.Set, budget int) *Matcher {
+	pats := set.Patterns()
 	m := &Matcher{set: set}
-	for i := range set.Patterns() {
-		if set.Patterns()[i].Nocase {
-			m.folded = true
-			break
+	total := 0
+	for i := range pats {
+		m.folded = m.folded || pats[i].Nocase
+		total += len(pats[i].Data)
+	}
+	keys := make([][]byte, len(pats))
+	var folded []byte
+	if m.folded {
+		folded = make([]byte, 0, total)
+	}
+	for i := range pats {
+		keys[i] = pats[i].Data
+		if m.folded {
+			at := len(folded)
+			for _, b := range pats[i].Data {
+				folded = append(folded, patterns.FoldByte(b))
+			}
+			keys[i] = folded[at:]
 		}
 	}
 
-	// 1. Trie over (possibly folded) pattern bytes.
-	nodes := []*buildNode{{children: make(map[byte]int32)}}
-	for i := range set.Patterns() {
-		p := &set.Patterns()[i]
-		cur := int32(0)
-		for _, b := range p.Data {
-			if m.folded {
-				b = patterns.FoldByte(b)
-			}
-			nxt, ok := nodes[cur].children[b]
-			if !ok {
-				nxt = int32(len(nodes))
-				nodes = append(nodes, &buildNode{
-					children: make(map[byte]int32),
-					depth:    nodes[cur].depth + 1,
-				})
-				nodes[cur].children[b] = nxt
-			}
-			cur = nxt
+	// 1. The trie, in BFS order. With the patterns sorted by key, the
+	// patterns below a state are one run of ord: those ending at the
+	// state come first, and the rest split into the children's runs by
+	// their next byte, so children are created in label order and
+	// numbered consecutively.
+	ord := make([]int32, len(pats))
+	for i := range ord {
+		ord[i] = int32(i)
+	}
+	slices.SortFunc(ord, func(a, b int32) int {
+		if c := bytes.Compare(keys[a], keys[b]); c != 0 {
+			return c
 		}
-		nodes[cur].outputs = append(nodes[cur].outputs, p.ID)
+		return cmp.Compare(a, b)
+	})
+	type run struct{ lo, own, hi, depth int32 } // ord[lo:own] end here
+	runs := make([]run, 1, total+1)
+	runs[0].hi = int32(len(ord))
+	m.label = make([]byte, 1, total+1)
+	m.childStart = make([]int32, 1, total+2)
+	m.childStart[0] = 1
+	for s := 0; s < len(runs); s++ {
+		r := runs[s]
+		i := r.lo
+		for i < r.hi && len(keys[ord[i]]) == int(r.depth) {
+			i++
+		}
+		runs[s].own = i
+		for i < r.hi {
+			b := keys[ord[i]][r.depth]
+			j := i + 1
+			for j < r.hi && keys[ord[j]][r.depth] == b {
+				j++
+			}
+			runs = append(runs, run{lo: i, hi: j, depth: r.depth + 1})
+			m.label = append(m.label, b)
+			i = j
+		}
+		m.childStart = append(m.childStart, int32(len(runs)))
 	}
-	m.states = len(nodes)
+	states := len(runs)
 
-	// 2. BFS failure links; merge output sets along failure chains.
-	queue := make([]int32, 0, len(nodes))
-	for _, child := range nodes[0].children {
-		nodes[child].fail = 0
-		queue = append(queue, child)
+	// 2. Failure links, the matrix and output counts, in BFS order. A
+	// matrix row starts as a copy of the failure state's finished row,
+	// and a child's failure state is that row's entry for its label.
+	m.fail = make([]int32, states)
+	if states*256*4 <= budget {
+		m.next = make([]int32, states*256)
 	}
-	for qi := 0; qi < len(queue); qi++ {
-		s := queue[qi]
-		for b, child := range nodes[s].children {
-			queue = append(queue, child)
-			f := nodes[s].fail
-			for f != 0 {
-				if t, ok := nodes[f].children[b]; ok {
-					f = t
-					goto linked
+	m.outStart = make([]int32, states+1)
+	for s := 0; s < states; s++ {
+		f := int(m.fail[s])
+		lo, hi := m.childStart[s], m.childStart[s+1]
+		if m.next != nil {
+			row, frow := m.next[s*256:s*256+256], m.next[f*256:f*256+256]
+			if s != 0 {
+				copy(row, frow)
+			}
+			for t := lo; t < hi; t++ {
+				if s != 0 {
+					m.fail[t] = frow[m.label[t]]
 				}
-				f = nodes[f].fail
+				row[m.label[t]] = t
 			}
-			if t, ok := nodes[0].children[b]; ok && t != child {
-				f = t
-			} else {
-				f = 0
-			}
-		linked:
-			nodes[child].fail = f
-			if len(nodes[f].outputs) > 0 {
-				nodes[child].outputs = append(nodes[child].outputs, nodes[f].outputs...)
+		} else if s != 0 {
+			for t := lo; t < hi; t++ {
+				m.fail[t] = m.step(int32(f), m.label[t], nil)
 			}
 		}
+		n := runs[s].own - runs[s].lo
+		if s != 0 {
+			n += m.outStart[f+1] - m.outStart[f]
+		}
+		m.outStart[s+1] = m.outStart[s] + n
 	}
 
-	m.outputs = make([][]int32, m.states)
-	for s, n := range nodes {
-		m.outputs[s] = n.outputs
+	// 3. Outputs: a state's own patterns, then its failure state's.
+	m.out = make([]int32, m.outStart[states])
+	for s := 1; s < states; s++ {
+		k := m.outStart[s]
+		for _, i := range ord[runs[s].lo:runs[s].own] {
+			m.out[k] = pats[i].ID
+			k++
+		}
+		f := m.fail[s]
+		copy(m.out[k:m.outStart[s+1]], m.out[m.outStart[f]:m.outStart[f+1]])
 	}
-
-	// 3. Choose representation.
-	budget := opt.MaxMatrixBytes
-	if budget == 0 {
-		budget = DefaultMaxMatrixBytes
-	}
-	switch {
-	case opt.Banded:
-		m.buildBanded(nodes, queue)
-	case budget > 0 && m.states*256*4 <= budget:
-		m.buildFullMatrix(nodes, queue)
-	default:
-		m.buildSparse(nodes)
+	if m.next != nil {
+		m.childStart, m.label, m.fail = nil, nil, nil
 	}
 	return m
-}
-
-// buildFullMatrix converts goto+failure into a dense DFA in BFS order:
-// next[s][c] = child if present, else next[fail(s)][c].
-func (m *Matcher) buildFullMatrix(nodes []*buildNode, bfs []int32) {
-	m.full = true
-	m.next = make([]int32, m.states*256)
-	for c := 0; c < 256; c++ {
-		if t, ok := nodes[0].children[byte(c)]; ok {
-			m.next[c] = t
-		}
-	}
-	for _, s := range bfs {
-		base := int(s) * 256
-		fbase := int(nodes[s].fail) * 256
-		for c := 0; c < 256; c++ {
-			if t, ok := nodes[s].children[byte(c)]; ok {
-				m.next[base+c] = t
-			} else {
-				m.next[base+c] = m.next[fbase+c]
-			}
-		}
-	}
-}
-
-// buildSparse stores sorted edge arrays and failure links.
-func (m *Matcher) buildSparse(nodes []*buildNode) {
-	m.labels = make([][]byte, m.states)
-	m.targets = make([][]int32, m.states)
-	m.fail = make([]int32, m.states)
-	for s, n := range nodes {
-		m.fail[s] = n.fail
-		if len(n.children) == 0 {
-			continue
-		}
-		ls := make([]byte, 0, len(n.children))
-		for b := range n.children {
-			ls = append(ls, b)
-		}
-		sort.Slice(ls, func(i, j int) bool { return ls[i] < ls[j] })
-		ts := make([]int32, len(ls))
-		for i, b := range ls {
-			ts[i] = n.children[b]
-		}
-		m.labels[s] = ls
-		m.targets[s] = ts
-	}
 }
 
 var _ engine.Engine = (*Matcher)(nil)
@@ -221,23 +194,13 @@ func (m *Matcher) ScanScratch(_ engine.Scratch, input []byte, c *metrics.Counter
 	m.Scan(input, c, emit)
 }
 
-// States returns the number of automaton states.
-func (m *Matcher) States() int { return m.states }
-
 // MemoryFootprint estimates resident bytes of the transition structure —
 // the quantity that decides which cache level serves the per-byte access.
 func (m *Matcher) MemoryFootprint() int {
-	if m.full {
+	if m.next != nil {
 		return len(m.next) * 4
 	}
-	if m.banded {
-		return m.bandedFootprint()
-	}
-	sz := len(m.fail) * 4
-	for s := range m.labels {
-		sz += len(m.labels[s]) + len(m.targets[s])*4 + 48
-	}
-	return sz
+	return len(m.childStart)*4 + len(m.label) + len(m.fail)*4
 }
 
 // Scan runs the automaton over input, emitting every match. c may be nil;
@@ -247,12 +210,9 @@ func (m *Matcher) Scan(input []byte, c *metrics.Counters, emit patterns.EmitFunc
 		c.BytesScanned += uint64(len(input))
 		c.DFAAccesses += uint64(len(input))
 	}
-	switch {
-	case m.full:
+	if m.next != nil {
 		m.scanFull(input, c, emit)
-	case m.banded:
-		m.scanBanded(input, c, emit)
-	default:
+	} else {
 		m.scanSparse(input, c, emit)
 	}
 }
@@ -262,7 +222,7 @@ func (m *Matcher) scanFull(input []byte, c *metrics.Counters, emit patterns.Emit
 	if m.folded {
 		for i := 0; i < len(input); i++ {
 			s = m.next[int(s)*256+int(patterns.FoldByte(input[i]))]
-			if len(m.outputs[s]) > 0 {
+			if m.outStart[s] != m.outStart[s+1] {
 				m.emitOutputs(s, input, i, c, emit)
 			}
 		}
@@ -270,7 +230,7 @@ func (m *Matcher) scanFull(input []byte, c *metrics.Counters, emit patterns.Emit
 	}
 	for i := 0; i < len(input); i++ {
 		s = m.next[int(s)*256+int(input[i])]
-		if len(m.outputs[s]) > 0 {
+		if m.outStart[s] != m.outStart[s+1] {
 			m.emitOutputs(s, input, i, c, emit)
 		}
 	}
@@ -283,47 +243,44 @@ func (m *Matcher) scanSparse(input []byte, c *metrics.Counters, emit patterns.Em
 		if m.folded {
 			b = patterns.FoldByte(b)
 		}
-		for {
-			if t, ok := m.edge(s, b); ok {
-				s = t
-				break
-			}
-			if s == 0 {
-				break
-			}
-			s = m.fail[s]
-			if c != nil {
-				c.DFAAccesses++ // extra accesses along the failure chain
-			}
-		}
-		if len(m.outputs[s]) > 0 {
+		s = m.step(s, b, c)
+		if m.outStart[s] != m.outStart[s+1] {
 			m.emitOutputs(s, input, i, c, emit)
 		}
 	}
 }
 
-// edge binary-searches the sparse edge array of state s.
-func (m *Matcher) edge(s int32, b byte) (int32, bool) {
-	ls := m.labels[s]
-	lo, hi := 0, len(ls)
-	for lo < hi {
-		mid := (lo + hi) / 2
-		switch {
-		case ls[mid] == b:
-			return m.targets[s][mid], true
-		case ls[mid] < b:
-			lo = mid + 1
-		default:
-			hi = mid
+// step is the sparse transition function: it follows failure links from
+// s until a state has an edge labelled b, counting each extra access on
+// c (which may be nil).
+func (m *Matcher) step(s int32, b byte, c *metrics.Counters) int32 {
+	for {
+		lo, hi := m.childStart[s], m.childStart[s+1]
+		for lo < hi {
+			mid := int32(uint32(lo+hi) >> 1)
+			switch l := m.label[mid]; {
+			case l == b:
+				return mid
+			case l < b:
+				lo = mid + 1
+			default:
+				hi = mid
+			}
+		}
+		if s == 0 {
+			return 0
+		}
+		s = m.fail[s]
+		if c != nil {
+			c.DFAAccesses++ // extra accesses along the failure chain
 		}
 	}
-	return 0, false
 }
 
 // emitOutputs reports the patterns ending at state s after consuming
 // input[i]. In folded mode each candidate is verified exactly first.
 func (m *Matcher) emitOutputs(s int32, input []byte, i int, c *metrics.Counters, emit patterns.EmitFunc) {
-	for _, id := range m.outputs[s] {
+	for _, id := range m.out[m.outStart[s]:m.outStart[s+1]] {
 		p := m.set.Pattern(id)
 		pos := i + 1 - len(p.Data)
 		if m.folded {

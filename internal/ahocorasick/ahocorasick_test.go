@@ -15,14 +15,14 @@ func scan(m *Matcher, input []byte) []patterns.Match {
 	return out
 }
 
-func checkAgainstNaive(t *testing.T, set *patterns.Set, input []byte, opt Options) {
+func checkAgainstNaive(t *testing.T, set *patterns.Set, input []byte, budget int) {
 	t.Helper()
-	m := Build(set, opt)
+	m := build(set, budget)
 	got := scan(m, input)
 	want := patterns.FindAllNaive(set, input)
 	if !patterns.EqualMatches(got, want) {
 		t.Fatalf("AC (full=%v folded=%v) disagrees with naive: got %d matches, want %d",
-			m.full, m.folded, len(got), len(want))
+			m.next != nil, m.folded, len(got), len(want))
 	}
 }
 
@@ -30,7 +30,7 @@ func TestClassicExample(t *testing.T) {
 	// The canonical Aho-Corasick example set.
 	set := patterns.FromStrings("he", "she", "his", "hers")
 	input := []byte("ushers")
-	m := Build(set, Options{})
+	m := Build(set)
 	got := scan(m, input)
 	want := []patterns.Match{
 		{PatternID: 1, Pos: 1}, // she
@@ -43,24 +43,24 @@ func TestClassicExample(t *testing.T) {
 }
 
 func TestOverlappingAndNested(t *testing.T) {
-	checkAgainstNaive(t, patterns.FromStrings("aa", "aaa", "aaaa"), []byte("aaaaaa"), Options{})
-	checkAgainstNaive(t, patterns.FromStrings("ab", "ba"), []byte("ababab"), Options{})
-	checkAgainstNaive(t, patterns.FromStrings("abc", "bc", "c"), []byte("abcabc"), Options{})
+	checkAgainstNaive(t, patterns.FromStrings("aa", "aaa", "aaaa"), []byte("aaaaaa"), maxMatrixBytes)
+	checkAgainstNaive(t, patterns.FromStrings("ab", "ba"), []byte("ababab"), maxMatrixBytes)
+	checkAgainstNaive(t, patterns.FromStrings("abc", "bc", "c"), []byte("abcabc"), maxMatrixBytes)
 }
 
 func TestFailureChainOutputs(t *testing.T) {
 	// "abcd" matching must also report the suffix patterns via failure
 	// links merged at build time.
 	set := patterns.FromStrings("abcd", "bcd", "cd", "d")
-	checkAgainstNaive(t, set, []byte("xxabcdxx"), Options{})
+	checkAgainstNaive(t, set, []byte("xxabcdxx"), maxMatrixBytes)
 }
 
 func TestEmptyInputAndNoPatterns(t *testing.T) {
-	m := Build(patterns.NewSet(), Options{})
+	m := Build(patterns.NewSet())
 	if n := len(scan(m, []byte("anything"))); n != 0 {
 		t.Fatalf("empty set matched %d", n)
 	}
-	m2 := Build(patterns.FromStrings("abc"), Options{})
+	m2 := Build(patterns.FromStrings("abc"))
 	if n := len(scan(m2, nil)); n != 0 {
 		t.Fatalf("empty input matched %d", n)
 	}
@@ -72,7 +72,7 @@ func TestBinaryPatterns(t *testing.T) {
 	set.Add([]byte{0xFF}, false, patterns.ProtoGeneric)
 	set.Add([]byte{0x00, 0x01, 0x02, 0x03}, false, patterns.ProtoGeneric)
 	input := []byte{0x00, 0x01, 0x02, 0x03, 0xFF, 0x00, 0x01}
-	checkAgainstNaive(t, set, input, Options{})
+	checkAgainstNaive(t, set, input, maxMatrixBytes)
 }
 
 func TestNocaseMixedSet(t *testing.T) {
@@ -82,15 +82,15 @@ func TestNocaseMixedSet(t *testing.T) {
 	set.Add([]byte("Host"), true, patterns.ProtoHTTP)    // nocase
 	set.Add([]byte("cmd.exe"), true, patterns.ProtoHTTP) // nocase long
 	input := []byte("GET get GeT HOST host CMD.EXE Cmd.Exe")
-	checkAgainstNaive(t, set, input, Options{})
-	m := Build(set, Options{})
+	checkAgainstNaive(t, set, input, maxMatrixBytes)
+	m := Build(set)
 	if !m.folded {
 		t.Fatal("mixed set must build a folded automaton")
 	}
 }
 
 func TestPureCaseSensitiveSkipsFolding(t *testing.T) {
-	m := Build(patterns.FromStrings("GET", "Host"), Options{})
+	m := Build(patterns.FromStrings("GET", "Host"))
 	if m.folded {
 		t.Fatal("pure case-sensitive set must not fold")
 	}
@@ -107,10 +107,10 @@ func TestPureCaseSensitiveSkipsFolding(t *testing.T) {
 func TestSparseEqualsFull(t *testing.T) {
 	set := patterns.GenerateS1(3).Subset(300, 1)
 	input := traffic.Synthesize(traffic.ISCXDay2, 64<<10, 5, set)
-	full := Build(set, Options{})
-	sparse := Build(set, Options{MaxMatrixBytes: -1})
-	if !full.full || sparse.full {
-		t.Fatalf("representations: full=%v sparse=%v", full.full, sparse.full)
+	full := Build(set)
+	sparse := build(set, 0)
+	if full.next == nil || sparse.next != nil {
+		t.Fatalf("representations: full=%v sparse=%v", full.next != nil, sparse.next != nil)
 	}
 	a := scan(full, input)
 	b := scan(sparse, input)
@@ -122,26 +122,26 @@ func TestSparseEqualsFull(t *testing.T) {
 func TestSparseFallbackOnBudget(t *testing.T) {
 	set := patterns.FromStrings("abcdefgh", "ijklmnop")
 	// 17 states * 1 KB > 4 KB budget.
-	m := Build(set, Options{MaxMatrixBytes: 4 << 10})
-	if m.full {
+	m := build(set, 4<<10)
+	if m.next != nil {
 		t.Fatal("small budget did not force sparse representation")
 	}
-	checkAgainstNaive(t, set, []byte("xxabcdefghxxijklmnop"), Options{MaxMatrixBytes: 4 << 10})
+	checkAgainstNaive(t, set, []byte("xxabcdefghxxijklmnop"), 4<<10)
 }
 
 func TestStatesCount(t *testing.T) {
 	// Trie of "ab","ac" = root + a + b + c = 4 states.
-	m := Build(patterns.FromStrings("ab", "ac"), Options{})
-	if m.States() != 4 {
-		t.Fatalf("States = %d, want 4", m.States())
+	m := Build(patterns.FromStrings("ab", "ac"))
+	if n := len(m.outStart) - 1; n != 4 {
+		t.Fatalf("states = %d, want 4", n)
 	}
 }
 
 func TestMemoryFootprintRepresentations(t *testing.T) {
 	set := patterns.GenerateS1(1).Subset(200, 2)
-	full := Build(set, Options{})
-	sparse := Build(set, Options{MaxMatrixBytes: -1})
-	if full.MemoryFootprint() != full.States()*1024 {
+	full := Build(set)
+	sparse := build(set, 0)
+	if full.MemoryFootprint() != (len(full.outStart)-1)*1024 {
 		t.Fatalf("full footprint %d != states*1KB", full.MemoryFootprint())
 	}
 	if sparse.MemoryFootprint() >= full.MemoryFootprint() {
@@ -151,7 +151,7 @@ func TestMemoryFootprintRepresentations(t *testing.T) {
 }
 
 func TestCounters(t *testing.T) {
-	m := Build(patterns.FromStrings("abc"), Options{})
+	m := Build(patterns.FromStrings("abc"))
 	var c metrics.Counters
 	input := []byte("zabcz")
 	m.Scan(input, &c, nil)
@@ -183,19 +183,19 @@ func TestRandomAgainstNaiveBothRepresentations(t *testing.T) {
 		for j := range input {
 			input[j] = byte('a' + rng.Intn(3))
 		}
-		checkAgainstNaive(t, set, input, Options{})
-		checkAgainstNaive(t, set, input, Options{MaxMatrixBytes: -1})
+		checkAgainstNaive(t, set, input, maxMatrixBytes)
+		checkAgainstNaive(t, set, input, 0)
 	}
 }
 
 func TestRealisticTrafficAgainstNaive(t *testing.T) {
 	set := patterns.GenerateS1(11).Subset(60, 3)
 	input := traffic.Synthesize(traffic.ISCXDay6, 16<<10, 21, set)
-	checkAgainstNaive(t, set, input, Options{})
+	checkAgainstNaive(t, set, input, maxMatrixBytes)
 }
 
 func TestScanNilEmit(t *testing.T) {
-	m := Build(patterns.FromStrings("ab"), Options{})
+	m := Build(patterns.FromStrings("ab"))
 	var c metrics.Counters
 	m.Scan([]byte("abab"), &c, nil) // must not panic
 	if c.Matches != 2 {
@@ -205,7 +205,7 @@ func TestScanNilEmit(t *testing.T) {
 
 func BenchmarkScanFullMatrix2K(b *testing.B) {
 	set := patterns.GenerateS1(1).WebSubset()
-	m := Build(set, Options{})
+	m := Build(set)
 	input := traffic.Synthesize(traffic.ISCXDay2, 1<<20, 1, set)
 	b.SetBytes(int64(len(input)))
 	b.ResetTimer()
@@ -216,7 +216,7 @@ func BenchmarkScanFullMatrix2K(b *testing.B) {
 
 func BenchmarkScanSparse2K(b *testing.B) {
 	set := patterns.GenerateS1(1).WebSubset()
-	m := Build(set, Options{MaxMatrixBytes: -1})
+	m := build(set, 0)
 	input := traffic.Synthesize(traffic.ISCXDay2, 1<<20, 1, set)
 	b.SetBytes(int64(len(input)))
 	b.ResetTimer()
@@ -225,76 +225,23 @@ func BenchmarkScanSparse2K(b *testing.B) {
 	}
 }
 
-func TestBandedEqualsFull(t *testing.T) {
-	set := patterns.GenerateS1(7).Subset(300, 5)
-	input := traffic.Synthesize(traffic.ISCXDay6, 64<<10, 3, set)
-	full := Build(set, Options{})
-	banded := Build(set, Options{Banded: true})
-	if !banded.banded || banded.full {
-		t.Fatal("Banded option ignored")
-	}
-	a := scan(full, input)
-	b := scan(banded, input)
-	if !patterns.EqualMatches(a, b) {
-		t.Fatalf("banded (%d) and full (%d) disagree", len(b), len(a))
-	}
-}
-
-func TestBandedAgainstNaive(t *testing.T) {
-	checkAgainstNaive(t, patterns.FromStrings("he", "she", "his", "hers"),
-		[]byte("ushers and his herself"), Options{Banded: true})
-	set := patterns.NewSet()
-	set.Add([]byte{0x00, 0xFF}, false, patterns.ProtoGeneric) // band at byte extremes
-	set.Add([]byte{0xFF, 0x00, 0x41}, false, patterns.ProtoGeneric)
-	checkAgainstNaive(t, set, []byte{0x00, 0xFF, 0x00, 0x41, 0xFF, 0x00, 0x41}, Options{Banded: true})
-}
-
-func TestBandedNocase(t *testing.T) {
-	set := patterns.NewSet()
-	set.Add([]byte("GeT"), true, patterns.ProtoHTTP)
-	set.Add([]byte("Host"), false, patterns.ProtoHTTP)
-	checkAgainstNaive(t, set, []byte("GET get Host HOST gEt host"), Options{Banded: true})
-}
-
-func TestBandedMuchSmallerThanFull(t *testing.T) {
-	set := patterns.GenerateS1(1).WebSubset()
-	full := Build(set, Options{})
-	banded := Build(set, Options{Banded: true})
-	ratio := float64(banded.MemoryFootprint()) / float64(full.MemoryFootprint())
-	// ASCII-dense rule sets keep bands spanning the printable range, so
-	// ~2x is the honest compression here (binary-heavy tries do better).
-	if ratio > 0.65 {
-		t.Fatalf("banded footprint is %.0f%% of full; compression ineffective", ratio*100)
-	}
-}
-
-func TestBandedRandomAgainstNaive(t *testing.T) {
-	rng := rand.New(rand.NewSource(53))
-	for trial := 0; trial < 15; trial++ {
-		set := patterns.NewSet()
-		for i := 0; i < 1+rng.Intn(10); i++ {
-			l := 1 + rng.Intn(5)
-			p := make([]byte, l)
-			for j := range p {
-				p[j] = byte('a' + rng.Intn(3))
-			}
-			set.Add(p, rng.Intn(5) == 0, patterns.ProtoGeneric)
+// TestBuildAllocs bounds Build's allocations: the construction works in
+// a fixed number of flat arrays, so the count does not grow with the
+// number of states (45k full-matrix states for S1, 405k sparse states
+// for S2).
+func TestBuildAllocs(t *testing.T) {
+	for _, c := range []struct {
+		name string
+		set  *patterns.Set
+		full bool
+	}{{"S1", patterns.GenerateS1(1), true}, {"S2", patterns.GenerateS2(1), false}} {
+		if m := Build(c.set); (m.next != nil) != c.full {
+			t.Fatalf("%s: full matrix = %v, want %v", c.name, m.next != nil, c.full)
 		}
-		input := make([]byte, 250)
-		for j := range input {
-			input[j] = byte('a' + rng.Intn(3))
+		n := testing.AllocsPerRun(1, func() { Build(c.set) })
+		t.Logf("%s: %.0f allocations", c.name, n)
+		if n > 64 {
+			t.Errorf("%s: Build made %.0f allocations, want <= 64", c.name, n)
 		}
-		checkAgainstNaive(t, set, input, Options{Banded: true})
-	}
-}
-
-func BenchmarkScanBanded2K(b *testing.B) {
-	set := patterns.GenerateS1(1).WebSubset()
-	m := Build(set, Options{Banded: true})
-	input := traffic.Synthesize(traffic.ISCXDay2, 1<<20, 1, set)
-	b.SetBytes(int64(len(input)))
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		m.Scan(input, nil, nil)
 	}
 }

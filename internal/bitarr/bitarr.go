@@ -77,12 +77,6 @@ func (b *BitArray) PopCount() int {
 	return n
 }
 
-// FillRatio returns the fraction of set bits in [0,1]. It determines the
-// filtering rate: a fuller filter passes more of the input to verification.
-func (b *BitArray) FillRatio() float64 {
-	return float64(b.PopCount()) / float64(b.Bits())
-}
-
 // Index2 computes the canonical 2-byte window index used by the direct
 // filters: little-endian combination of two consecutive input bytes.
 func Index2(b0, b1 byte) uint32 { return uint32(b0) | uint32(b1)<<8 }
@@ -183,9 +177,6 @@ func NewMergedFilter(f1, f2 *BitArray) *MergedFilter {
 
 // Words exposes the raw interleaved storage for the vector gather.
 func (m *MergedFilter) Words() []uint16 { return m.words }
-
-// Mask returns the bit-index mask.
-func (m *MergedFilter) Mask() uint32 { return m.idxMask }
 
 // Test returns (filter1 bit, filter2 bit) for window index idx using a
 // single word fetch — the scalar rendition of the merged gather.

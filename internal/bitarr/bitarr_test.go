@@ -81,8 +81,8 @@ func TestPopCountAndFillRatio(t *testing.T) {
 	if got := b.PopCount(); got != 64 {
 		t.Fatalf("PopCount = %d, want 64", got)
 	}
-	if got := b.FillRatio(); got != 0.25 {
-		t.Fatalf("FillRatio = %v, want 0.25", got)
+	if got := float64(b.PopCount()) / float64(b.Bits()); got != 0.25 {
+		t.Fatalf("fill ratio = %v, want 0.25", got)
 	}
 }
 
@@ -261,8 +261,8 @@ func TestMergedFilterSizeAndMask(t *testing.T) {
 	if m.SizeBytes() != 16384 {
 		t.Fatalf("merged size %d, want 16384 (2 x 8 KB)", m.SizeBytes())
 	}
-	if m.Mask() != 0xFFFF {
-		t.Fatalf("mask %#x, want 0xFFFF", m.Mask())
+	if m.idxMask != 0xFFFF {
+		t.Fatalf("mask %#x, want 0xFFFF", m.idxMask)
 	}
 }
 

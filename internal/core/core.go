@@ -149,20 +149,11 @@ func newCommon(set *patterns.Set, filter3Log2Bits uint, chunkSize int, kern vec.
 	return c
 }
 
-// FilterSizeBytes reports the cache footprint of the filter stage.
-func (m *common) FilterSizeBytes() int { return m.fs.SizeBytes() }
-
 // MemoryFootprint reports resident bytes of the compiled state: the
 // filter stage plus the verification tables (engine.Sizer).
 func (m *common) MemoryFootprint() int {
 	return m.fs.SizeBytes() + m.verifier.MemoryFootprint()
 }
-
-// Set returns the compiled pattern set.
-func (m *common) Set() *patterns.Set { return m.set }
-
-// ChunkSize returns the filtering-round chunk size in bytes.
-func (m *common) ChunkSize() int { return m.chunk }
 
 // scalarFilterPos runs the scalar S-PATCH filter chain for position i
 // (Algorithm 1, lines 4-13) and appends candidates to scr. Used by

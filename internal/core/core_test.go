@@ -336,14 +336,14 @@ func TestAccessorsAndDefaults(t *testing.T) {
 	if m.Width() != 8 {
 		t.Fatalf("default width %d, want 8", m.Width())
 	}
-	if m.ChunkSize() != DefaultChunkSize {
-		t.Fatalf("default chunk %d", m.ChunkSize())
+	if m.chunk != DefaultChunkSize {
+		t.Fatalf("default chunk %d", m.chunk)
 	}
-	if m.FilterSizeBytes() != 16384+16384 {
-		t.Fatalf("filter footprint %d, want 32 KB (merged 16K + filter3 16K)", m.FilterSizeBytes())
+	if n := m.fs.SizeBytes(); n != 16384+16384 {
+		t.Fatalf("filter footprint %d, want 32 KB (merged 16K + filter3 16K)", n)
 	}
-	if m.Set().Len() != 1 {
-		t.Fatal("Set accessor wrong")
+	if m.set.Len() != 1 {
+		t.Fatal("pattern set not kept")
 	}
 }
 

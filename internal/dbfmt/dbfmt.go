@@ -2,8 +2,8 @@
 // databases (.vpdb files): a fixed header carrying the format version,
 // database kind, algorithm, vector width and a digest of the pattern
 // set, followed by length-prefixed sections, terminated by a CRC-32C of
-// the whole blob. The pattern set, the rule tier and Aho-Corasick's
-// automaton flatten into sections with the Encoder and restore with the
+// the whole blob. The pattern set, the rule tier and the IDS rule
+// groups flatten into sections with the Encoder and restore with the
 // bounds-checked Decoder; the load path validates magic, version, CRC
 // and every array length, so a truncated or corrupted database is
 // rejected with an error — never a panic, never an unbounded
@@ -26,8 +26,8 @@ import (
 const Magic = "VPDB"
 
 // FormatVersion is the current database format version. Loaders reject
-// any newer version: the compiled layouts of the engines are not
-// negotiated field by field, the version stands for all of them.
+// any newer version: the section layouts are not negotiated field by
+// field, the version stands for all of them.
 //
 // Version history:
 //
@@ -39,7 +39,10 @@ const Magic = "VPDB"
 //	    algorithm is compiled from the pattern section at load.
 //	    Versions 1-2 still load: their Aho-Corasick section is
 //	    unchanged, and the other engines' sections are ignored.
-const FormatVersion = 3
+//	4 — no algorithm writes a TagEngine section; every engine is
+//	    compiled from the pattern section at load. Versions 1-3 still
+//	    load, ignoring any engine section.
+const FormatVersion = 4
 
 // minFormatVersion is the oldest version this build still reads.
 const minFormatVersion = 1
@@ -48,8 +51,7 @@ const minFormatVersion = 1
 type Kind uint8
 
 const (
-	// KindEngine is a single compiled engine: one pattern set, plus
-	// one engine-state section for Aho-Corasick.
+	// KindEngine is a single compiled engine: one pattern set.
 	KindEngine Kind = 1
 	// KindIDS is a whole NIDS rule-group database: the full pattern set
 	// plus one group section (protocol, ID mapping, nested engine
@@ -61,9 +63,9 @@ const (
 const (
 	// TagPatterns holds the encoded pattern set.
 	TagPatterns uint32 = 1
-	// TagEngine holds Aho-Corasick's compiled automaton. Version-1 and
-	// 2 databases carry one for every algorithm; loaders read only
-	// Aho-Corasick's.
+	// TagEngine held an engine's compiled state. Versions 1-2 wrote one
+	// for every algorithm and version 3 for Aho-Corasick only; version
+	// 4 writes none, and loaders ignore it.
 	TagEngine uint32 = 2
 	// TagGroup holds one IDS protocol group (repeatable).
 	TagGroup uint32 = 3
@@ -239,8 +241,8 @@ func (d *Decoder) failf(format string, args ...any) {
 	}
 }
 
-// Fail records a caller-detected validation error (engine decoders use
-// it for semantic checks on decoded values).
+// Fail records a caller-detected validation error (section decoders
+// use it for semantic checks on decoded values).
 func (d *Decoder) Fail(format string, args ...any) { d.failf(format, args...) }
 
 func (d *Decoder) take(n int) []byte {
@@ -334,9 +336,6 @@ func (d *Decoder) Blob() []byte {
 	return d.take(n)
 }
 
-// Raw reads exactly n bytes (no length prefix), aliasing the buffer.
-func (d *Decoder) Raw(n int) []byte { return d.take(n) }
-
 // Int32s reads a length-prefixed []int32.
 func (d *Decoder) Int32s() []int32 {
 	n := d.Count(4)
@@ -352,7 +351,7 @@ func (d *Decoder) Int32s() []int32 {
 }
 
 // Finish reports an error if undecoded bytes remain or a read failed —
-// the standard last call of an engine decoder.
+// the standard last call of a section decoder.
 func (d *Decoder) Finish() error {
 	if d.err != nil {
 		return d.err

@@ -94,8 +94,8 @@ func TestEncoderDecoderPrimitives(t *testing.T) {
 	if len(i32) != 3 || i32[0] != -1 || i32[2] != 1<<30 {
 		t.Errorf("Int32s = %v", i32)
 	}
-	if got := d.Raw(2); len(got) != 2 || got[0] != 9 {
-		t.Errorf("Raw = %v", got)
+	if a, b := d.U8(), d.U8(); a != 9 || b != 9 {
+		t.Errorf("Raw bytes = %d %d", a, b)
 	}
 	if err := d.Finish(); err != nil {
 		t.Errorf("Finish: %v", err)

@@ -58,9 +58,6 @@ func Build(set *patterns.Set) *Matcher {
 	}
 }
 
-// FilterSizeBytes returns the cache footprint of the filter stage.
-func (m *Matcher) FilterSizeBytes() int { return m.fs.SizeBytes() }
-
 // Verifier exposes the compact hash tables (shared with Vector-DFC).
 func (m *Matcher) Verifier() *hashtab.Verifier { return m.verifier }
 

@@ -209,8 +209,8 @@ func TestFilteringRejectsRandomInput(t *testing.T) {
 
 func TestFilterSizeBytes(t *testing.T) {
 	m := Build(patterns.FromStrings("abcd"))
-	if m.FilterSizeBytes() != 24576 {
-		t.Fatalf("filter stage %d bytes, want 24 KB (3 x 8 KB)", m.FilterSizeBytes())
+	if n := m.fs.SizeBytes(); n != 24576 {
+		t.Fatalf("filter stage %d bytes, want 24 KB (3 x 8 KB)", n)
 	}
 	if m.Verifier() == nil {
 		t.Fatal("verifier accessor nil")

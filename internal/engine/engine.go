@@ -15,7 +15,6 @@ package engine
 
 import (
 	"vpatch/internal/accel"
-	"vpatch/internal/dbfmt"
 	"vpatch/internal/metrics"
 	"vpatch/internal/patterns"
 )
@@ -37,24 +36,6 @@ type Engine interface {
 	// every occurrence of every pattern. Calls with distinct scratches
 	// may run concurrently; c and emit may be nil.
 	ScanScratch(scr Scratch, input []byte, c *metrics.Counters, emit patterns.EmitFunc)
-}
-
-// DBCodec extends Engine with compiled-database serialization: the
-// engine flattens its entire compiled state — everything Scan reads
-// except the pattern set, which the database container serializes
-// separately — into an Encoder. Only an engine whose compiled state
-// loads faster than it builds implements DBCodec: Aho-Corasick, whose
-// automaton construction walks a trie over every pattern byte. Every
-// other engine is compiled from the pattern set at load. The matching
-// decoder is a package-level function (the decode side cannot be a
-// method, it constructs the engine); it restores an engine that is
-// scan-for-scan identical to the one encoded, including batch paths,
-// and validates every array bound so a corrupt section yields an
-// error, never a panic.
-type DBCodec interface {
-	Engine
-	// EncodeCompiled appends the engine's compiled state to e.
-	EncodeCompiled(e *dbfmt.Encoder)
 }
 
 // Sizer is implemented by engines that can report the resident size of

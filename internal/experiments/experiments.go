@@ -94,7 +94,7 @@ func BuildAlgos(set *patterns.Set, width int) []Algo {
 	if width == 0 {
 		width = 8
 	}
-	ac := ahocorasick.Build(set, ahocorasick.Options{})
+	ac := ahocorasick.Build(set)
 	d := dfc.Build(set)
 	vd := dfc.BuildVector(set, width)
 	sp := core.NewSPatch(set, core.Options{NoAccel: true})

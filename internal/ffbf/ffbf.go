@@ -146,13 +146,6 @@ func shingleHash(s []byte, out *[numHashes]uint32, mask uint32) {
 	out[2] = h3 & mask
 }
 
-// BloomSizeBytes returns the Bloom filter's footprint.
-func (m *Matcher) BloomSizeBytes() int { return m.bloom.SizeBytes() }
-
-// BloomFillRatio returns the fraction of set bits (drives the false
-// positive rate ~ fill^k).
-func (m *Matcher) BloomFillRatio() float64 { return m.bloom.FillRatio() }
-
 // MemoryFootprint reports resident bytes of the compiled state
 // (engine.Sizer).
 func (m *Matcher) MemoryFootprint() int {

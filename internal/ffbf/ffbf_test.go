@@ -86,18 +86,19 @@ func TestEmptyAndTinyInputs(t *testing.T) {
 
 func TestBloomSizing(t *testing.T) {
 	def := Build(patterns.FromStrings("abcdefgh"), Options{})
-	if def.BloomSizeBytes() != 32<<10 {
-		t.Fatalf("default bloom %d bytes, want 32 KB", def.BloomSizeBytes())
+	if n := def.bloom.SizeBytes(); n != 32<<10 {
+		t.Fatalf("default bloom %d bytes, want 32 KB", n)
 	}
 	small := Build(patterns.FromStrings("abcdefgh"), Options{Log2Bits: 12})
-	if small.BloomSizeBytes() != 512 {
-		t.Fatalf("2^12-bit bloom %d bytes", small.BloomSizeBytes())
+	if n := small.bloom.SizeBytes(); n != 512 {
+		t.Fatalf("2^12-bit bloom %d bytes", n)
 	}
 }
 
 func TestBloomFillRatioReasonable(t *testing.T) {
 	m := Build(patterns.GenerateS1(1), Options{})
-	fill := m.BloomFillRatio()
+	// The fill ratio drives the false-positive rate ~ fill^k.
+	fill := float64(m.bloom.PopCount()) / float64(m.bloom.Bits())
 	// ~2000 long patterns x 3 bits into 2^18 bits => ~2.3% fill.
 	if fill <= 0 || fill > 0.1 {
 		t.Fatalf("bloom fill %.4f out of expected range", fill)

@@ -118,17 +118,6 @@ func (t *chainTable) bucket(key uint32) []entry {
 	return t.entries[t.starts[s]:t.starts[s+1]]
 }
 
-// maxBucketLen reports the longest chain (diagnostics / tests).
-func (t *chainTable) maxBucketLen() int {
-	m := 0
-	for s := 0; s+1 < len(t.starts); s++ {
-		if n := int(t.starts[s+1] - t.starts[s]); n > m {
-			m = n
-		}
-	}
-	return m
-}
-
 // Build constructs the verifier for a pattern set.
 func Build(set *patterns.Set) *Verifier { return BuildFiltered(set, nil) }
 
@@ -289,20 +278,4 @@ func (v *Verifier) MemoryFootprint() int {
 		sz += len(v.shortCI.len1[i]) * 4
 	}
 	return sz
-}
-
-// MaxChain returns the longest bucket chain over all tables (diagnostic:
-// verification cost per candidate is bounded by chain length).
-func (v *Verifier) MaxChain() int {
-	m := v.longCS.prefix4.maxBucketLen()
-	if n := v.longCI.prefix4.maxBucketLen(); n > m {
-		m = n
-	}
-	if n := v.shortCS.prefix2.maxBucketLen(); n > m {
-		m = n
-	}
-	if n := v.shortCI.prefix2.maxBucketLen(); n > m {
-		m = n
-	}
-	return m
 }

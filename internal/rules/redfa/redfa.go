@@ -118,14 +118,6 @@ func (p *Prog) buildClasses() {
 	p.numClasses = int(cls) + 1
 }
 
-// MatchesEmpty reports whether the program accepts the empty input —
-// the verification outcome known before consuming a single byte.
-func (p *Prog) MatchesEmpty() bool {
-	m := NewMachine(p, 4)
-	_, accept, _ := m.Start()
-	return accept
-}
-
 // Dead is the Machine state index meaning the verification can never
 // accept (every NFA thread died).
 const Dead int32 = -1
@@ -319,22 +311,4 @@ func (m *Machine) Feed(state int32, data []byte) (next int32, consumed int, acce
 		cur = n
 	}
 	return cur, len(data), false, false
-}
-
-// Match is the one-shot convenience: anchored match of data's prefix.
-// bailed follows the fail-open contract (caller reports).
-func (m *Machine) Match(data []byte) (matched, bailed bool) {
-	st, acc, bail := m.Start()
-	if bail {
-		return false, true
-	}
-	if acc {
-		return true, false
-	}
-	next, _, accepted, bail := m.Feed(st, data)
-	if bail {
-		return false, true
-	}
-	_ = next
-	return accepted, false
 }

@@ -9,6 +9,17 @@ import (
 	"vpatch/internal/dbfmt"
 )
 
+// match is the one-shot anchored match of data's prefix; bailed follows
+// the fail-open contract (the caller reports).
+func match(m *Machine, data []byte) (matched, bailed bool) {
+	st, acc, bail := m.Start()
+	if bail || acc {
+		return acc && !bail, bail
+	}
+	_, _, accepted, bail := m.Feed(st, data)
+	return accepted && !bail, bail
+}
+
 // matchOnce runs a fresh machine over data.
 func matchOnce(t *testing.T, expr, flags string, data []byte) bool {
 	t.Helper()
@@ -17,7 +28,7 @@ func matchOnce(t *testing.T, expr, flags string, data []byte) bool {
 		t.Fatalf("Compile(%q): %v", expr, err)
 	}
 	m := NewMachine(p, 0)
-	ok, bailed := m.Match(data)
+	ok, bailed := match(m, data)
 	if bailed {
 		t.Fatalf("Match(%q, %q) bailed", expr, data)
 	}
@@ -114,7 +125,7 @@ func TestAgainstGoRegexp(t *testing.T) {
 			for j := range in {
 				in[j] = alpha[rng.Intn(len(alpha))]
 			}
-			got, bailed := m.Match(in)
+			got, bailed := match(m, in)
 			if bailed {
 				t.Fatalf("%q bailed on %q", expr, in)
 			}
@@ -139,7 +150,7 @@ func TestIncrementalFeed(t *testing.T) {
 	}
 	for _, in := range inputs {
 		whole := NewMachine(p, 0)
-		wantOK, _ := whole.Match(in)
+		wantOK, _ := match(whole, in)
 		for cut := 0; cut <= len(in); cut++ {
 			m := NewMachine(p, 0)
 			st, acc, bailed := m.Start()
@@ -175,7 +186,7 @@ func TestBail(t *testing.T) {
 		t.Fatal(err)
 	}
 	m := NewMachine(p, 2)
-	_, bailed := m.Match([]byte("aeim"))
+	_, bailed := match(m, []byte("aeim"))
 	if !bailed {
 		t.Fatal("expected bail with 2-state cap")
 	}
@@ -187,12 +198,12 @@ func TestStatesBuiltCounts(t *testing.T) {
 		t.Fatal(err)
 	}
 	m := NewMachine(p, 0)
-	m.Match([]byte("abc123"))
+	match(m, []byte("abc123"))
 	first := m.StatesBuilt
 	if first == 0 {
 		t.Fatal("no states built on first run")
 	}
-	m.Match([]byte("xyz789"))
+	match(m, []byte("xyz789"))
 	if m.StatesBuilt != first {
 		t.Errorf("warm run built %d new states", m.StatesBuilt-first)
 	}
@@ -206,7 +217,7 @@ func TestMatchesEmpty(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if got := p.MatchesEmpty(); got != want {
+		if _, got, _ := NewMachine(p, 4).Start(); got != want {
 			t.Errorf("MatchesEmpty(%q) = %v, want %v", expr, got, want)
 		}
 	}
@@ -239,8 +250,8 @@ func TestEncodeDecodeRoundTrip(t *testing.T) {
 		// Behavioral identity on a few inputs.
 		for _, in := range []string{"abcd", "ABxy", "12.5", "a##b", ""} {
 			m1, m2 := NewMachine(p, 0), NewMachine(q, 0)
-			r1, _ := m1.Match([]byte(in))
-			r2, _ := m2.Match([]byte(in))
+			r1, _ := match(m1, []byte(in))
+			r2, _ := match(m2, []byte(in))
 			if r1 != r2 {
 				t.Errorf("%q on %q: original %v, decoded %v", expr, in, r1, r2)
 			}
@@ -262,7 +273,7 @@ func TestDecodeCorrupt(t *testing.T) {
 		d := dbfmt.NewDecoder(blob[:cut])
 		if q, err := DecodeProg(d); err == nil && d.Finish() == nil {
 			// A truncation that still decodes cleanly must still be runnable.
-			NewMachine(q, 0).Match([]byte("abx"))
+			match(NewMachine(q, 0), []byte("abx"))
 		}
 	}
 	for i := 0; i < len(blob); i++ {
@@ -270,7 +281,7 @@ func TestDecodeCorrupt(t *testing.T) {
 		mut[i] ^= 0x41
 		d := dbfmt.NewDecoder(mut)
 		if q, err := DecodeProg(d); err == nil && d.Finish() == nil {
-			NewMachine(q, 0).Match([]byte("abx"))
+			match(NewMachine(q, 0), []byte("abx"))
 		}
 	}
 }

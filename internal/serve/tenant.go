@@ -163,13 +163,12 @@ func (s *Server) newTenant(name string, cfg TenantConfig) *Tenant {
 }
 
 // Reload validates db (CRC and pattern-digest checks run inside
-// ids.LoadDB), restores its engines without parsing rule text (the
-// filtering engines are rebuilt from each group's stored patterns,
-// Aho-Corasick's automaton is decoded) and swaps the new engine in: the
-// first load starts the tenant's dispatcher, later loads rebind its
-// live shards (every segment queued before the swap is scanned, and its
-// alerts reported, under the old generation). Returns the new
-// generation number.
+// ids.LoadDB), restores its engines without parsing rule text (each
+// group's engine is compiled from its stored patterns) and swaps the
+// new engine in: the first load starts the tenant's dispatcher, later
+// loads rebind its live shards (every segment queued before the swap is
+// scanned, and its alerts reported, under the old generation). Returns
+// the new generation number.
 func (t *Tenant) Reload(db []byte) (uint64, error) {
 	// Load outside the locks: validation and engine reconstruction are
 	// the slow part, and the data path must not stall behind them.

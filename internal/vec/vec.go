@@ -1,8 +1,9 @@
 // Package vec is a software rendition of the SIMD execution model the paper
 // relies on: W-lane vector registers of 32-bit elements, the gather
-// instruction (fetch from W non-contiguous memory locations), the shuffle
-// instruction (arbitrary byte permutation inside a register), and movemask
-// (condense per-lane predicates into a scalar bit mask).
+// instruction (fetch from W non-contiguous memory locations), the
+// load+shuffle that turns raw input into sliding windows (fused into one
+// step), and movemask (condense per-lane predicates into a scalar bit
+// mask).
 //
 // Pure Go exposes no SIMD intrinsics, so every operation is implemented as
 // a short, branch-free loop over the active lanes. The point of the layer is
@@ -35,9 +36,6 @@ var SupportedWidths = []int{4, 8, 16}
 // configured with W < MaxLanes only use the first W lanes.
 type U32 [MaxLanes]uint32
 
-// Bytes is a raw byte register (64 bytes = one 512-bit register).
-type Bytes [MaxLanes * 4]byte
-
 // Mask is a per-lane predicate: bit i set means lane i is active.
 type Mask uint32
 
@@ -47,9 +45,6 @@ func (m Mask) Any() bool { return m != 0 }
 // Count returns the number of active lanes — the paper's "useful elements
 // in vector register" metric (Fig. 5b).
 func (m Mask) Count() int { return bits.OnesCount32(uint32(m)) }
-
-// Test reports whether lane i is active.
-func (m Mask) Test(lane int) bool { return m&(1<<lane) != 0 }
 
 // ForEach calls fn for every active lane, in ascending lane order. It is
 // the emulation of the scalar extraction loop that follows a movemask.
@@ -78,81 +73,9 @@ func New(w int) *Engine {
 // Width returns the number of lanes.
 func (e *Engine) Width() int { return e.w }
 
-// Broadcast returns a register with every lane equal to v
-// (the _mm256_set1_epi32 idiom).
-func (e *Engine) Broadcast(v uint32) U32 {
-	var r U32
-	for i := 0; i < e.w; i++ {
-		r[i] = v
-	}
-	return r
-}
-
-// LoadBytes fills a raw byte register from input[base:]. It is the
-// "fill register with raw input" step (Algorithm 2, line 7). The caller
-// must guarantee base+4*W+<shuffle reach> stays in bounds.
-func (e *Engine) LoadBytes(input []byte, base int) Bytes {
-	var r Bytes
-	copy(r[:], input[base:])
-	return r
-}
-
-// Shuffle permutes a byte register: out[i] = r[mask[i]] for mask[i] >= 0,
-// and 0 where mask[i] < 0 (the pshufb zeroing convention). Only the first
-// 4*W output bytes are produced.
-func (e *Engine) Shuffle(r Bytes, mask []int8) Bytes {
-	var out Bytes
-	n := 4 * e.w
-	if len(mask) < n {
-		panic("vec: shuffle mask shorter than register")
-	}
-	for i := 0; i < n; i++ {
-		if mask[i] >= 0 {
-			out[i] = r[mask[i]]
-		}
-	}
-	return out
-}
-
-// Window2Mask builds the shuffle mask M1 that converts consecutive input
-// bytes into W lanes each holding a 2-byte sliding window in its low half
-// (Fig. 2): lane i = input[i] | input[i+1]<<8.
-func (e *Engine) Window2Mask() []int8 {
-	m := make([]int8, 4*e.w)
-	for i := 0; i < e.w; i++ {
-		m[4*i] = int8(i)
-		m[4*i+1] = int8(i + 1)
-		m[4*i+2] = -1
-		m[4*i+3] = -1
-	}
-	return m
-}
-
-// Window4Mask builds the shuffle mask M2 for 4-byte sliding windows:
-// lane i = little-endian 32-bit load of input[i..i+3].
-func (e *Engine) Window4Mask() []int8 {
-	m := make([]int8, 4*e.w)
-	for i := 0; i < e.w; i++ {
-		for j := 0; j < 4; j++ {
-			m[4*i+j] = int8(i + j)
-		}
-	}
-	return m
-}
-
-// ToU32 reinterprets a byte register as W little-endian 32-bit lanes.
-func (e *Engine) ToU32(r Bytes) U32 {
-	var out U32
-	for i := 0; i < e.w; i++ {
-		out[i] = uint32(r[4*i]) | uint32(r[4*i+1])<<8 |
-			uint32(r[4*i+2])<<16 | uint32(r[4*i+3])<<24
-	}
-	return out
-}
-
-// Windows2 is the fused load+shuffle producing W 2-byte sliding windows
-// starting at input[base]. Semantically identical to
-// ToU32(Shuffle(LoadBytes(input, base), Window2Mask())).
+// Windows2 is the fused load+shuffle (Algorithm 2, line 7, and the
+// shuffle of Fig. 2) producing W 2-byte sliding windows starting at
+// input[base]: lane i = input[base+i] | input[base+i+1]<<8.
 func (e *Engine) Windows2(input []byte, base int) U32 {
 	var r U32
 	_ = input[base+e.w] // one bounds check for the whole register
@@ -162,7 +85,8 @@ func (e *Engine) Windows2(input []byte, base int) U32 {
 	return r
 }
 
-// Windows4 is the fused load+shuffle producing W 4-byte sliding windows.
+// Windows4 is the fused load+shuffle producing W 4-byte sliding windows:
+// lane i is the little-endian 32-bit load of input[base+i..base+i+3].
 func (e *Engine) Windows4(input []byte, base int) U32 {
 	var r U32
 	_ = input[base+e.w+2]

@@ -265,7 +265,7 @@ func Compile(set *PatternSet, opt Options) (*Engine, error) {
 	case AlgoVectorDFC:
 		eng = dfc.BuildVector(set, opt.VectorWidth)
 	case AlgoAhoCorasick:
-		eng = ahocorasick.Build(set, ahocorasick.Options{})
+		eng = ahocorasick.Build(set)
 	case AlgoWuManber:
 		eng = wumanber.Build(set)
 	case AlgoFFBF:
