@@ -22,9 +22,17 @@ package ids
 // handled, and after every shard flush. A dense alert stream costs the
 // sink one call per group flush rather than one per alert, and no alert
 // waits for the rest of its slab.
+//
+// Alerts also leave within a bounded delay: after every slab, and when
+// its timer fires, a worker flushes each group whose oldest pending job
+// has waited MaxAlertDelay. At full rate the watermarks flush first and
+// the timer never fires; on a quiet link a payload waits at most that
+// long for a watermark that is not coming. The timer is armed only while
+// the shard holds pending jobs.
 
 import (
 	"sync"
+	"time"
 
 	"vpatch"
 	"vpatch/internal/arena"
@@ -39,11 +47,9 @@ import (
 // sends); Swap moves the shards onto another engine under live traffic.
 // Close drains the workers and merges their stats.
 type Dispatcher struct {
-	shards []*Shard
-	chans  []chan []netsim.Segment
-	ctl    []chan control
-	wg     sync.WaitGroup
-	obs    *PipelineObserver
+	workers []*worker
+	wg      sync.WaitGroup
+	obs     *PipelineObserver
 
 	// arena backs defensive payload copies and the shard reassemblers;
 	// zeroCopy disables the defensive copy for callers whose payload
@@ -108,14 +114,14 @@ func (e *Engine) NewDispatcher(n int, limits netsim.Limits, emit func(Alert)) *D
 // by flow-key hash partitioning, delivering alerts to emit in batches:
 // each worker hands over the alerts its shard raised while handling one
 // segment of a slab — one group flush's worth, or one flow teardown's —
-// and again after every shard flush (FlushAll and Close return only
-// after those batches were delivered). emit is called concurrently
-// from the n worker goroutines and must be safe for concurrent use; the
-// slice is never empty, holds alerts of one worker only (those of one
-// flow in stream order), and is reused after emit returns, so emit must
-// copy anything it keeps. Shard reassemblers recycle their buffers
-// through the shared arena (override with SetArena). Close must be
-// called to drain and stop the workers.
+// after every deadline flush, and again after every shard flush
+// (FlushAll and Close return only after those batches were delivered).
+// emit is called concurrently from the n worker goroutines and must be
+// safe for concurrent use; the slice is never empty, holds alerts of one
+// worker only (those of one flow in stream order), and is reused after
+// emit returns, so emit must copy anything it keeps. Shard reassemblers
+// recycle their buffers through the shared arena (override with
+// SetArena). Close must be called to drain and stop the workers.
 func (e *Engine) NewBatchDispatcher(n int, limits netsim.Limits, emit func([]Alert)) *Dispatcher {
 	if n < 1 {
 		n = 1
@@ -124,105 +130,157 @@ func (e *Engine) NewBatchDispatcher(n int, limits netsim.Limits, emit func([]Ale
 		panic("ids: nil alert sink")
 	}
 	d := &Dispatcher{
-		shards: make([]*Shard, n),
-		chans:  make([]chan []netsim.Segment, n),
-		ctl:    make([]chan control, n),
-		arena:  arena.Shared(),
-		acc:    make([][]netsim.Segment, n),
+		workers: make([]*worker, n),
+		arena:   arena.Shared(),
+		acc:     make([][]netsim.Segment, n),
 	}
 	d.slabMax = n*(dispatchQueueBatches+2) + 16
 	d.slabs = make(chan []netsim.Segment, d.slabMax)
-	for i := 0; i < n; i++ {
-		// out collects the shard's alerts between deliveries, and sink is
-		// where they go (Swap rebinds it); only this worker's goroutine
-		// touches either.
-		var out []Alert
-		sink := emit
-		deliver := func() {
-			if len(out) > 0 {
-				sink(out)
-				out = out[:0]
-			}
+	for i := range d.workers {
+		w := &worker{
+			id:   i,
+			ch:   make(chan []netsim.Segment, dispatchQueueBatches),
+			ctl:  make(chan control),
+			sink: emit,
 		}
-		sh := e.NewShard(func(a Alert) { out = append(out, a) })
-		sh.SetLimits(limits)
-		sh.SetArena(d.arena)
-		ch := make(chan []netsim.Segment, dispatchQueueBatches)
-		cch := make(chan control)
-		d.shards[i] = sh
-		d.chans[i] = ch
-		d.ctl[i] = cch
-		worker := i
+		w.sh = e.NewShard(func(a Alert) { w.out = append(w.out, a) })
+		w.sh.SetLimits(limits)
+		w.sh.SetArena(d.arena)
+		d.workers[i] = w
 		d.wg.Add(1)
-		go func() {
-			defer d.wg.Done()
-			handle := func(bt []netsim.Segment) {
-				if chaos.Armed() {
-					chaos.Fire(chaos.DispatchBatch, worker)
-				}
-				for j := range bt {
-					// Per-segment panic recovery: a poisoned segment
-					// quarantines its flow, never the shard (see
-					// Shard.handleSegmentSafe).
-					sh.handleSegmentSafe(bt[j])
-					bt[j] = netsim.Segment{}
-					// Alerts are raised only by the group flush or flow
-					// teardown a segment triggers: hand them over now
-					// rather than after the rest of the slab.
-					deliver()
-				}
-				d.putSlab(bt[:0])
-			}
-			flush := func() {
-				sh.Flush()
-				deliver()
-			}
-			for {
-				select {
-				case bt, ok := <-ch:
-					if !ok {
-						flush()
-						return
-					}
-					handle(bt)
-				case c := <-cch:
-					// Drain slabs already queued before flushing:
-					// select picks randomly among ready channels, so
-					// without this a control request could overtake
-					// segments sent before it and miss their alerts.
-					for drained := false; !drained; {
-						select {
-						case bt, ok := <-ch:
-							if !ok {
-								flush()
-								close(c.done)
-								return
-							}
-							handle(bt)
-						default:
-							drained = true
-						}
-					}
-					flush()
-					if c.eng != nil {
-						sh.rebind(c.eng, c.sids)
-						deliver() // verifications settled on the old engine
-						sink = c.sink
-					}
-					close(c.done)
-				}
-			}
-		}()
+		go w.run(d)
 	}
 	return d
+}
+
+// worker is one dispatcher goroutine and everything only it touches:
+// its shard, the alerts collected between deliveries and the sink they
+// go to (Swap rebinds it), and the timer that wakes it when a pending
+// group comes due.
+type worker struct {
+	id  int
+	sh  *Shard
+	ch  chan []netsim.Segment
+	ctl chan control
+
+	out  []Alert
+	sink func([]Alert)
+
+	// timer fires when the shard's oldest pending group has waited
+	// MaxAlertDelay; due is its channel while armed and nil otherwise (a
+	// nil channel never fires in select). The timer is reset only after
+	// its value was received, so it is never Reset while armed or with a
+	// stale value queued (the pre-Go-1.23 timer rules).
+	timer *time.Timer
+	due   <-chan time.Time
+}
+
+func (w *worker) run(d *Dispatcher) {
+	defer d.wg.Done()
+	defer func() {
+		if w.timer != nil {
+			w.timer.Stop()
+		}
+	}()
+	for {
+		select {
+		case bt, ok := <-w.ch:
+			if !ok {
+				w.flush()
+				return
+			}
+			w.handle(d, bt)
+		case <-w.due:
+			w.due = nil
+			w.age()
+		case c := <-w.ctl:
+			// Drain slabs already queued before flushing: select picks
+			// randomly among ready channels, so without this a control
+			// request could overtake segments sent before it and miss
+			// their alerts.
+			for drained := false; !drained; {
+				select {
+				case bt, ok := <-w.ch:
+					if !ok {
+						w.flush()
+						close(c.done)
+						return
+					}
+					w.handle(d, bt)
+				default:
+					drained = true
+				}
+			}
+			w.flush()
+			if c.eng != nil {
+				w.sh.rebind(c.eng, c.sids)
+				w.deliver() // verifications settled on the old engine
+				w.sink = c.sink
+			}
+			close(c.done)
+		}
+	}
+}
+
+// deliver hands the collected alerts to the sink.
+func (w *worker) deliver() {
+	if len(w.out) > 0 {
+		w.sink(w.out)
+		w.out = w.out[:0]
+	}
+}
+
+// handle runs one slab through the shard, returns the slab to the pool,
+// and then flushes the groups that have waited long enough.
+func (w *worker) handle(d *Dispatcher, bt []netsim.Segment) {
+	if chaos.Armed() {
+		chaos.Fire(chaos.DispatchBatch, w.id)
+	}
+	for j := range bt {
+		// Per-segment panic recovery: a poisoned segment quarantines its
+		// flow, never the shard (see Shard.handleSegmentSafe).
+		w.sh.handleSegmentSafe(bt[j])
+		bt[j] = netsim.Segment{}
+		// Alerts are raised only by the group flush or flow teardown a
+		// segment triggers: hand them over now rather than after the
+		// rest of the slab.
+		w.deliver()
+	}
+	d.putSlab(bt[:0])
+	w.age()
+}
+
+// age flushes every group that has waited MaxAlertDelay and, while the
+// shard still holds pending jobs, keeps the timer armed for the oldest
+// of them. An armed timer already fires no later than that: groups
+// started after it was armed come due after it.
+func (w *worker) age() {
+	now := time.Now()
+	next := w.sh.flushAged(now, MaxAlertDelay)
+	w.deliver()
+	if next.IsZero() || w.due != nil {
+		return
+	}
+	if w.timer == nil {
+		w.timer = time.NewTimer(next.Sub(now))
+	} else {
+		w.timer.Reset(next.Sub(now))
+	}
+	w.due = w.timer.C
+}
+
+// flush scans the shard's pending batches and delivers their alerts.
+func (w *worker) flush() {
+	w.sh.Flush()
+	w.deliver()
 }
 
 // SetArena replaces the arena backing defensive copies and the shard
 // reassemblers. Must be called before the first HandleBatch.
 func (d *Dispatcher) SetArena(a *arena.Arena) {
 	d.arena = a
-	for _, sh := range d.shards {
-		sh.SetArena(a)
+	for _, w := range d.workers {
+		w.sh.SetArena(a)
 	}
 }
 
@@ -230,8 +288,8 @@ func (d *Dispatcher) SetArena(a *arena.Arena) {
 // (see Shard.SetVerifierBudget). Must be called before the first
 // HandleBatch, like the other pre-start configuration.
 func (d *Dispatcher) SetVerifierBudget(b resil.VerifierBudget) {
-	for _, sh := range d.shards {
-		sh.SetVerifierBudget(b)
+	for _, w := range d.workers {
+		w.sh.SetVerifierBudget(b)
 	}
 }
 
@@ -310,7 +368,7 @@ func (d *Dispatcher) HandleBatch(segs []netsim.Segment) {
 	if len(segs) == 0 {
 		return
 	}
-	n := uint32(len(d.chans))
+	n := uint32(len(d.workers))
 	d.mu.Lock()
 	defer d.mu.Unlock()
 	if d.closed {
@@ -328,7 +386,7 @@ func (d *Dispatcher) HandleBatch(segs []netsim.Segment) {
 		}
 		slab = append(slab, seg)
 		if len(slab) >= DefaultDispatchBatch {
-			d.chans[i] <- slab
+			d.workers[i].ch <- slab
 			slab = nil
 		}
 		d.acc[i] = slab
@@ -336,7 +394,7 @@ func (d *Dispatcher) HandleBatch(segs []netsim.Segment) {
 	for i, slab := range d.acc {
 		if slab != nil {
 			d.acc[i] = nil
-			d.chans[i] <- slab
+			d.workers[i].ch <- slab
 		}
 	}
 }
@@ -361,13 +419,13 @@ type PipelineObserver struct {
 func (d *Dispatcher) Observe() *PipelineObserver {
 	if d.obs == nil {
 		o := &PipelineObserver{
-			scan: make([]*metrics.Atomic, len(d.shards)),
-			flow: make([]*netsim.AtomicStats, len(d.shards)),
+			scan: make([]*metrics.Atomic, len(d.workers)),
+			flow: make([]*netsim.AtomicStats, len(d.workers)),
 		}
-		for i, sh := range d.shards {
+		for i, w := range d.workers {
 			o.scan[i] = &metrics.Atomic{}
 			o.flow[i] = &netsim.AtomicStats{}
-			sh.SetObserver(o.scan[i], o.flow[i])
+			w.sh.SetObserver(o.scan[i], o.flow[i])
 		}
 		d.obs = o
 	}
@@ -396,10 +454,10 @@ func (o *PipelineObserver) FlowStats() netsim.Stats {
 
 // FlushAll makes every worker scan its shard's pending group batches
 // now — after the slabs already queued to it — and waits until all have
-// done so: the latency-deadline lever of a resident pipeline (alerts
-// otherwise wait for a shard watermark). The dispatcher itself holds
-// nothing to flush. Safe to call concurrently with HandleBatch (from any
-// goroutine) and with Close; after Close it is a no-op.
+// done so, so a caller sees every alert of what it sent without waiting
+// up to MaxAlertDelay. The dispatcher itself holds nothing to flush.
+// Safe to call concurrently with HandleBatch (from any goroutine) and
+// with Close; after Close it is a no-op.
 func (d *Dispatcher) FlushAll() { d.broadcast(control{}) }
 
 // Swap moves every shard onto engine e — a rule reload under live
@@ -442,11 +500,11 @@ func (d *Dispatcher) broadcast(c control) {
 	if d.closed {
 		return
 	}
-	dones := make([]chan struct{}, len(d.ctl))
-	for i, cch := range d.ctl {
+	dones := make([]chan struct{}, len(d.workers))
+	for i, w := range d.workers {
 		c.done = make(chan struct{})
 		dones[i] = c.done
-		cch <- c
+		w.ctl <- c
 	}
 	for _, done := range dones {
 		<-done
@@ -463,15 +521,15 @@ func (d *Dispatcher) Close() netsim.Stats {
 	d.closeOnce.Do(func() {
 		d.mu.Lock()
 		d.closed = true
-		for _, ch := range d.chans {
-			close(ch)
+		for _, w := range d.workers {
+			close(w.ch)
 		}
 		d.mu.Unlock()
 	})
 	d.wg.Wait()
 	var st netsim.Stats
-	for _, sh := range d.shards {
-		st.Add(sh.Stats())
+	for _, w := range d.workers {
+		st.Add(w.sh.Stats())
 	}
 	return st
 }

@@ -30,8 +30,10 @@
 // payloads costs one filtering round and one verification round — the
 // paper's cache-sized two-round structure — instead of one Scan call,
 // its set-up and its clock reads each. Alerts therefore surface at flush
-// time; call Flush after the last segment (or on a latency deadline) to
-// drain partial batches.
+// time. A Dispatcher also flushes every group whose oldest job has waited
+// MaxAlertDelay, so its alerts leave within a bounded delay; a bare Shard
+// (or Engine.HandleSegment) keeps no timer of its own, and its caller
+// calls Flush after the last segment to drain partial batches.
 //
 // # Flow lifecycle and memory bounds
 //
@@ -51,6 +53,7 @@ package ids
 
 import (
 	"fmt"
+	"time"
 
 	"vpatch"
 	"vpatch/internal/arena"
@@ -119,6 +122,12 @@ const (
 	DefaultBatchBufs  = 32
 	DefaultBatchBytes = 256 << 10
 )
+
+// MaxAlertDelay bounds how long a dispatcher shard's group batch waits
+// for a watermark: a group whose oldest job has waited this long is
+// flushed by its worker. A constant like the watermarks: at full rate
+// the watermarks come first and it never fires.
+const MaxAlertDelay = 5 * time.Millisecond
 
 // Shard is one worker's view of the pipeline: it shares the Engine's
 // compiled rule groups and owns everything mutable — the reassembler,
@@ -216,6 +225,7 @@ type groupBatch struct {
 	bufs  [][]byte
 	meta  []batchEntry
 	bytes int
+	since time.Time // when the oldest pending job was enqueued
 	free  [][]byte
 	// onMatch is the batch's ScanBatch callback, built once — a fresh
 	// closure per flush would put one heap allocation on the
@@ -728,6 +738,9 @@ func (s *Shard) onPayload(k netsim.FlowKey, payload []byte) {
 	}
 	fs.carry = append(fs.carry[:0], buf[len(buf)-keep:]...)
 
+	if len(pb.bufs) == 0 {
+		pb.since = time.Now()
+	}
 	pb.bufs = append(pb.bufs, buf)
 	pb.meta = append(pb.meta, batchEntry{fs: fs, carryLen: carryLen, base: base})
 	pb.bytes += len(buf)
@@ -803,9 +816,34 @@ func (s *Shard) flushGroup(g *group, pb *groupBatch) {
 	}
 }
 
+// flushAged flushes every group whose oldest pending job was enqueued
+// at least age before now, counting each as a deadline flush, and
+// returns when the oldest job of the groups still pending comes due
+// (the zero Time when none is pending).
+func (s *Shard) flushAged(now time.Time, age time.Duration) time.Time {
+	var next time.Time
+	for g, pb := range s.pending {
+		if len(pb.bufs) == 0 {
+			continue
+		}
+		due := pb.since.Add(age)
+		if now.Before(due) {
+			if next.IsZero() || due.Before(next) {
+				next = due
+			}
+			continue
+		}
+		if c := s.counters(); c != nil {
+			c.DeadlineFlushes++
+		}
+		s.flushGroup(g, pb)
+	}
+	return next
+}
+
 // Flush scans every pending batch immediately. Call it after the last
-// segment of a capture, or on a latency deadline in live deployments
-// (alerts otherwise wait for a watermark).
+// segment of a capture; a bare shard's alerts otherwise wait for a
+// watermark.
 func (s *Shard) Flush() {
 	for g, pb := range s.pending {
 		s.flushGroup(g, pb)

@@ -104,8 +104,8 @@ func TestHandleBatchHoldsNothingBack(t *testing.T) {
 	defer d.Close()
 	// Scan-per-payload shards: a segment that reaches its worker alerts
 	// without any flush. Published to the workers by the first slab send.
-	for _, sh := range d.shards {
-		sh.maxBatchBufs = 1
+	for _, w := range d.workers {
+		w.sh.maxBatchBufs = 1
 	}
 
 	// Only SrcIP varies: key()'s paired SrcIP/SrcPort steps cancel in the

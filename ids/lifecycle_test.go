@@ -256,8 +256,8 @@ func TestDispatcherPartitionsAndMerges(t *testing.T) {
 		got = append(got, a)
 		mu.Unlock()
 	})
-	if len(d.shards) != 4 {
-		t.Fatalf("%d shards, want 4", len(d.shards))
+	if len(d.workers) != 4 {
+		t.Fatalf("%d shards, want 4", len(d.workers))
 	}
 	obs := d.Observe()
 	for i := range segs {

@@ -209,7 +209,7 @@ func TestDispatcherSwap(t *testing.T) {
 		web, dns := key(1, 80), key(2, 53)
 		r.send(web, "some bytes")
 		r.swap(2, literalEngine(t, vpatch.ProtoDNS, "dns-poison-abc"))
-		if fs := r.d.shards[0].flows[web]; fs != nil {
+		if fs := r.d.workers[0].sh.flows[web]; fs != nil {
 			t.Fatalf("flow without a group kept scan state %+v", fs)
 		}
 		scanned := r.counters().BytesScanned
@@ -230,11 +230,11 @@ func TestDispatcherSwap(t *testing.T) {
 		k := key(1, 80)
 		head := "0123456789 padding padding xyzab"
 		r.send(k, head)
-		if fs := r.d.shards[0].flows[k]; len(fs.carry) != 32 {
+		if fs := r.d.workers[0].sh.flows[k]; len(fs.carry) != 32 {
 			t.Fatalf("carry %d bytes before the swap, want 32", len(fs.carry))
 		}
 		r.swap(2, literalEngine(t, vpatch.ProtoHTTP, "abcde"))
-		if fs := r.d.shards[0].flows[k]; string(fs.carry) != "yzab" || fs.maxLen != 5 {
+		if fs := r.d.workers[0].sh.flows[k]; string(fs.carry) != "yzab" || fs.maxLen != 5 {
 			t.Fatalf("carry %q (maxLen %d) after the swap, want %q (5)", fs.carry, fs.maxLen, "yzab")
 		}
 		r.send(k, "cde")

@@ -60,6 +60,8 @@ type Atomic struct {
 	bytesDropped atomic.Uint64
 	peakFlows    atomic.Uint64
 
+	deadlineFlushes atomic.Uint64
+
 	filteringNs atomic.Int64
 	verifyNs    atomic.Int64
 	otherNs     atomic.Int64
@@ -99,6 +101,7 @@ func (a *Atomic) AddCounters(c *Counters) {
 	a.flowsEvicted.Add(c.FlowsEvicted)
 	a.bytesDropped.Add(c.BytesDropped)
 	storeMax(&a.peakFlows, c.PeakFlows)
+	a.deadlineFlushes.Add(c.DeadlineFlushes)
 	a.filteringNs.Add(c.FilteringNs)
 	a.verifyNs.Add(c.VerifyNs)
 	a.otherNs.Add(c.OtherNs)
@@ -152,8 +155,11 @@ func (a *Atomic) Snapshot() Counters {
 		FlowsEvicted: a.flowsEvicted.Load(),
 		BytesDropped: a.bytesDropped.Load(),
 		PeakFlows:    a.peakFlows.Load(),
-		FilteringNs:  a.filteringNs.Load(),
-		VerifyNs:     a.verifyNs.Load(),
-		OtherNs:      a.otherNs.Load(),
+
+		DeadlineFlushes: a.deadlineFlushes.Load(),
+
+		FilteringNs: a.filteringNs.Load(),
+		VerifyNs:    a.verifyNs.Load(),
+		OtherNs:     a.otherNs.Load(),
 	}
 }

@@ -128,6 +128,13 @@ type Counters struct {
 	BytesDropped uint64
 	PeakFlows    uint64
 
+	// DeadlineFlushes counts group batches a dispatcher shard scanned
+	// because their oldest job had waited the alert-delay bound, rather
+	// than at a watermark, a flow teardown or an explicit flush: near
+	// zero at full rate, about one per alert-bearing payload on a quiet
+	// link.
+	DeadlineFlushes uint64
+
 	// Phase wall-clock time: the filtering and verification rounds of
 	// the matcher, and — for pipelines that layer work on top of the
 	// matcher — everything else inside a scan (OtherNs: the ids shard's
@@ -170,6 +177,7 @@ func (c *Counters) Add(o *Counters) {
 	if o.PeakFlows > c.PeakFlows {
 		c.PeakFlows = o.PeakFlows
 	}
+	c.DeadlineFlushes += o.DeadlineFlushes
 	c.FilteringNs += o.FilteringNs
 	c.VerifyNs += o.VerifyNs
 	c.OtherNs += o.OtherNs

@@ -41,9 +41,68 @@ import (
 	"vpatch/internal/resil"
 )
 
-// streamBatchSegs is the per-request dispatcher handoff batch for the
-// /v1/stream and raw-TCP ingest loops.
-const streamBatchSegs = 64
+// Ingest batching, shared by the /v1/stream and raw-TCP ingest loops:
+// frames reach the tenant's scheduler lane in batches of at most
+// streamBatchSegs, each held at most ingestBatchLinger from its first
+// frame, so a quiet feed's frames do not wait on the ones after them.
+const (
+	streamBatchSegs   = 64
+	ingestBatchLinger = 5 * time.Millisecond
+)
+
+// ingestBatch gathers one ingest stream's frames for the tenant's
+// scheduler lane, which owns every slice it is handed.
+type ingestBatch struct {
+	s       *Server
+	t       *Tenant
+	segs    []netsim.Segment // nil when nothing is held
+	since   time.Time        // the first held frame's arrival
+	dropped int              // batches the scheduler refused (the lane was full)
+}
+
+// add holds seg and hands the batch on once it is full or its first
+// frame has been held ingestBatchLinger.
+func (b *ingestBatch) add(seg netsim.Segment) {
+	now := time.Now()
+	if b.segs == nil {
+		b.segs, b.since = make([]netsim.Segment, 0, streamBatchSegs), now
+	}
+	b.segs = append(b.segs, seg)
+	if len(b.segs) == streamBatchSegs || now.Sub(b.since) >= ingestBatchLinger {
+		b.flush()
+	}
+}
+
+// wait is how long a reader may block for the next frame: idle when
+// nothing is held, else what is left of the hold.
+func (b *ingestBatch) wait(idle time.Duration) time.Duration {
+	if b.segs == nil {
+		return idle
+	}
+	return max(ingestBatchLinger-time.Since(b.since), 0)
+}
+
+// flush hands the held frames to the scheduler (a refused batch
+// releases its payloads).
+func (b *ingestBatch) flush() {
+	if b.segs == nil {
+		return
+	}
+	if !b.s.sched.Enqueue(b.t.name, b.segs) {
+		b.dropped++
+	}
+	b.segs = nil
+}
+
+// push flushes the batch and waits until everything the tenant queued
+// has been dispatched and scanned, so the stream's alerts are out.
+func (b *ingestBatch) push() {
+	b.flush()
+	b.s.sched.Flush(b.t.name)
+	if d := b.t.disp.Load(); d != nil {
+		d.FlushAll()
+	}
+}
 
 // DefaultTenant is the tenant implied when requests carry no tenant
 // parameter.
@@ -105,6 +164,10 @@ type Server struct {
 	drainCh   chan struct{} // closed on the first Drain; ends /v1/alerts followers
 	drainOnce sync.Once
 	ingestWG  sync.WaitGroup // live raw-TCP ingest connections
+	// ingestMu makes ServeIngest's draining check and ingestWG.Add one
+	// step with respect to Drain raising the flag, so no Add can start
+	// once Drain's Wait may be running.
+	ingestMu sync.Mutex
 
 	// sched is the fair ingest scheduler: every segment batch from the
 	// raw-TCP port and /v1/stream queues here per tenant and reaches the
@@ -296,7 +359,9 @@ func (s *Server) SchedStats(tenant string) resil.QueueStats {
 // dispatcher has closed or timeout passes (0 means wait forever).
 // Idempotent in effect; every call re-reports.
 func (s *Server) Drain(timeout time.Duration) DrainReport {
+	s.ingestMu.Lock()
 	s.draining.Store(true)
+	s.ingestMu.Unlock()
 	s.drainOnce.Do(func() { close(s.drainCh) })
 	var deadline chan struct{}
 	if timeout > 0 {
@@ -540,8 +605,9 @@ type streamResponse struct {
 	// (the tenant degraded itself; nobody else lost throughput).
 	DroppedBatches int `json:"dropped_batches,omitempty"`
 	// AlertsTotal is the tenant's cumulative alert count after this
-	// request (alerts surface at batch watermarks; pass flush=1 to
-	// force pending batches through before the response).
+	// request (alerts surface within a few milliseconds of their
+	// segments; pass flush=1 to force pending batches through before the
+	// response).
 	AlertsTotal uint64 `json:"alerts_total"`
 }
 
@@ -569,21 +635,13 @@ func (s *Server) handleStream(w http.ResponseWriter, r *http.Request) {
 	resp := streamResponse{Tenant: t.name, Generation: g.gen}
 	// Frames land in recycled arena chunks and queue on the tenant's
 	// fair-scheduler lane in batches; the DRR rotation hands them to the
-	// dispatcher. Lingering batch remainders are flushed before any
-	// return. Batch slices are owned by the scheduler once enqueued, so
-	// a fresh slice backs each handoff.
+	// dispatcher. A held batch is flushed on every return. The hold is
+	// checked as frames arrive: a body that stalls keeps its held frames
+	// until the next frame, the end of the body or the frame timeout.
 	rc := http.NewResponseController(w)
-	batch := make([]netsim.Segment, 0, streamBatchSegs)
-	flushBatch := func() {
-		if len(batch) == 0 {
-			return
-		}
-		if !s.sched.Enqueue(t.name, batch) {
-			resp.DroppedBatches++
-		}
-		batch = make([]netsim.Segment, 0, streamBatchSegs)
-	}
-	defer flushBatch()
+	batch := &ingestBatch{s: s, t: t}
+	defer batch.flush()
+	var pre [4]byte // frame length prefixes, read without a per-frame allocation
 	for {
 		// Bound each frame's arrival: a stalled (slow-loris) upload is
 		// torn down instead of holding the handler forever. Transports
@@ -591,7 +649,7 @@ func (s *Server) handleStream(w http.ResponseWriter, r *http.Request) {
 		if d := s.cfg.StreamFrameTimeout; d > 0 {
 			rc.SetReadDeadline(time.Now().Add(d))
 		}
-		seg, err := ReadSegmentArena(r.Body, s.arena)
+		seg, err := readFrame(r.Body, s.arena, &pre)
 		if err == io.EOF {
 			break
 		}
@@ -606,17 +664,15 @@ func (s *Server) handleStream(w http.ResponseWriter, r *http.Request) {
 		}
 		resp.Segments++
 		resp.Bytes += len(seg.Payload)
-		batch = append(batch, seg)
-		if len(batch) == cap(batch) {
-			flushBatch()
-		}
+		batch.add(seg)
 	}
 	rc.SetReadDeadline(time.Time{})
 	if r.URL.Query().Get("flush") == "1" {
-		flushBatch()
-		s.sched.Flush(t.name)
-		t.disp.Load().FlushAll()
+		batch.push()
+	} else {
+		batch.flush()
 	}
+	resp.DroppedBatches = batch.dropped
 	resp.AlertsTotal = t.alerts.Load()
 	writeJSON(w, http.StatusOK, resp)
 }
@@ -781,6 +837,8 @@ func (s *Server) handleMetrics(w http.ResponseWriter, _ *http.Request) {
 		promSample(&b, "vpatch_scan_seconds_total", tenantLabel(r.name)+`,round="verify"`, float64(scans[i].VerifyNs)/1e9)
 		promSample(&b, "vpatch_scan_seconds_total", tenantLabel(r.name)+`,round="other"`, float64(scans[i].OtherNs)/1e9)
 	}
+	counter("vpatch_deadline_flushes_total", "Shard group batches scanned because their oldest payload waited the alert-delay bound (the rest flush at a watermark, a teardown or an explicit flush).",
+		func(i int) float64 { return float64(scans[i].DeadlineFlushes) })
 
 	// Rule tier (rule-conditioned databases only; zero otherwise).
 	counter("vpatch_rule_alerts_total", "Completed rule alerts (all clauses satisfied, regex verified).",

@@ -7,9 +7,12 @@ package serve
 // closes. Frames queue on the tenant's fair-scheduler lane and reach the
 // tenant's one dispatcher, so a long-lived feed's flows keep their
 // reassembly state across rule reloads and are scanned by the new rules
-// from the swap on. Connection robustness: frames that stall
-// mid-read are bounded by ingestFrameTimeout, and connections idle
-// past Config.IngestIdleTimeout are torn down (slow-loris defense).
+// from the swap on. A connection hands its frames over in batches held
+// at most ingestBatchLinger from their first frame, so a quiet feed's
+// alert leaves within that hold plus the dispatcher's
+// ids.MaxAlertDelay. Connection robustness: frames that stall mid-read
+// are bounded by ingestFrameTimeout, and connections idle past
+// Config.IngestIdleTimeout are torn down (slow-loris defense).
 
 import (
 	"encoding/binary"
@@ -17,8 +20,10 @@ import (
 	"fmt"
 	"io"
 	"net"
+	"os"
 	"time"
 
+	"vpatch/internal/arena"
 	"vpatch/internal/netsim"
 	"vpatch/internal/resil/chaos"
 )
@@ -29,10 +34,7 @@ const (
 	ingestPollInterval = 500 * time.Millisecond
 	// ingestFrameTimeout kills a connection that stalls mid-frame.
 	ingestFrameTimeout = 30 * time.Second
-	// ingestBatchLinger is how long a non-empty dispatch batch may wait
-	// for the next frame before being handed to the workers.
-	ingestBatchLinger = 5 * time.Millisecond
-	maxHelloLen       = 256
+	maxHelloLen        = 256
 )
 
 // ServeIngest accepts raw-TCP ingest connections on l until the
@@ -65,11 +67,10 @@ func (s *Server) ServeIngest(l net.Listener) error {
 			}
 			return err
 		}
-		if s.draining.Load() {
+		if !s.trackIngest() {
 			conn.Close()
 			continue
 		}
-		s.ingestWG.Add(1)
 		go func() {
 			defer s.ingestWG.Done()
 			defer conn.Close()
@@ -78,12 +79,25 @@ func (s *Server) ServeIngest(l net.Listener) error {
 	}
 }
 
+// trackIngest counts a new connection into ingestWG unless the server
+// is draining (see ingestMu).
+func (s *Server) trackIngest() bool {
+	s.ingestMu.Lock()
+	defer s.ingestMu.Unlock()
+	if s.draining.Load() {
+		return false
+	}
+	s.ingestWG.Add(1)
+	return true
+}
+
 // bufferedConn pairs a net.Conn with a peek buffer so the idle poll
 // (deadline on the first byte of a frame) never loses mid-frame data.
 type bufferedConn struct {
 	c   net.Conn
 	one [1]byte // waitByte's read target: no allocation per frame
 	buf []byte  // the peeked-but-unconsumed byte (a view of one), or empty
+	pre [4]byte // frame length prefixes (readSegment), read without allocating
 }
 
 func (b *bufferedConn) Read(p []byte) (int, error) {
@@ -110,11 +124,15 @@ func (b *bufferedConn) waitByte(d time.Duration) error {
 		b.buf = b.one[:n]
 		return nil
 	}
-	var ne net.Error
-	if errors.As(err, &ne) && ne.Timeout() {
+	if errors.Is(err, os.ErrDeadlineExceeded) {
 		return errIdle
 	}
 	return err
+}
+
+// readSegment reads one whole frame into a chunk rented from a.
+func (b *bufferedConn) readSegment(a *arena.Arena) (netsim.Segment, error) {
+	return readFrame(b, a, &b.pre)
 }
 
 // serveIngestConn drives one ingest connection. Errors are terminal for
@@ -125,11 +143,10 @@ func (s *Server) serveIngestConn(conn net.Conn) {
 
 	// Hello frame: u16 nameLen | tenant name.
 	conn.SetReadDeadline(time.Now().Add(ingestFrameTimeout))
-	var pre [2]byte
-	if _, err := io.ReadFull(bc, pre[:]); err != nil {
+	if _, err := io.ReadFull(bc, bc.pre[:2]); err != nil {
 		return
 	}
-	nameLen := binary.BigEndian.Uint16(pre[:])
+	nameLen := binary.BigEndian.Uint16(bc.pre[:2])
 	if nameLen == 0 || nameLen > maxHelloLen {
 		return
 	}
@@ -144,46 +161,29 @@ func (s *Server) serveIngestConn(conn net.Conn) {
 	}
 
 	// Frames land in recycled arena chunks and queue on the tenant's
-	// fair-scheduler lane in batches; once enqueued the scheduler owns
-	// the batch slice, so a fresh slice backs each handoff. Lingering
-	// remainders flush on every exit path.
-	batch := make([]netsim.Segment, 0, streamBatchSegs)
-	flushBatch := func() {
-		if len(batch) == 0 {
-			return
-		}
-		s.sched.Enqueue(t.name, batch) // a refused batch releases its payloads
-		batch = make([]netsim.Segment, 0, streamBatchSegs)
-	}
-	defer flushBatch()
+	// fair-scheduler lane in batches; a held batch is flushed on every
+	// exit path.
+	batch := &ingestBatch{s: s, t: t}
+	defer batch.flush()
 	idleSince := time.Now()
 	for {
 		// Wait for the next frame's first byte with a short deadline so
 		// idle connections notice drains and idle-timeout promptly. A
-		// non-empty batch only waits the linger bound.
+		// non-empty batch waits only for what is left of its hold.
 		for {
-			wait := ingestPollInterval
-			if len(batch) > 0 {
-				wait = ingestBatchLinger
-			}
-			err := bc.waitByte(wait)
+			err := bc.waitByte(batch.wait(ingestPollInterval))
 			if err == nil {
 				break
 			}
 			if err != errIdle {
 				if err == io.EOF {
 					// The feed ended cleanly: push everything through so
-					// its buffered alerts surface without waiting for
-					// watermarks.
-					flushBatch()
-					s.sched.Flush(t.name)
-					if d := t.disp.Load(); d != nil {
-						d.FlushAll()
-					}
+					// its buffered alerts surface now.
+					batch.push()
 				}
 				return
 			}
-			flushBatch() // idle: hand lingering segments to the scheduler
+			batch.flush() // hold over, or idle: hand held segments on
 			if s.draining.Load() {
 				return
 			}
@@ -193,8 +193,8 @@ func (s *Server) serveIngestConn(conn net.Conn) {
 		}
 		idleSince = time.Now()
 		// A frame has begun: bound its completion, then read it whole.
-		conn.SetReadDeadline(time.Now().Add(ingestFrameTimeout))
-		seg, err := ReadSegmentArena(bc, s.arena)
+		conn.SetReadDeadline(idleSince.Add(ingestFrameTimeout))
+		seg, err := bc.readSegment(s.arena)
 		conn.SetReadDeadline(time.Time{})
 		if err != nil {
 			return
@@ -206,10 +206,7 @@ func (s *Server) serveIngestConn(conn net.Conn) {
 			seg.ReleasePayload()
 			continue // over quota: count the rejection, drop the frame
 		}
-		batch = append(batch, seg)
-		if len(batch) == cap(batch) {
-			flushBatch()
-		}
+		batch.add(seg)
 	}
 }
 

@@ -71,6 +71,13 @@ func EncodeSegments(segs []netsim.Segment) []byte {
 // cleanly at a frame boundary; on any error no chunk stays rented.
 func ReadSegmentArena(r io.Reader, a *arena.Arena) (netsim.Segment, error) {
 	var pre [4]byte
+	return readFrame(r, a, &pre)
+}
+
+// readFrame is ReadSegmentArena reading the length prefix into pre: a
+// reader that owns pre for its lifetime reads frames without a heap
+// allocation (a prefix array local to the call escapes through r).
+func readFrame(r io.Reader, a *arena.Arena, pre *[4]byte) (netsim.Segment, error) {
 	if _, err := io.ReadFull(r, pre[:]); err != nil {
 		if err == io.EOF {
 			return netsim.Segment{}, io.EOF
