@@ -3,7 +3,8 @@ package vpatch
 // Benchmark harness: one benchmark family per figure of the paper's
 // evaluation (wall-clock analogues of the cost-model experiments driven
 // by cmd/vpatch-bench), plus the ablation benches for the design choices
-// listed in DESIGN.md §5. Run with:
+// of PAPER.md §IV (merged filters, speculative filter 3, vector width,
+// filter-3 size, the two-round split). Run with:
 //
 //	go test -bench=. -benchmem
 //
@@ -393,13 +394,6 @@ func BenchmarkAccelIndexByte(b *testing.B) {
 			plain.Scan(data, nil, nil)
 		}
 	})
-}
-
-// BenchmarkWuManber: the related-work baseline on the same workload.
-func BenchmarkWuManber(b *testing.B) {
-	f := benchFixtures()
-	m, _ := newSession(f.s1web, Options{Algorithm: AlgoWuManber})
-	benchScan(b, m, f.data["ISCX-day2"])
 }
 
 func itoa(n int) string {

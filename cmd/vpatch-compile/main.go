@@ -43,7 +43,7 @@ func main() {
 	rulesPath := flag.String("rules", "", "Snort-style rules file")
 	patsPath := flag.String("patterns", "", "plain pattern file, one literal per line")
 	outPath := flag.String("o", "", "output database file (required)")
-	algoName := flag.String("algo", "vpatch", "algorithm: vpatch spatch dfc vectordfc ac wumanber ffbf")
+	algoName := flag.String("algo", "vpatch", "algorithm: vpatch spatch dfc vectordfc ac")
 	width := flag.Int("width", 8, "vector width for vectorized algorithms (4, 8, 16)")
 	idsMode := flag.Bool("ids", false, "compile the per-protocol rule-group database for the ids pipeline")
 	ruleSem := flag.Bool("rule-semantics", false, "compile full rule semantics (offsets, nocase, pcre verifier) instead of bare literals; implies -ids")

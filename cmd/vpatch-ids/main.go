@@ -100,7 +100,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 	rulesPath := fs.String("rules", "", "Snort-style rules file")
 	dbPath := fs.String("db", "", "precompiled rule-group .vpdb database (instead of -rules)")
 	pcapPath := fs.String("pcap", "", "libpcap capture to analyze (required)")
-	algoName := fs.String("algo", "vpatch", "matching engine: vpatch spatch dfc vectordfc ac wumanber ffbf")
+	algoName := fs.String("algo", "vpatch", "matching engine: vpatch spatch dfc vectordfc ac")
 	top := fs.Int("top", 5, "print the N most-alerting rules")
 	shards := fs.Int("shards", 1, "worker shards (flows hash-partitioned across goroutines)")
 	maxFlows := fs.Int("max-flows", 1<<20, "per-shard cap on tracked flows (0 = unlimited)")

@@ -89,7 +89,7 @@ func TestGoldenAlertDigests(t *testing.T) {
 	}
 	algos := []vpatch.Algorithm{
 		vpatch.AlgoVPatch, vpatch.AlgoSPatch, vpatch.AlgoDFC, vpatch.AlgoVectorDFC,
-		vpatch.AlgoAhoCorasick, vpatch.AlgoWuManber, vpatch.AlgoFFBF,
+		vpatch.AlgoAhoCorasick,
 	}
 	for _, ruleSem := range []bool{false, true} {
 		mode, wantLines, wantSum := "literal", goldenLiteralLines, goldenLiteralSHA256

@@ -33,7 +33,7 @@ func main() {
 	patsPath := flag.String("patterns", "", "plain pattern file, one literal per line")
 	dbPath := flag.String("db", "", "precompiled .vpdb database (instead of -rules/-patterns)")
 	inPath := flag.String("in", "", "input file (default stdin)")
-	algoName := flag.String("algo", "vpatch", "algorithm: vpatch spatch dfc vectordfc ac wumanber ffbf")
+	algoName := flag.String("algo", "vpatch", "algorithm: vpatch spatch dfc vectordfc ac")
 	width := flag.Int("width", 8, "vector width for vectorized algorithms (4, 8, 16)")
 	countOnly := flag.Bool("count", false, "print only the match count and throughput")
 	stream := flag.Bool("stream", false, "scan stdin/file as a stream in 64 KB chunks")

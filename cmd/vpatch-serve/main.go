@@ -60,7 +60,7 @@ func main() {
 	ingest := flag.String("ingest", "", "raw-TCP segment ingest listen address (empty = disabled)")
 	dbPath := flag.String("db", "", "initial .vpdb rule database for the default tenant")
 	rulesPath := flag.String("rules", "", "Snort-style rules file to compile for the default tenant (instead of -db)")
-	algoName := flag.String("algo", "vpatch", "matching engine for -rules: vpatch spatch dfc vectordfc ac wumanber ffbf")
+	algoName := flag.String("algo", "vpatch", "matching engine for -rules: vpatch spatch dfc vectordfc ac")
 	shards := flag.Int("shards", 2, "default worker shards per tenant")
 	maxFlows := flag.Int("max-flows", 1<<20, "default per-shard cap on tracked flows (0 = unlimited)")
 	flowTimeout := flag.Duration("flow-timeout", 60*time.Second, "default flow idle eviction timeout on the capture clock (0 = never)")

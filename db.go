@@ -7,7 +7,7 @@ package vpatch
 // loaded at startup instead of re-parsed from rule text on every
 // process start. Serialize/WriteTo write the pattern set into a
 // versioned, checksummed .vpdb blob; no engine stores its compiled
-// state, because every one of the seven builds from the patterns in
+// state, because every one of the five builds from the patterns in
 // one pass, faster than a decoder could validate stored state.
 // Deserialize/ReadFrom restore an Engine that is scan-for-scan
 // identical to the original, including batch and session paths, and
@@ -20,6 +20,7 @@ package vpatch
 // compilation" section for the format versioning policy.
 
 import (
+	"errors"
 	"fmt"
 	"io"
 
@@ -32,6 +33,21 @@ import (
 // writes. It reads that version and every older one back to 1; newer
 // databases are rejected at load.
 const DBFormatVersion = dbfmt.FormatVersion
+
+// ErrRetiredAlgorithm is wrapped by the error for a database compiled
+// for, or an algorithm name of, an engine this build no longer has.
+var ErrRetiredAlgorithm = errors.New("vpatch: algorithm retired")
+
+// retiredAlgorithms names the engines that earlier builds wrote under
+// the algorithm numbers after AlgoAhoCorasick: two related-work
+// matchers that no figure of the paper measures. Their numbers are
+// never reused, so such a database fails to load rather than loading as
+// another engine.
+var retiredAlgorithms = [...]string{"Wu-Manber", "FFBF"}
+
+func retiredError(name string) error {
+	return fmt.Errorf("%w: %s is no longer built (use vpatch, spatch, dfc, vectordfc or ac)", ErrRetiredAlgorithm, name)
+}
 
 // widther is implemented by the vectorized engines.
 type widther interface{ Width() int }
@@ -83,7 +99,10 @@ func Deserialize(data []byte) (*Engine, error) {
 		return nil, fmt.Errorf("vpatch: unknown database kind %d", h.Kind)
 	}
 	alg := Algorithm(h.Algorithm)
-	if alg < AlgoVPatch || alg > AlgoFFBF {
+	if alg > AlgoAhoCorasick {
+		if i := int(alg - AlgoAhoCorasick - 1); i < len(retiredAlgorithms) {
+			return nil, retiredError(retiredAlgorithms[i])
+		}
 		return nil, fmt.Errorf("vpatch: database compiled for unknown algorithm %d", h.Algorithm)
 	}
 
@@ -145,7 +164,7 @@ type Info struct {
 	SerializedBytes int
 	// Accel describes the engine's skip-loop acceleration layer; the
 	// zero value means the engine has none (DFC, Vector-DFC,
-	// Aho-Corasick, Wu-Manber, FFBF).
+	// Aho-Corasick).
 	Accel AccelInfo
 	// Kernel is the extract kernel the engine's filtering round resolved
 	// to at Compile/Deserialize time ("avx2", "swar"); empty

@@ -4,21 +4,18 @@ import (
 	"bytes"
 	"compress/gzip"
 	"encoding/binary"
+	"errors"
 	"io"
 	"math/rand"
 	"os"
 	"path/filepath"
+	"strings"
 	"testing"
 
 	"vpatch/internal/dbfmt"
 	"vpatch/internal/patterns"
 	"vpatch/internal/traffic"
 )
-
-var dbAlgorithms = []Algorithm{
-	AlgoVPatch, AlgoSPatch, AlgoDFC, AlgoVectorDFC,
-	AlgoAhoCorasick, AlgoWuManber, AlgoFFBF,
-}
 
 // randomSet builds a pattern set with the shapes that exercise every
 // serialization path: 1-byte patterns, short (2-3 B), mid, long,
@@ -47,7 +44,7 @@ func randomSet(rng *rand.Rand, n int) *PatternSet {
 // TestDBRoundTripProperty is the round-trip property of the compiled
 // database format: compile → serialize → deserialize must produce an
 // engine whose Scan and ScanBatch output is match-identical to the
-// fresh engine, across all seven algorithms and randomized pattern
+// fresh engine, across all five algorithms and randomized pattern
 // sets.
 func TestDBRoundTripProperty(t *testing.T) {
 	rng := rand.New(rand.NewSource(42))
@@ -64,7 +61,7 @@ func TestDBRoundTripProperty(t *testing.T) {
 			batch = append(batch, input[off:off+n])
 			off += n
 		}
-		for _, alg := range dbAlgorithms {
+		for _, alg := range allAlgorithms {
 			fresh, err := Compile(set, Options{Algorithm: alg})
 			if err != nil {
 				t.Fatalf("trial %d %s: Compile: %v", trial, alg, err)
@@ -109,7 +106,7 @@ func TestDBRoundTripProperty(t *testing.T) {
 // databases are stable across load/save cycles.
 func TestDBRoundTripSecondGeneration(t *testing.T) {
 	set := randomSet(rand.New(rand.NewSource(7)), 80)
-	for _, alg := range dbAlgorithms {
+	for _, alg := range allAlgorithms {
 		fresh, err := Compile(set, Options{Algorithm: alg})
 		if err != nil {
 			t.Fatalf("%s: Compile: %v", alg, err)
@@ -126,11 +123,11 @@ func TestDBRoundTripSecondGeneration(t *testing.T) {
 }
 
 // TestDBStoresNoEngineSection checks what a database holds: the
-// pattern section, and no engine section for any algorithm — all seven
+// pattern section, and no engine section for any algorithm — all five
 // compile from the patterns at load.
 func TestDBStoresNoEngineSection(t *testing.T) {
 	set := randomSet(rand.New(rand.NewSource(5)), 30)
-	for _, alg := range dbAlgorithms {
+	for _, alg := range allAlgorithms {
 		eng, err := Compile(set, Options{Algorithm: alg})
 		if err != nil {
 			t.Fatal(err)
@@ -161,7 +158,7 @@ func TestVersion2DatabasesStillLoad(t *testing.T) {
 	for _, path := range files {
 		seen[checkFixtureLoads(t, path, 2)] = true
 	}
-	for _, alg := range dbAlgorithms {
+	for _, alg := range allAlgorithms {
 		if !seen[alg] {
 			t.Errorf("no version-2 fixture for %s", alg)
 		}
@@ -175,6 +172,26 @@ func TestVersion2DatabasesStillLoad(t *testing.T) {
 func TestVersion3AhoCorasickDatabaseLoads(t *testing.T) {
 	if alg := checkFixtureLoads(t, "testdata/v3/ahocorasick.vpdb.gz", 3); alg != AlgoAhoCorasick {
 		t.Errorf("fixture holds %s, want %s", alg, AlgoAhoCorasick)
+	}
+}
+
+// TestRetiredAlgorithmDatabasesFail loads version-2 databases of the
+// two retired engines, Wu-Manber (algorithm 5) and FFBF (6): each must
+// fail with ErrRetiredAlgorithm, naming the engine, rather than load as
+// another algorithm.
+func TestRetiredAlgorithmDatabasesFail(t *testing.T) {
+	for path, name := range map[string]string{
+		"testdata/retired/wumanber.vpdb.gz": "Wu-Manber",
+		"testdata/retired/ffbf.vpdb.gz":     "FFBF",
+	} {
+		blob := readFixture(t, path)
+		if _, _, err := dbfmt.Decode(blob); err != nil {
+			t.Fatalf("%s: fixture does not decode: %v", path, err)
+		}
+		_, err := Deserialize(blob)
+		if !errors.Is(err, ErrRetiredAlgorithm) || !strings.Contains(err.Error(), name) {
+			t.Errorf("%s: Deserialize error %v, want ErrRetiredAlgorithm naming %s", path, err, name)
+		}
 	}
 }
 
@@ -319,12 +336,13 @@ func TestInfo(t *testing.T) {
 // Compile of the decoded patterns does: for Aho-Corasick up to 1 KiB
 // per automaton state, capped at 256 MB (beyond that it builds the
 // sparse automaton). Seeds include valid databases of every algorithm,
-// bare pattern sections and older databases that carry an engine
-// section, so mutations explore deep decode paths.
+// bare pattern sections, and every fixture: older databases that carry
+// an engine section and databases of the retired algorithms, so
+// mutations explore deep decode paths.
 func FuzzDeserialize(f *testing.F) {
 	set := PatternSetFromStrings("fuzz", "GE", "x", "pattern-long-enough")
 	setN := randomSet(rand.New(rand.NewSource(11)), 25)
-	for _, alg := range dbAlgorithms {
+	for _, alg := range allAlgorithms {
 		for _, s := range []*PatternSet{set, setN} {
 			if eng, err := Compile(s, Options{Algorithm: alg}); err == nil {
 				f.Add(eng.Serialize())
@@ -336,8 +354,13 @@ func FuzzDeserialize(f *testing.F) {
 		patterns.EncodeSet(&pe, s)
 		f.Add(pe.Bytes())
 	}
-	f.Add(readFixture(f, "testdata/v2/vpatch.vpdb.gz"))
-	f.Add(readFixture(f, "testdata/v2/dfc.vpdb.gz"))
+	fixtures, err := filepath.Glob("testdata/*/*.vpdb.gz")
+	if err != nil {
+		f.Fatal(err)
+	}
+	for _, path := range fixtures {
+		f.Add(readFixture(f, path))
+	}
 	f.Add([]byte("VPDB"))
 	f.Add([]byte{})
 
@@ -367,7 +390,7 @@ func FuzzDeserialize(f *testing.F) {
 		if s, err := patterns.DecodeSet(dbfmt.NewDecoder(data)); err == nil {
 			digest = s.Digest()
 		}
-		for _, alg := range dbAlgorithms {
+		for _, alg := range allAlgorithms {
 			load(alg, digest, dbfmt.Section{Tag: dbfmt.TagPatterns, Data: data})
 		}
 	})

@@ -1,6 +1,8 @@
 package vpatch
 
 import (
+	"errors"
+	"strings"
 	"sync"
 	"testing"
 
@@ -14,7 +16,7 @@ import (
 // the same input through a private Session, and every goroutine must
 // produce byte-identical matches to a serial FindAll. Run under -race
 // this also proves the compiled state is never written during a scan,
-// for all seven algorithms.
+// for all five algorithms.
 func TestEngineSharedAcrossSessions(t *testing.T) {
 	set := patterns.GenerateS1(7).Subset(120, 3)
 	input := traffic.Synthesize(traffic.ISCXDay2, 64<<10, 5, set)
@@ -138,8 +140,6 @@ func TestParseAlgorithm(t *testing.T) {
 		"dfc": AlgoDFC, "DFC": AlgoDFC,
 		"vectordfc": AlgoVectorDFC, "Vector-DFC": AlgoVectorDFC, "vdfc": AlgoVectorDFC,
 		"ac": AlgoAhoCorasick, "Aho-Corasick": AlgoAhoCorasick, "ahocorasick": AlgoAhoCorasick,
-		"wumanber": AlgoWuManber, "Wu-Manber": AlgoWuManber, "wm": AlgoWuManber,
-		"ffbf": AlgoFFBF, "FFBF": AlgoFFBF,
 		" vpatch ": AlgoVPatch,
 	}
 	for name, want := range cases {
@@ -151,8 +151,19 @@ func TestParseAlgorithm(t *testing.T) {
 			t.Fatalf("ParseAlgorithm(%q) = %v, want %v", name, got, want)
 		}
 	}
-	if _, err := ParseAlgorithm("snort"); err == nil {
-		t.Fatal("unknown name accepted")
+	if _, err := ParseAlgorithm("snort"); err == nil || errors.Is(err, ErrRetiredAlgorithm) {
+		t.Fatalf("unknown name: err = %v, want a non-retired error", err)
+	}
+	// The retired engines' names fail with ErrRetiredAlgorithm, naming
+	// the engine.
+	for name, canon := range map[string]string{
+		"wumanber": "Wu-Manber", "Wu-Manber": "Wu-Manber", "wm": "Wu-Manber",
+		"ffbf": "FFBF", "FFBF": "FFBF",
+	} {
+		_, err := ParseAlgorithm(name)
+		if !errors.Is(err, ErrRetiredAlgorithm) || !strings.Contains(err.Error(), canon) {
+			t.Fatalf("ParseAlgorithm(%q) = %v, want ErrRetiredAlgorithm naming %s", name, err, canon)
+		}
 	}
 	// Round-trip: every algorithm's String form parses back to itself.
 	for _, alg := range allAlgorithms {

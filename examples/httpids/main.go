@@ -25,7 +25,7 @@ import (
 
 func main() {
 	sizeMB := flag.Int("size", 8, "traffic volume in MB")
-	algoName := flag.String("algo", "", "run only this algorithm (vpatch spatch dfc vectordfc ac wumanber ffbf); default: the paper's Fig. 4 lineup")
+	algoName := flag.String("algo", "", "run only this algorithm (vpatch spatch dfc vectordfc ac); default: the paper's Fig. 4 lineup")
 	flag.Parse()
 
 	// Rule set: the web-applicable subset of a Snort-v2.9.7-sized

@@ -407,7 +407,7 @@ func TestAllAlgorithmsThroughPipeline(t *testing.T) {
 	segs := netsim.Packetize(flows, netsim.PacketizeOptions{MTU: 9, Seed: 4})
 	for _, alg := range []vpatch.Algorithm{
 		vpatch.AlgoVPatch, vpatch.AlgoSPatch, vpatch.AlgoDFC,
-		vpatch.AlgoAhoCorasick, vpatch.AlgoWuManber, vpatch.AlgoFFBF,
+		vpatch.AlgoAhoCorasick,
 	} {
 		var alerts []Alert
 		e, err := NewEngine(set, vpatch.Options{Algorithm: alg}, func(a Alert) { alerts = append(alerts, a) })

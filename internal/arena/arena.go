@@ -258,9 +258,6 @@ type Local struct {
 // NewLocal returns an empty per-goroutine cache over a.
 func (a *Arena) NewLocal() *Local { return &Local{a: a} }
 
-// Arena returns the arena this Local fronts.
-func (l *Local) Arena() *Arena { return l.a }
-
 // Rent is Arena.Rent via the local cache.
 func (l *Local) Rent(n int) *Buf {
 	cls := classFor(n)

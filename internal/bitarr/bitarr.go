@@ -41,10 +41,6 @@ func (b *BitArray) Bits() int { return len(b.bytes) * 8 }
 // SizeBytes returns the memory footprint of the bit storage in bytes.
 func (b *BitArray) SizeBytes() int { return len(b.bytes) }
 
-// Mask returns the index mask (bits-1). Indexes passed to Set/Test are
-// reduced with this mask.
-func (b *BitArray) Mask() uint32 { return b.idxMask }
-
 // Set sets the bit at idx (reduced modulo the capacity).
 func (b *BitArray) Set(idx uint32) {
 	idx &= b.idxMask

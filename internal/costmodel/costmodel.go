@@ -181,7 +181,6 @@ const (
 	KindVectorDFC
 	KindSPatch
 	KindVPatch
-	KindWuManber
 )
 
 func (k Kind) String() string {
@@ -196,8 +195,6 @@ func (k Kind) String() string {
 		return "S-PATCH"
 	case KindVPatch:
 		return "V-PATCH"
-	case KindWuManber:
-		return "Wu-Manber"
 	}
 	return fmt.Sprintf("kind(%d)", int(k))
 }
@@ -248,7 +245,7 @@ func Estimate(p Platform, in Inputs) Result {
 		// Dependent chain: no ILP overlap possible.
 		add("dfa", float64(c.DFAAccesses)*p.dfaAccessCost(in.DFABytes))
 
-	case KindDFC, KindSPatch, KindWuManber:
+	case KindDFC, KindSPatch:
 		probes := float64(c.Filter1Probes + c.Filter2Probes + c.Filter3Probes)
 		add("filter", probes*p.probeCost())
 		if in.Kind == KindSPatch {

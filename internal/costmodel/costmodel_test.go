@@ -38,7 +38,7 @@ func TestPhiHasNoL3(t *testing.T) {
 func TestKindString(t *testing.T) {
 	for k, want := range map[Kind]string{
 		KindAhoCorasick: "Aho-Corasick", KindDFC: "DFC", KindVectorDFC: "Vector-DFC",
-		KindSPatch: "S-PATCH", KindVPatch: "V-PATCH", KindWuManber: "Wu-Manber",
+		KindSPatch: "S-PATCH", KindVPatch: "V-PATCH",
 	} {
 		if k.String() != want {
 			t.Errorf("Kind %d = %q", k, k.String())

@@ -3,7 +3,8 @@
 // runs the matchers, and returns the same rows/series the paper plots —
 // both wall-clock throughput of this Go implementation and cost-model
 // throughput on the paper's Haswell and Xeon-Phi testbeds (the modeled
-// numbers are the ones comparable to the paper's bars; see DESIGN.md).
+// numbers are the ones comparable to the paper's bars; see PAPER.md
+// "What this repo reproduces").
 package experiments
 
 import (

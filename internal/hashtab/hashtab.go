@@ -119,14 +119,7 @@ func (t *chainTable) bucket(key uint32) []entry {
 }
 
 // Build constructs the verifier for a pattern set.
-func Build(set *patterns.Set) *Verifier { return BuildFiltered(set, nil) }
-
-// BuildFiltered constructs a verifier covering only the patterns for
-// which keep returns true (all patterns when keep is nil). Emitted
-// matches carry the original set's pattern IDs, which lets callers
-// partition verification across pattern classes (e.g. FFBF's
-// shingle-length split) without re-identifying patterns.
-func BuildFiltered(set *patterns.Set, keep func(*patterns.Pattern) bool) *Verifier {
+func Build(set *patterns.Set) *Verifier {
 	v := &Verifier{set: set}
 	// Collect (key, id) entries per table, then lay each table out flat,
 	// sized to its own population (the nocase tables are usually far
@@ -135,9 +128,6 @@ func BuildFiltered(set *patterns.Set, keep func(*patterns.Pattern) bool) *Verifi
 	pats := set.Patterns()
 	for i := range pats {
 		p := &pats[i]
-		if keep != nil && !keep(p) {
-			continue
-		}
 		switch {
 		case len(p.Data) == 1:
 			st := &v.shortCS
@@ -170,9 +160,6 @@ func BuildFiltered(set *patterns.Set, keep func(*patterns.Pattern) bool) *Verifi
 	v.longCI.prefix4 = buildChainTable(chainSize(len(longCI)), longCI)
 	return v
 }
-
-// Set returns the pattern set the verifier was built from.
-func (v *Verifier) Set() *patterns.Set { return v.set }
 
 // VerifyShortAt checks all short patterns (1-3 B) against input at pos and
 // emits every confirmed match. It is called for positions that passed

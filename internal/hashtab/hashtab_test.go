@@ -215,15 +215,15 @@ func TestMaxChainReasonable(t *testing.T) {
 	// On a realistic set chains exist (shared prefixes are real) but must
 	// stay far below the set size.
 	s2 := Build(patterns.GenerateS2(1))
-	if mc := maxChain(s2); mc == 0 || mc > s2.Set().Len()/10 {
+	if mc := maxChain(s2); mc == 0 || mc > s2.set.Len()/10 {
 		t.Fatalf("S2 max chain %d out of sane range", mc)
 	}
 }
 
 func TestSetAccessor(t *testing.T) {
 	set := patterns.FromStrings("x\x81")
-	if Build(set).Set() != set {
-		t.Fatal("Set() must return the source set")
+	if Build(set).set != set {
+		t.Fatal("the verifier must keep the source set")
 	}
 }
 

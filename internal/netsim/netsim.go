@@ -9,7 +9,7 @@
 // The segment model is deliberately minimal — five-tuple, sequence
 // number, payload, FIN/RST flags — because the matching algorithms only
 // care about the reassembled payload order; IP/TCP header parsing
-// fidelity is out of scope (DESIGN.md §2).
+// fidelity is out of scope.
 //
 // # Flow lifecycle and memory bounds
 //

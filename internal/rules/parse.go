@@ -72,11 +72,6 @@ func ParseRules(r io.Reader, opt ParseOptions) (*Set, error) {
 	return compile(prs, opt.Window)
 }
 
-// ParseRuleString compiles a single rule line (tests, tools).
-func ParseRuleString(line string) (*Set, error) {
-	return ParseRules(strings.NewReader(line), ParseOptions{})
-}
-
 // parseRuleLine parses one rule into its pre-compilation form; opts is
 // the option-token scratch, reused across lines.
 func parseRuleLine(line string, opts *[]patterns.Option) (parsedRule, error) {

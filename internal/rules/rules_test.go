@@ -47,6 +47,11 @@ alert tcp any any -> any 53 (msg:"plain"; content:"abc"; sid:2;)
 	}
 }
 
+// parseRule compiles a single rule line.
+func parseRule(line string) (*Set, error) {
+	return ParseRules(strings.NewReader(line), ParseOptions{})
+}
+
 func TestParseErrors(t *testing.T) {
 	bad := []string{
 		`alert tcp any any -> any 80 (msg:"no content"; sid:1;)`,
@@ -65,7 +70,7 @@ func TestParseErrors(t *testing.T) {
 		`alert tcp any any -> any 80 (content:"";)`,
 	}
 	for _, line := range bad {
-		if _, err := ParseRuleString(line); err == nil {
+		if _, err := parseRule(line); err == nil {
 			t.Errorf("no error for %s", line)
 		}
 	}
@@ -195,7 +200,7 @@ func diffAlerts(t *testing.T, want, got map[int32]int64, ctx string) {
 }
 
 func TestClauseSpanAcrossSegments(t *testing.T) {
-	set, err := ParseRuleString(
+	set, err := parseRule(
 		`alert tcp any any -> any 80 (content:"abc"; content:"def"; distance:2; within:10; sid:1;)`)
 	if err != nil {
 		t.Fatal(err)
@@ -220,7 +225,7 @@ func TestClauseSpanAcrossSegments(t *testing.T) {
 }
 
 func TestRegexPendingAcrossSegments(t *testing.T) {
-	set, err := ParseRuleString(
+	set, err := parseRule(
 		`alert tcp any any -> any 80 (content:"key="; pcre:"/[0-9]{4};/"; sid:1;)`)
 	if err != nil {
 		t.Fatal(err)
@@ -249,7 +254,7 @@ func TestRegexPendingAcrossSegments(t *testing.T) {
 }
 
 func TestVerifierOnlyAtAnchors(t *testing.T) {
-	set, err := ParseRuleString(
+	set, err := parseRule(
 		`alert tcp any any -> any 80 (content:"needle"; pcre:"/[a-z]+/"; sid:1;)`)
 	if err != nil {
 		t.Fatal(err)
@@ -416,7 +421,7 @@ alert tcp any any -> any 80 (msg:"c"; content:"admin"; sid:12;)
 }
 
 func TestDecodeSetCorrupt(t *testing.T) {
-	set, err := ParseRuleString(
+	set, err := parseRule(
 		`alert tcp any any -> any 80 (content:"GET"; content:"admin"; nocase; distance:1; within:30; pcre:"/a+/"; sid:1;)`)
 	if err != nil {
 		t.Fatal(err)
@@ -469,7 +474,7 @@ func FuzzRuleParse(f *testing.F) {
 }
 
 func FuzzRuleDB(f *testing.F) {
-	set, err := ParseRuleString(
+	set, err := parseRule(
 		`alert tcp any any -> any 80 (content:"GET"; content:"admin"; nocase; distance:1; within:30; pcre:"/ab?c+[de]{1,4}/i"; sid:7;)`)
 	if err != nil {
 		f.Fatal(err)

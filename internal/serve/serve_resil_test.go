@@ -59,6 +59,34 @@ func TestIngestIdleTeardown(t *testing.T) {
 	<-done
 }
 
+// TestServeIngestReturnsOnDrain: with no connection open, ServeIngest
+// returns within 50 ms of Drain, not on a poll tick.
+func TestServeIngestReturnsOnDrain(t *testing.T) {
+	srv := New(Config{})
+	ln, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	done := make(chan time.Time, 1)
+	go func() {
+		if err := srv.ServeIngest(ln); err != nil {
+			t.Errorf("ServeIngest: %v", err)
+		}
+		done <- time.Now()
+	}()
+	time.Sleep(20 * time.Millisecond) // let ServeIngest reach Accept
+	drained := time.Now()
+	srv.Drain(5 * time.Second)
+	select {
+	case returned := <-done:
+		if d := returned.Sub(drained); d > 50*time.Millisecond {
+			t.Fatalf("ServeIngest returned %v after Drain, want <= 50ms", d)
+		}
+	case <-time.After(5 * time.Second):
+		t.Fatal("ServeIngest still running 5 s after Drain")
+	}
+}
+
 // TestIngestMidFrameReset: a connection that dies mid-frame (RST) must
 // not lose the complete flows it carried earlier, leak the partial
 // frame's buffer, or disturb a healthy connection on the same port.

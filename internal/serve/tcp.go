@@ -38,25 +38,18 @@ const (
 )
 
 // ServeIngest accepts raw-TCP ingest connections on l until the
-// listener closes or the server drains. Each connection runs on its own
+// listener closes or the server drains; Drain closes l, so ServeIngest
+// returns as soon as Drain is called. Each connection runs on its own
 // goroutine; Drain waits for all of them to finish.
 func (s *Server) ServeIngest(l net.Listener) error {
 	defer l.Close()
 	stop := make(chan struct{})
 	defer close(stop)
 	go func() {
-		t := time.NewTicker(ingestPollInterval)
-		defer t.Stop()
-		for {
-			select {
-			case <-stop:
-				return
-			case <-t.C:
-				if s.draining.Load() {
-					l.Close()
-					return
-				}
-			}
+		select {
+		case <-stop:
+		case <-s.drainCh:
+			l.Close()
 		}
 	}()
 	for {

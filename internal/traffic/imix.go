@@ -28,20 +28,6 @@ var SimpleIMIX = []MixEntry{
 	{Size: 1518, Weight: 1},
 }
 
-// MeanSize returns the weighted mean packet size of a mix (0 for an
-// empty or weightless mix).
-func MeanSize(mix []MixEntry) float64 {
-	var sum, wsum float64
-	for _, e := range mix {
-		sum += float64(e.Size) * e.Weight
-		wsum += e.Weight
-	}
-	if wsum == 0 {
-		return 0
-	}
-	return sum / wsum
-}
-
 // drawSizes samples n packet sizes from mix.
 func drawSizes(mix []MixEntry, n int, rng *rand.Rand) []int {
 	var wsum float64

@@ -6,8 +6,7 @@
 // It provides the paper's contribution — the S-PATCH and V-PATCH
 // cache-aware, vectorization-friendly filtering matchers — together with
 // every baseline the paper evaluates (Aho-Corasick as used by Snort, DFC,
-// Vector-DFC) plus Wu-Manber and FFBF from its related-work discussion,
-// all with identical match semantics.
+// Vector-DFC), all with identical match semantics.
 //
 // The API splits compilation from scanning. Compile builds an Engine: the
 // immutable, goroutine-safe compiled form of a pattern set. An Engine is
@@ -47,12 +46,11 @@
 // packet. See the README's batch scanning section for when to batch.
 //
 // Production rule sets are compiled offline: Engine.Serialize/WriteTo
-// write the pattern set (plus Aho-Corasick's automaton) into a
-// versioned, checksummed database that Deserialize/ReadFrom restore at
-// startup — match-identical, goroutine-safe, and an order of magnitude
-// faster than Compile for Aho-Corasick; the filtering engines are
-// rebuilt from the stored patterns, which is faster than decoding their
-// bit arrays. The cmd/vpatch-compile tool is the offline compiler; see
+// write the pattern set into a versioned, checksummed database that
+// Deserialize/ReadFrom restore at startup — match-identical and
+// goroutine-safe. Every engine is rebuilt from the stored patterns,
+// which is faster than decoding stored engine state. The
+// cmd/vpatch-compile tool is the offline compiler; see
 // the README's offline-compilation section for the workflow and the
 // format compatibility policy.
 package vpatch
@@ -67,12 +65,10 @@ import (
 	"vpatch/internal/core"
 	"vpatch/internal/dfc"
 	"vpatch/internal/engine"
-	"vpatch/internal/ffbf"
 	"vpatch/internal/metrics"
 	"vpatch/internal/patterns"
 	"vpatch/internal/rules"
 	"vpatch/internal/vec"
-	"vpatch/internal/wumanber"
 )
 
 // Re-exported pattern-set vocabulary. These are aliases, so values flow
@@ -144,11 +140,6 @@ const (
 	AlgoVectorDFC
 	// AlgoAhoCorasick is the Snort-style full-matrix automaton.
 	AlgoAhoCorasick
-	// AlgoWuManber is the shift-table matcher from related work.
-	AlgoWuManber
-	// AlgoFFBF is the feed-forward-Bloom-filter matcher (Moraru &
-	// Andersen, the paper's reference [13]).
-	AlgoFFBF
 )
 
 func (a Algorithm) String() string {
@@ -163,10 +154,6 @@ func (a Algorithm) String() string {
 		return "Vector-DFC"
 	case AlgoAhoCorasick:
 		return "Aho-Corasick"
-	case AlgoWuManber:
-		return "Wu-Manber"
-	case AlgoFFBF:
-		return "FFBF"
 	}
 	return fmt.Sprintf("algorithm(%d)", int(a))
 }
@@ -174,8 +161,9 @@ func (a Algorithm) String() string {
 // ParseAlgorithm is the inverse of Algorithm.String: it resolves a name
 // to an Algorithm, case-insensitively. Both the canonical names
 // ("V-PATCH", "Aho-Corasick", ...) and the CLI spellings used by the
-// cmd/ tools ("vpatch", "spatch", "dfc", "vectordfc", "ac", "wumanber",
-// "ffbf", plus common abbreviations) are accepted.
+// cmd/ tools ("vpatch", "spatch", "dfc", "vectordfc", "ac", plus common
+// abbreviations) are accepted. The names of the two retired engines,
+// Wu-Manber and FFBF, yield an error wrapping ErrRetiredAlgorithm.
 func ParseAlgorithm(name string) (Algorithm, error) {
 	switch strings.ToLower(strings.TrimSpace(name)) {
 	case "vpatch", "v-patch":
@@ -189,11 +177,11 @@ func ParseAlgorithm(name string) (Algorithm, error) {
 	case "ac", "ahocorasick", "aho-corasick":
 		return AlgoAhoCorasick, nil
 	case "wumanber", "wu-manber", "wm":
-		return AlgoWuManber, nil
+		return 0, retiredError("Wu-Manber")
 	case "ffbf":
-		return AlgoFFBF, nil
+		return 0, retiredError("FFBF")
 	}
-	return 0, fmt.Errorf("vpatch: unknown algorithm %q (want vpatch, spatch, dfc, vectordfc, ac, wumanber or ffbf)", name)
+	return 0, fmt.Errorf("vpatch: unknown algorithm %q (want vpatch, spatch, dfc, vectordfc or ac)", name)
 }
 
 // Kernel identifies a native filtering-round kernel of the filtering
@@ -266,10 +254,6 @@ func Compile(set *PatternSet, opt Options) (*Engine, error) {
 		eng = dfc.BuildVector(set, opt.VectorWidth)
 	case AlgoAhoCorasick:
 		eng = ahocorasick.Build(set)
-	case AlgoWuManber:
-		eng = wumanber.Build(set)
-	case AlgoFFBF:
-		eng = ffbf.Build(set, ffbf.Options{})
 	default:
 		return nil, fmt.Errorf("vpatch: unknown algorithm %d", int(opt.Algorithm))
 	}

@@ -9,7 +9,7 @@ import (
 )
 
 var allAlgorithms = []Algorithm{
-	AlgoVPatch, AlgoSPatch, AlgoDFC, AlgoVectorDFC, AlgoAhoCorasick, AlgoWuManber, AlgoFFBF,
+	AlgoVPatch, AlgoSPatch, AlgoDFC, AlgoVectorDFC, AlgoAhoCorasick,
 }
 
 // newSession compiles set and opens one scanning session on the engine:
